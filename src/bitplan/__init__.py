@@ -1,14 +1,7 @@
 """Anytime sampling-based motion planning: BIT* with an RRT* baseline."""
 
-from .bitstar import (
-    ConvergencePoint,
-    PlannerContext,
-    PlannerParams,
-    PlanResult,
-    StopCondition,
-    near,
-    plan,
-)
+from .anytime import ConvergencePoint, PlanResult, StopCondition
+from .bitstar import PlannerContext, PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan, steer
 from .space import (
     Box,
@@ -60,7 +53,6 @@ __all__ = [
     "h_hat",
     "informed_contains",
     "load_occupancy_grid",
-    "near",
     "plan",
     "rrt_plan",
     "sample_batch",

@@ -47,7 +47,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .bitstar import ConvergencePoint, PlannerParams, StopCondition, plan
+from .anytime import ConvergencePoint, StopCondition
+from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
 from .space import Box, GoalRegion, ProblemDef, RngStream, State
 from .world import Circle, Rect, World, load_occupancy_grid

@@ -9,9 +9,8 @@ expensive collision check runs. When both queues are empty, the batch ends:
 provably useless vertices and samples are pruned and a fresh batch of
 uniform samples is drawn from the informed set.
 
-Time is measured on the deterministic work clock of CountingWorld (one unit
-per point collision check or neighbor-scan candidate), so identical seeds
-replay identical runs byte for byte.
+The stop bounds, work clock, best-path snapshot and convergence records are
+the anytime run contract of `anytime.AnytimeRun`, shared with RRT*.
 """
 
 from __future__ import annotations
@@ -19,37 +18,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
-from .space import ProblemDef, RngStream, State, c_hat, g_hat, h_hat, sample_batch
+from .space import (ProblemDef, RngStream, SamplerStarvedError, State, c_hat, g_hat, h_hat,
+                    sample_batch)
 from .tree import Tree
-from .world import CountingWorld, World
-
-
-@dataclass(frozen=True)
-class StopCondition:
-    """Any-of termination bounds; at least one must be set.
-
-    time_budget_s counts planner seconds on the deterministic work clock;
-    max_batches bounds the number of sampled batches (0 allows only the
-    direct root-to-goal attempt); target_cost stops at the first solution
-    at or below the target.
-    """
-
-    time_budget_s: float | None = None
-    max_batches: int | None = None
-    target_cost: float | None = None
-
-    def __post_init__(self):
-        if self.time_budget_s is None and self.max_batches is None and self.target_cost is None:
-            raise ValueError("at least one stop bound must be set")
-        if self.time_budget_s is not None and self.time_budget_s < 0:
-            raise ValueError("time budget must be non-negative")
-        if self.max_batches is not None and self.max_batches < 0:
-            raise ValueError("max batches must be non-negative")
+from .world import World
 
 
 @dataclass(frozen=True)
@@ -63,23 +41,6 @@ class PlannerParams:
             raise ValueError("batch size must be at least 1")
         if self.radius <= 0:
             raise ValueError("connection radius must be positive")
-
-
-class ConvergencePoint(NamedTuple):
-    elapsed_s: float
-    cost: float
-    batch: int
-    tree_vertices: int
-    samples_drawn: int
-
-
-@dataclass
-class PlanResult:
-    """Best path found (None if none), its cost, and the improvement trace."""
-
-    path: list[State] | None
-    cost: float
-    convergence: list[ConvergencePoint]
 
 
 @dataclass
@@ -101,35 +62,6 @@ class PlannerContext:
     v_rewire: set[int] = field(default_factory=set)
     v_sol: set[int] = field(default_factory=set)
     c_sol: float = math.inf
-
-
-def near(x: State, candidates, radius: float) -> list[State]:
-    """Candidates within `radius` of x by Euclidean distance, excluding x.
-
-    The boundary is included (distance == radius qualifies). Candidate order
-    is preserved.
-    """
-    cands = list(candidates)
-    if not cands:
-        return []
-    arr = np.asarray(cands, dtype=float)
-    d2 = ((arr - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    keep = np.flatnonzero(d2 <= radius * radius)
-    return [cands[i] for i in keep if cands[i] != x]
-
-
-def near_vertices(x: State, tree: Tree, radius: float) -> list[tuple[int, State]]:
-    """Tree vertices within `radius` of x, excluding any vertex at x itself."""
-    ids, arr = tree.states_matrix()
-    d2 = ((arr - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    keep = np.flatnonzero(d2 <= radius * radius)
-    out = []
-    for i in keep:
-        vid = ids[i]
-        state = tree.state(vid)
-        if state != x:
-            out.append((vid, state))
-    return out
 
 
 def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
@@ -321,12 +253,12 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, rng: RngStrea
          prune_hook: Callable | None = None) -> PlanResult:
     """Run BIT* until the stop condition fires; never raises on "no path".
 
-    The result carries the best path ever found (kept as a snapshot, so a
-    later prune of its endpoint cannot lose it) and one convergence record
-    per strict cost improvement plus one at termination. batch_hook(batch,
+    The result is the best path ever found with its convergence records (see
+    AnytimeRun). If the sampler starves once a path exists, the run ends and
+    returns it; before that, SamplerStarvedError propagates. batch_hook(batch,
     ctx) fires at every batch boundary; prune_hook(ctx) after every prune.
     """
-    cw = CountingWorld(world)
+    run = AnytimeRun(world, params.stop)
     ctx = PlannerContext(tree=Tree(problem.root))
     tree = ctx.tree
     goals = problem.goal_samples
@@ -337,51 +269,29 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, rng: RngStrea
     if problem.goal_region.contains(problem.root):
         ctx.v_sol.add(tree.root_id)
         ctx.c_sol = 0.0
+        run.improve(tree, ctx.v_sol, 0, 0)
     ctx.qv.insert(h_hat(problem.root, goals), 0.0, tree.root_id)
 
-    stop = params.stop
-    records: list[ConvergencePoint] = []
-    best_path: list[State] | None = None
-    best_cost = math.inf
     batch = 0
     samples_drawn = 0
-
-    def note_improvement():
-        nonlocal best_path, best_cost
-        best_vid = min(ctx.v_sol, key=lambda v: (tree.cost_to_come(v), v))
-        best_cost = ctx.c_sol
-        best_path = tree.solution(best_vid)
-        records.append(
-            ConvergencePoint(cw.elapsed_s(), best_cost, batch, len(tree), samples_drawn)
-        )
-
-    if ctx.v_sol:
-        note_improvement()
-
-    while True:
-        if stop.time_budget_s is not None and cw.elapsed_s() >= stop.time_budget_s:
-            break
-        if stop.target_cost is not None and ctx.c_sol <= stop.target_cost:
-            break
+    while not run.should_stop():
         if not ctx.qv and not ctx.qe:
             if batch_hook is not None:
                 batch_hook(batch, ctx)
-            if stop.max_batches is not None and batch >= stop.max_batches:
+            if run.batch_limit_reached(batch) or not _can_improve(problem, ctx.c_sol):
                 break
-            if not _can_improve(problem, ctx.c_sol):
+            try:
+                start_new_batch(ctx, problem, run.world, params, rng, prune_hook=prune_hook)
+            except SamplerStarvedError:
+                if run.path is None:
+                    raise
                 break
-            start_new_batch(ctx, problem, cw, params, rng, prune_hook=prune_hook)
             batch += 1
             samples_drawn += params.batch_size
         elif ctx.qv.best_value() <= ctx.qe.best_value():
-            cw.tick(expand_vertex(ctx, problem, params))
+            run.world.tick(expand_vertex(ctx, problem, params))
         else:
-            before = ctx.c_sol
-            expand_edge(ctx, problem, cw)
-            if ctx.c_sol < before:
-                note_improvement()
-
-    final = ConvergencePoint(cw.elapsed_s(), best_cost, batch, len(tree), samples_drawn)
-    if not records or records[-1].elapsed_s != final.elapsed_s:
-        records.append(final)
-    return PlanResult(path=best_path, cost=best_cost, convergence=records)
+            expand_edge(ctx, problem, run.world)
+            if ctx.c_sol < run.cost:
+                run.improve(tree, ctx.v_sol, batch, samples_drawn)
+    return run.result(tree, batch, samples_drawn)

@@ -25,7 +25,7 @@ from .bench import (
     with_stop,
     write_convergence_csv,
 )
-from .bitstar import StopCondition
+from .anytime import StopCondition
 from .space import SamplerStarvedError
 from .svg import render_svg
 from .world import GridLoadError

@@ -1,9 +1,10 @@
 """RRT* baseline: sample, steer, choose-parent, rewire.
 
-Shares the tree, stop-condition, and convergence-record machinery with the
-BIT* planner so convergence curves are directly comparable. One iteration
-draws one sample; a stop condition's max_batches bounds the iteration count
-(RRT* is effectively BIT* with a batch size of one).
+Shares the tree and the anytime run contract (`anytime.AnytimeRun`: work
+clock, stop bounds, best-path snapshot, convergence records) with the BIT*
+planner so convergence curves are directly comparable. One iteration draws
+one sample; a stop condition's max_batches bounds the iteration count (RRT*
+is effectively BIT* with a batch size of one).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstar import ConvergencePoint, PlanResult, StopCondition
+from .anytime import AnytimeRun, PlanResult, StopCondition
 from .space import ProblemDef, RngStream, State, c_hat
 from .tree import Tree
-from .world import CountingWorld, World
+from .world import World
 
 
 @dataclass(frozen=True)
@@ -52,27 +53,6 @@ def steer(from_state: State, to_state: State, eta: float) -> State:
     return tuple(a + f * (b - a) for a, b in zip(from_state, to_state))
 
 
-class _StateBuffer:
-    """Growing (n, d) array of tree states for vectorized distance queries."""
-
-    def __init__(self, first: State):
-        self._arr = np.empty((64, len(first)))
-        self._arr[0] = first
-        self.n = 1
-
-    def append(self, state: State) -> None:
-        if self.n == len(self._arr):
-            bigger = np.empty((2 * len(self._arr), self._arr.shape[1]))
-            bigger[: self.n] = self._arr
-            self._arr = bigger
-        self._arr[self.n] = state
-        self.n += 1
-
-    def sq_dists(self, x: State) -> np.ndarray:
-        view = self._arr[: self.n]
-        return ((view - np.asarray(x)) ** 2).sum(axis=1)
-
-
 def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStream) -> PlanResult:
     """Run RRT* until the stop condition fires; no-path is a value, not an error.
 
@@ -82,42 +62,17 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
     improves them. Vertex ids double as insertion order, so all tie-breaking
     is deterministic under a fixed seed.
     """
-    cw = CountingWorld(world)
+    run = AnytimeRun(world, params.stop)
     tree = Tree(problem.root)
-    states = _StateBuffer(problem.root)
-    ids = [tree.root_id]
     v_sol: set[int] = set()
-    c_sol = math.inf
     goal_state = problem.goal_samples[0]
-
-    stop = params.stop
-    records: list[ConvergencePoint] = []
-    best_path: list[State] | None = None
-    best_cost = math.inf
-    iteration = 0
-
-    def note_improvement():
-        nonlocal best_path, best_cost
-        best_vid = min(v_sol, key=lambda v: (tree.cost_to_come(v), v))
-        best_cost = c_sol
-        best_path = tree.solution(best_vid)
-        records.append(
-            ConvergencePoint(cw.elapsed_s(), best_cost, iteration, len(tree), iteration)
-        )
-
     if problem.goal_region.contains(problem.root):
         v_sol.add(tree.root_id)
-        c_sol = 0.0
-        note_improvement()
+        run.improve(tree, v_sol, 0, 0)
 
     eta2 = params.eta * params.eta
-    while True:
-        if stop.time_budget_s is not None and cw.elapsed_s() >= stop.time_budget_s:
-            break
-        if stop.target_cost is not None and c_sol <= stop.target_cost:
-            break
-        if stop.max_batches is not None and iteration >= stop.max_batches:
-            break
+    iteration = 0
+    while not run.should_stop() and not run.batch_limit_reached(iteration):
         iteration += 1
 
         if iteration % params.goal_period == 0:
@@ -125,15 +80,18 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
         else:
             sample = rng.point(problem.bounds)
 
-        cw.tick(states.n)
-        d2 = states.sq_dists(sample)
+        # RRT* never removes vertices, so the tree only ever appends to this
+        # matrix and never rebuilds it.
+        ids, states = tree.states_matrix()
+        run.world.tick(len(ids))
+        d2 = ((states - np.asarray(sample)) ** 2).sum(axis=1)
         nearest = int(np.argmin(d2))
         new_state = steer(tree.state(ids[nearest]), sample, params.eta)
         if new_state == tree.state(ids[nearest]) or tree.has_state(new_state):
             continue
 
-        cw.tick(states.n)
-        nd2 = states.sq_dists(new_state)
+        run.world.tick(len(ids))
+        nd2 = ((states - np.asarray(new_state)) ** 2).sum(axis=1)
         within = np.flatnonzero(nd2 <= eta2)
         order = within[np.argsort(nd2[within], kind="stable")]
         neighbors = [ids[i] for i in order[: params.alpha]]
@@ -147,7 +105,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
         parent = None
         edge_cost = math.inf
         for v in ranked:
-            cost = cw.true_cost(tree.state(v), new_state)
+            cost = run.world.true_cost(tree.state(v), new_state)
             if math.isfinite(cost):
                 parent = v
                 edge_cost = cost
@@ -156,8 +114,6 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
             continue
 
         new_id = tree.add_child(parent, new_state, edge_cost)
-        ids.append(new_id)
-        states.append(new_state)
         if problem.goal_region.contains(new_state):
             v_sol.add(new_id)
 
@@ -167,17 +123,11 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
                 continue
             if g_new + c_hat(new_state, tree.state(w)) >= tree.cost_to_come(w):
                 continue
-            cost = cw.true_cost(new_state, tree.state(w))
+            cost = run.world.true_cost(new_state, tree.state(w))
             if g_new + cost < tree.cost_to_come(w):
                 tree.rewire(w, new_id, cost)
 
-        if v_sol:
-            new_best = min(tree.cost_to_come(v) for v in v_sol)
-            if new_best < c_sol:
-                c_sol = new_best
-                note_improvement()
+        if v_sol and min(tree.cost_to_come(v) for v in v_sol) < run.cost:
+            run.improve(tree, v_sol, iteration, iteration)
 
-    final = ConvergencePoint(cw.elapsed_s(), best_cost, iteration, len(tree), iteration)
-    if not records or records[-1].elapsed_s != final.elapsed_s:
-        records.append(final)
-    return PlanResult(path=best_path, cost=best_cost, convergence=records)
+    return run.result(tree, iteration, iteration)

@@ -75,10 +75,6 @@ class Tree:
         v = self._v.get(vid)
         return v.cost if v is not None else math.inf
 
-    def cost_of_state(self, state: State) -> float:
-        vid = self._by_state.get(state)
-        return self._v[vid].cost if vid is not None else math.inf
-
     def add_child(self, parent: int, state: State, edge_cost: float) -> int:
         if not math.isfinite(edge_cost) or edge_cost < 0:
             raise ValueError(f"edge cost must be finite and non-negative, got {edge_cost}")

@@ -215,10 +215,6 @@ class CountingWorld:
         self.units = 0
 
     @property
-    def bounds(self) -> Box:
-        return self.inner.bounds
-
-    @property
     def checks_per_meter(self) -> float:
         return self.inner.checks_per_meter
 

@@ -17,7 +17,8 @@ import pytest
 
 from bitplan import RngStream, World, c_hat, h_hat
 from bitplan.bench import resolve_scenario, run_single, with_stop
-from bitplan.bitstar import PlannerParams, StopCondition, plan
+from bitplan.anytime import StopCondition
+from bitplan.bitstar import PlannerParams, plan
 from bitplan.cli import cli_main
 from bitplan.tree import Tree
 from conftest import DEMO_BOUNDS, make_demo_problem, tree_audit

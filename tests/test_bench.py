@@ -17,7 +17,7 @@ from bitplan.bench import (
     with_stop,
     write_convergence_csv,
 )
-from bitplan.bitstar import ConvergencePoint, StopCondition
+from bitplan.anytime import ConvergencePoint, StopCondition
 from bitplan.world import Circle
 
 DEMO_SCN = """

@@ -6,23 +6,26 @@ import random
 import pytest
 
 import bitplan.bitstar as bitstar
+import bitplan.space as space
 from bitplan import (
     Box,
+    Circle,
     GoalRegion,
     ProblemDef,
+    Rect,
     RngStream,
+    SamplerStarvedError,
     World,
     c_hat,
     g_hat,
     h_hat,
 )
+from bitplan.anytime import StopCondition
 from bitplan.bitstar import (
     PlannerContext,
     PlannerParams,
-    StopCondition,
     expand_edge,
     expand_vertex,
-    near,
     plan,
     prune,
     start_new_batch,
@@ -41,18 +44,33 @@ def _context(problem) -> PlannerContext:
     return ctx
 
 
+def _queued_targets(x, samples, radius):
+    """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
+    problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1), DEMO_BOUNDS)
+    ctx = PlannerContext(tree=Tree(x))
+    ctx.x_ncon = dict.fromkeys(samples)
+    ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
+    params = PlannerParams(batch_size=1, radius=radius, stop=StopCondition(max_batches=1))
+    assert expand_vertex(ctx, problem, params) == len(samples)
+    targets = []
+    while ctx.qe:
+        _, _, (_, target, _, _) = ctx.qe.pop_best()
+        targets.append(target)
+    return sorted(targets)
+
+
 def test_near_includes_boundary():
     cands = [(3.0, 0.0), (0.0, 5.0), (7.0, 0.0)]
-    assert near((0.0, 0.0), cands, 5.0) == [(3.0, 0.0), (0.0, 5.0)]
+    assert _queued_targets((0.0, 0.0), cands, 5.0) == [(0.0, 5.0), (3.0, 0.0)]
 
 
 def test_near_empty_when_nothing_close():
-    assert near((0.0, 0.0), [(1.0, 1.0)], 0.001) == []
+    assert _queued_targets((0.0, 0.0), [(1.0, 1.0)], 0.001) == []
 
 
 def test_near_excludes_the_query_point():
     cands = [(0.0, 0.0), (1.0, 0.0)]
-    assert near((0.0, 0.0), cands, 5.0) == [(1.0, 0.0)]
+    assert _queued_targets((0.0, 0.0), cands, 5.0) == [(1.0, 0.0)]
 
 
 def test_near_matches_linear_scan_oracle():
@@ -60,8 +78,8 @@ def test_near_matches_linear_scan_oracle():
     cands = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(1000)]
     x = (0.5, -0.25)
     rho = 4.0
-    expected = [c for c in cands if c != x and c_hat(x, c) <= rho]
-    assert near(x, cands, rho) == expected
+    expected = sorted(c for c in cands if c != x and c_hat(x, c) <= rho)
+    assert expected and _queued_targets(x, cands, rho) == expected
 
 
 def test_plan_trivial_direct_connection():
@@ -139,6 +157,28 @@ def test_plan_root_inside_goal_region():
     assert result.cost == 0.0
     assert result.path == [(0.0, 8.0)]
     assert result.convergence[-1].samples_drawn == 0
+
+
+def test_sampler_starvation_keeps_the_best_path(monkeypatch):
+    # Root and goal 2 m apart around a 5 cm circle in a 60 m box: once a
+    # solution exists the informed ellipse covers a sliver of the box, so
+    # rejection sampling starves a few batches later.
+    monkeypatch.setattr(space, "REJECTION_BUDGET", 2000)
+    bounds = Box((-30.0, -30.0), (30.0, 30.0))
+    world = World(bounds, [Circle((0.0, 0.0), 0.05)])
+    problem = ProblemDef((-1.0, 0.0), ((1.0, 0.0),), GoalRegion((1.0, 0.0), 0.1), bounds)
+    params = PlannerParams(batch_size=50, radius=100.0, stop=StopCondition(max_batches=20))
+    result = plan(problem, world, params, RngStream(1))
+    assert result.path is not None
+    assert f"{result.cost:.4f}" == "2.0130"
+    last = result.convergence[-1]
+    assert last.cost == result.cost
+    assert last.batch < 20
+    # With no solution to return, starvation is still an error.
+    walled = World(bounds, [Rect((-29.99, -31.0), (29.99, 31.0))])
+    problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), GoalRegion((29.995, 0.0), 0.1), bounds)
+    with pytest.raises(SamplerStarvedError):
+        plan(problem, walled, params, RngStream(1))
 
 
 def test_queue_selection_trace(monkeypatch, demo_world):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 from bitplan.cli import cli_main
@@ -141,3 +142,56 @@ def test_plan_without_outputs_just_summarizes(capsys):
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "bitplan" in capsys.readouterr().out
+
+
+# Recorded from the demo scenario; any change in planner behaviour shows here.
+PINNED_BITSTAR_CSV = """\
+elapsed_s,cost,batch,tree_vertices,samples_drawn
+0.006204,16.680007,1,11,100
+0.062428,16.317281,2,42,200
+0.313576,16.317281,3,92,300
+"""
+PINNED_BITSTAR_LAST_SVG_SHA256 = "e095e97d3a62e805803f996f5d0f7b63f7ca17c80a6b03d54e0a3b4b8b2d40a5"
+PINNED_RRTSTAR_CSV = """\
+elapsed_s,cost,batch,tree_vertices,samples_drawn
+0.064112,21.664062,150,110,150
+0.126848,21.456391,206,160,206
+0.179632,21.336340,242,196,242
+0.181344,21.290570,243,197,243
+0.230840,21.256373,272,223,272
+0.263576,21.218569,289,239,289
+0.288716,21.071126,302,251,302
+0.324824,20.958778,319,268,319
+0.335828,19.936671,324,273,324
+0.417500,19.555646,359,305,359
+0.501052,19.507941,391,335,391
+0.538672,18.704990,405,347,405
+0.675516,18.516528,451,389,451
+0.714140,18.502749,463,401,463
+0.812368,18.497733,492,428,492
+0.834028,18.325473,498,433,498
+0.842908,16.720517,501,435,501
+0.867820,16.627246,508,442,508
+1.169992,16.597821,586,516,586
+1.458136,16.565936,652,576,652
+1.801780,16.528106,722,639,722
+2.269996,16.504062,808,718,808
+6.407064,16.182989,1345,1212,1345
+7.986920,16.182989,1500,1358,1500
+"""
+
+
+def test_plan_outputs_match_pinned_bytes(tmp_path):
+    bit_csv, rrt_csv, svg_dir = tmp_path / "bit.csv", tmp_path / "rrt.csv", tmp_path / "svg"
+    assert cli_main([
+        "plan", "--scenario", "demo", "--planner", "bitstar", "--seed", "1",
+        "--max-batches", "3", "--out", str(bit_csv), "--svg-dir", str(svg_dir),
+    ]) == 0
+    assert cli_main([
+        "plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
+        "--max-batches", "1500", "--out", str(rrt_csv),
+    ]) == 0
+    assert bit_csv.read_text() == PINNED_BITSTAR_CSV
+    assert rrt_csv.read_text() == PINNED_RRTSTAR_CSV
+    last_svg = (svg_dir / "batch_003.svg").read_bytes()
+    assert hashlib.sha256(last_svg).hexdigest() == PINNED_BITSTAR_LAST_SVG_SHA256

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bitplan import GoalRegion, ProblemDef, RngStream, World, c_hat
-from bitplan.bitstar import StopCondition
+from bitplan.anytime import StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from conftest import DEMO_BOUNDS, make_demo_problem
 

@@ -76,13 +76,13 @@ def test_rewire_guards():
 def test_cost_to_come_semantics():
     t = Tree((0.0, 0.0))
     assert t.cost_to_come(t.root_id) == 0.0
-    assert t.cost_of_state((5.0, 5.0)) == math.inf  # unconnected sample
+    assert t.cost_to_come(t.id_of((5.0, 5.0))) == math.inf  # unconnected sample
     assert t.cost_to_come(12345) == math.inf
     a = t.add_child(t.root_id, (1.0, 0.0), 3.0)
     b = t.add_child(a, (2.0, 0.0), 4.0)
     c = t.add_child(b, (3.0, 0.0), 5.0)
     assert t.cost_to_come(c) == 12.0
-    assert t.cost_of_state((3.0, 0.0)) == 12.0
+    assert t.cost_to_come(t.id_of((3.0, 0.0))) == 12.0
 
 
 def test_parent_children_examples():
