@@ -4,7 +4,7 @@ Scenario format (line-oriented, '#' starts a comment, blank lines ignored):
 
     name = demo                 # optional, defaults to the file stem
     [world]
-    bounds = XMIN YMIN XMAX YMAX
+    bounds = XMIN YMIN XMAX YMAX  # with [grid]: must equal the map extent
     checks_per_meter = 4        # optional, default 4
     [obstacles]                 # or a [grid] section, not both
     circle CX CY R
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +67,7 @@ class Scenario:
     problem: ProblemDef
     bitstar: PlannerParams
     rrtstar: RrtParams
+    stop: StopCondition
     trials: int
     base_seed: int
 
@@ -207,8 +208,11 @@ def load_scenario(path) -> Scenario:
         mpc = positive("grid", "meters_per_cell", float)
         origin = floats("grid", "origin", 2)
         threshold = scalar("grid", "threshold", int)
-        world = load_occupancy_grid(grid_path, mpc, origin, threshold)
-        world = World(grid=world.grid, checks_per_meter=cpm)
+        grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
+        try:
+            world = World(bounds, grid=grid, checks_per_meter=cpm)
+        except ValueError as e:
+            raise ScenarioError(f"{path}: [world] {e}") from e
     else:
         obstacles = []
         for line_no, line in obstacle_lines:
@@ -235,7 +239,7 @@ def load_scenario(path) -> Scenario:
         _parse_point(path, line_no, value) for line_no, value in goal_sample_lines
     ) or (goal_center,)
     try:
-        problem = ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius), bounds)
+        problem = ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius))
         problem.validate(world)
     except ValueError as e:
         raise ScenarioError(f"{path}: problem: {e}") from e
@@ -255,13 +259,11 @@ def load_scenario(path) -> Scenario:
         bit = PlannerParams(
             batch_size=positive("bitstar", "batch_size", int),
             radius=positive("bitstar", "rho", float),
-            stop=stop,
         )
         rrt = RrtParams(
             eta=positive("rrtstar", "eta", float),
             alpha=positive("rrtstar", "alpha", int),
             goal_period=positive("rrtstar", "goal_period", int),
-            stop=stop,
         )
     except ValueError as e:
         raise ScenarioError(f"{path}: planner params: {e}") from e
@@ -272,7 +274,7 @@ def load_scenario(path) -> Scenario:
         line_no, _ = get("bench", "base_seed")
         err(line_no, "base_seed: must be non-negative")
 
-    return Scenario(name, world, problem, bit, rrt, trials, base_seed)
+    return Scenario(name, world, problem, bit, rrt, stop, trials, base_seed)
 
 
 def _parse_point(path, line_no, value) -> State:
@@ -285,20 +287,13 @@ def _parse_point(path, line_no, value) -> State:
         raise ScenarioError(f"{path}:{line_no}: goal_sample: not a number") from None
 
 
-def with_stop(scenario: Scenario, stop: StopCondition) -> Scenario:
-    """Scenario with the stop condition replaced for both planners."""
-    return replace(
-        scenario,
-        bitstar=replace(scenario.bitstar, stop=stop),
-        rrtstar=replace(scenario.rrtstar, stop=stop),
-    )
-
-
 def run_single(scenario: Scenario, planner: str, seed: int, **hooks):
     if planner == "bitstar":
-        return plan(scenario.problem, scenario.world, scenario.bitstar, RngStream(seed), **hooks)
+        return plan(scenario.problem, scenario.world, scenario.bitstar, scenario.stop,
+                    RngStream(seed), **hooks)
     if planner == "rrtstar":
-        return rrt_plan(scenario.problem, scenario.world, scenario.rrtstar, RngStream(seed))
+        return rrt_plan(scenario.problem, scenario.world, scenario.rrtstar, scenario.stop,
+                        RngStream(seed))
     raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
 
 

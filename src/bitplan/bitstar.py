@@ -34,7 +34,6 @@ from .world import World
 class PlannerParams:
     batch_size: int
     radius: float
-    stop: StopCondition
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -100,7 +99,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
 
 
 def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world, params: PlannerParams,
-                    rng: RngStream, *, prune_hook: Callable | None = None) -> None:
+                    rng: RngStream) -> None:
     """Prune, draw a fresh batch, and requeue every tree vertex.
 
     New samples are informed once an incumbent exists. Reused pruned states
@@ -111,8 +110,6 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world, params: Pla
     if ctx.qv or ctx.qe:
         raise ValueError("a new batch may only start when both queues are empty")
     x_reuse = prune(ctx, problem)
-    if prune_hook is not None:
-        prune_hook(ctx)
     fresh = sample_batch(params.batch_size, problem, world, ctx.c_sol, rng)
     ctx.x_new = {}
     for x in fresh:
@@ -248,17 +245,16 @@ def _can_improve(problem: ProblemDef, c_sol: float) -> bool:
     return any(c_hat(problem.root, g) < c_sol for g in problem.goal_samples)
 
 
-def plan(problem: ProblemDef, world: World, params: PlannerParams, rng: RngStream, *,
-         batch_hook: Callable | None = None,
-         prune_hook: Callable | None = None) -> PlanResult:
-    """Run BIT* until the stop condition fires; never raises on "no path".
+def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCondition,
+         rng: RngStream, *, batch_hook: Callable | None = None) -> PlanResult:
+    """Run BIT* until `stop` fires; never raises on "no path".
 
     The result is the best path ever found with its convergence records (see
     AnytimeRun). If the sampler starves once a path exists, the run ends and
     returns it; before that, SamplerStarvedError propagates. batch_hook(batch,
-    ctx) fires at every batch boundary; prune_hook(ctx) after every prune.
+    ctx) fires at every batch boundary.
     """
-    run = AnytimeRun(world, params.stop)
+    run = AnytimeRun(world, stop)
     ctx = PlannerContext(tree=Tree(problem.root))
     tree = ctx.tree
     goals = problem.goal_samples
@@ -281,7 +277,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, rng: RngStrea
             if run.batch_limit_reached(batch) or not _can_improve(problem, ctx.c_sol):
                 break
             try:
-                start_new_batch(ctx, problem, run.world, params, rng, prune_hook=prune_hook)
+                start_new_batch(ctx, problem, run.world, params, rng)
             except SamplerStarvedError:
                 if run.path is None:
                     raise

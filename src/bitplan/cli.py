@@ -22,7 +22,6 @@ from .bench import (
     resolve_scenario,
     run_single,
     run_trials,
-    with_stop,
     write_convergence_csv,
 )
 from .anytime import StopCondition
@@ -50,9 +49,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--planner", required=True, choices=PLANNERS)
         p.add_argument("--seed", type=int, default=None, help="override the scenario base seed")
         p.add_argument("--time-budget", type=float, default=None, metavar="S",
-                       help="override stop: planner-seconds budget")
+                       help="replace the stop: planner-seconds budget")
         p.add_argument("--max-batches", type=int, default=None, metavar="N",
-                       help="override stop: batch (bitstar) / iteration (rrtstar) cap")
+                       help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
         p.add_argument("--out", type=Path, default=None, help="CSV output path")
 
     p_plan = sub.add_parser("plan", help="run one trial and emit its convergence CSV")
@@ -76,15 +75,10 @@ def _build_parser() -> _Parser:
 
 
 def _apply_stop_overrides(scenario, time_budget, max_batches):
+    """Replace the scenario's whole stop condition when either flag is given."""
     if time_budget is None and max_batches is None:
         return scenario
-    old = scenario.bitstar.stop
-    stop = StopCondition(
-        time_budget_s=time_budget if time_budget is not None else old.time_budget_s,
-        max_batches=max_batches if max_batches is not None else old.max_batches,
-        target_cost=old.target_cost,
-    )
-    return with_stop(scenario, stop)
+    return replace(scenario, stop=StopCondition(time_budget, max_batches))
 
 
 def _snapshot_hook(svg_dir: Path, scenario):
@@ -102,10 +96,12 @@ def _snapshot_hook(svg_dir: Path, scenario):
         if ctx.v_sol:
             best = min(ctx.v_sol, key=lambda v: (tree.cost_to_come(v), v))
             path = tree.solution(best)
-        ellipse = None
+        # The informed set g_hat + h_hat < c_sol is the union of one ellipse
+        # per goal sample, each with the root and that sample as foci.
+        ellipses = []
         if math.isfinite(ctx.c_sol):
-            ellipse = (problem.root, problem.goal_region.center, ctx.c_sol)
-        render_svg(scenario.world, edges, path, ellipse, list(ctx.x_ncon),
+            ellipses = [(problem.root, g, ctx.c_sol) for g in problem.goal_samples]
+        render_svg(scenario.world, edges, path, ellipses, list(ctx.x_ncon),
                    svg_dir / f"batch_{batch:03d}.svg")
 
     return hook
@@ -140,8 +136,7 @@ def _cmd_bench(args) -> int:
         scenario = replace(scenario, base_seed=args.seed)
     trials = args.trials if args.trials is not None else scenario.trials
     series = run_trials(scenario, args.planner, trials)
-    stop = scenario.bitstar.stop
-    horizon = stop.time_budget_s
+    horizon = scenario.stop.time_budget_s
     if horizon is None:
         # Cover the slowest trial: round its end time up to the grid.
         last = max((s.points[-1].elapsed_s for s in series if s.points), default=0.0)
@@ -157,9 +152,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    scenario = resolve_scenario("demo")
-    if args.max_batches is not None:
-        scenario = _apply_stop_overrides(scenario, None, args.max_batches)
+    scenario = _apply_stop_overrides(resolve_scenario("demo"), None, args.max_batches)
     seed = args.seed if args.seed is not None else scenario.base_seed
     hooks = {"batch_hook": _snapshot_hook(args.svg_dir, scenario)}
     result = run_single(scenario, "bitstar", seed, **hooks)

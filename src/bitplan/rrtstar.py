@@ -22,7 +22,7 @@ from .world import World
 
 @dataclass(frozen=True)
 class RrtParams:
-    """Steering length eta, neighbor cap alpha, goal-bias period, and stop.
+    """Steering length eta, neighbor cap alpha, and goal-bias period.
 
     Every goal_period-th sample is the first goal sample instead of a uniform
     draw, which is what lets the tree actually hit a measure-zero goal.
@@ -31,7 +31,6 @@ class RrtParams:
     eta: float
     alpha: int
     goal_period: int
-    stop: StopCondition
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -53,8 +52,9 @@ def steer(from_state: State, to_state: State, eta: float) -> State:
     return tuple(a + f * (b - a) for a, b in zip(from_state, to_state))
 
 
-def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStream) -> PlanResult:
-    """Run RRT* until the stop condition fires; no-path is a value, not an error.
+def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCondition,
+             rng: RngStream) -> PlanResult:
+    """Run RRT* until `stop` fires; no-path is a value, not an error.
 
     Parent choice scans the alpha nearest neighbors within eta in ascending
     cost-to-come-through order and takes the first collision-free edge; the
@@ -62,7 +62,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
     improves them. Vertex ids double as insertion order, so all tie-breaking
     is deterministic under a fixed seed.
     """
-    run = AnytimeRun(world, params.stop)
+    run = AnytimeRun(world, stop)
     tree = Tree(problem.root)
     v_sol: set[int] = set()
     goal_state = problem.goal_samples[0]
@@ -78,7 +78,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, rng: RngStrea
         if iteration % params.goal_period == 0:
             sample = goal_state
         else:
-            sample = rng.point(problem.bounds)
+            sample = rng.point(world.bounds)
 
         # RRT* never removes vertices, so the tree only ever appends to this
         # matrix and never rebuilds it.

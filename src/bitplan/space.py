@@ -61,25 +61,24 @@ class GoalRegion:
 
 @dataclass(frozen=True)
 class ProblemDef:
-    """A planning query: start state, goal samples, goal region, and bounds."""
+    """A planning query: start state, goal samples, and goal region, inside world.bounds."""
 
     root: State
     goal_samples: tuple[State, ...]
     goal_region: GoalRegion
-    bounds: Box
 
     def __post_init__(self):
         if not self.goal_samples:
             raise ValueError("at least one goal sample is required")
 
     def validate(self, world) -> None:
-        """Check start/goal placement against bounds, obstacles, and the region."""
-        if not self.bounds.contains(self.root):
+        """Check start/goal placement against world bounds, obstacles, and the region."""
+        if not world.bounds.contains(self.root):
             raise ValueError("root lies outside the planning bounds")
         if not world.is_free(self.root):
             raise ValueError("root lies inside an obstacle")
         for g in self.goal_samples:
-            if not self.bounds.contains(g):
+            if not world.bounds.contains(g):
                 raise ValueError("goal sample lies outside the planning bounds")
             if not world.is_free(g):
                 raise ValueError("goal sample lies inside an obstacle")
@@ -148,18 +147,19 @@ def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:
 def sample_batch(m: int, problem: ProblemDef, world, c_sol: float, rng: RngStream) -> list[State]:
     """Draw m i.i.d. uniform samples of the free space inside the informed set.
 
-    Rejection sampling from the uniform distribution over the bounds keeps the
+    Rejection sampling from the uniform distribution over world.bounds keeps the
     accepted samples exactly uniform on (free space) intersect (informed set).
     Raises SamplerStarvedError if one sample exhausts the rejection budget.
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
+    bounds = world.bounds
     out: list[State] = []
     attempts = 0
     for _ in range(m):
         for _ in range(REJECTION_BUDGET):
             attempts += 1
-            x = rng.point(problem.bounds)
+            x = rng.point(bounds)
             if world.is_free(x) and informed_contains(x, problem, c_sol):
                 out.append(x)
                 break

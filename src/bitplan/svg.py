@@ -20,13 +20,13 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
-def render_svg(world: World, edges, path, ellipse, samples, out_path) -> None:
+def render_svg(world: World, edges, path, ellipses, samples, out_path) -> None:
     """Write one SVG snapshot.
 
     edges: iterable of (parent_state, child_state) segments.
     path: incumbent solution as a state sequence, or None.
-    ellipse: (focus_a, focus_b, major_axis_length) for the informed set, or
-        None when there is no incumbent yet.
+    ellipses: (focus_a, focus_b, major_axis_length) per informed-set
+        ellipse; empty when there is no incumbent yet.
     samples: iterable of unconnected sample states.
     """
     lo, hi = world.bounds.lo, world.bounds.hi
@@ -75,8 +75,7 @@ def render_svg(world: World, edges, path, ellipse, samples, out_path) -> None:
                     f'height="{_f(ob.hi[1] - ob.lo[1])}" fill="#555555"/>'
                 )
 
-    if ellipse is not None:
-        fa, fb, major = ellipse
+    for fa, fb, major in ellipses:
         focal = c_hat(fa, fb)
         if math.isfinite(major) and major > focal:
             cx = (fa[0] + fb[0]) / 2.0

@@ -89,8 +89,13 @@ class World:
             if obstacles is not None:
                 raise ValueError("choose either geometric obstacles or a grid, not both")
             derived = grid.extent()
-            if bounds is not None and (bounds.lo != derived.lo or bounds.hi != derived.hi):
-                raise ValueError("bounds must match the grid extent")
+            # Tolerate rounding: 7 cells of 0.1 m span 0.7000000000000001 m,
+            # which a scenario file writes as 0.7.
+            tol = 1e-6 * grid.meters_per_cell
+            if bounds is not None and any(
+                abs(a - b) > tol for a, b in zip(bounds.lo + bounds.hi, derived.lo + derived.hi)
+            ):
+                raise ValueError(f"bounds must match the grid extent {derived.lo} {derived.hi}")
             bounds = derived
         else:
             if bounds is None:
@@ -213,6 +218,10 @@ class CountingWorld:
     def __init__(self, inner: World):
         self.inner = inner
         self.units = 0
+
+    @property
+    def bounds(self) -> Box:
+        return self.inner.bounds
 
     @property
     def checks_per_meter(self) -> float:

@@ -17,9 +17,7 @@ def make_demo_world() -> World:
 
 
 def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
-    return ProblemDef(
-        DEMO_ROOT, (DEMO_GOAL,), GoalRegion(DEMO_GOAL, goal_radius), DEMO_BOUNDS
-    )
+    return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), GoalRegion(DEMO_GOAL, goal_radius))
 
 
 def tree_audit(tree, tol: float = 1e-9) -> None:

@@ -7,6 +7,7 @@ shared across criteria.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import random
@@ -15,8 +16,9 @@ import statistics
 import numpy as np
 import pytest
 
+import bitplan.bitstar as bitstar
 from bitplan import RngStream, World, c_hat, h_hat
-from bitplan.bench import resolve_scenario, run_single, with_stop
+from bitplan.bench import resolve_scenario, run_single
 from bitplan.anytime import StopCondition
 from bitplan.bitstar import PlannerParams, plan
 from bitplan.cli import cli_main
@@ -86,7 +88,7 @@ def ten_batch_results(demo_scenario):
 
 @pytest.fixture(scope="module")
 def one_second_results(demo_scenario):
-    budget = with_stop(demo_scenario, StopCondition(time_budget_s=1.0))
+    budget = dataclasses.replace(demo_scenario, stop=StopCondition(time_budget_s=1.0))
     return {
         planner: [run_single(budget, planner, seed) for seed in SEEDS]
         for planner in ("bitstar", "rrtstar")
@@ -113,14 +115,16 @@ def test_criterion_2_anytime_monotonicity(ten_batch_results, one_second_results)
     _report(2, bad == 0, f"{len(trials)} trials, {bad} with an increasing cost record")
 
 
-def test_criterion_3_prune_soundness(demo_scenario):
+def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
     problem = demo_scenario.problem
     goals = problem.goal_samples
     violations = []
     calls = 0
+    orig = bitstar.prune
 
-    def check(ctx):
+    def checked_prune(ctx, prob):
         nonlocal calls
+        x_reuse = orig(ctx, prob)
         calls += 1
         for vid in ctx.tree.vertex_ids():
             key = ctx.tree.cost_to_come(vid) + h_hat(ctx.tree.state(vid), goals)
@@ -130,10 +134,12 @@ def test_criterion_3_prune_soundness(demo_scenario):
             est = c_hat(problem.root, x) + h_hat(x, goals)
             if est >= ctx.c_sol:
                 violations.append(("sample", x, est, ctx.c_sol))
+        return x_reuse
 
+    monkeypatch.setattr(bitstar, "prune", checked_prune)
     for seed in (1, 2, 3):
-        plan(problem, demo_scenario.world, demo_scenario.bitstar, RngStream(seed),
-             prune_hook=check)
+        plan(problem, demo_scenario.world, demo_scenario.bitstar, demo_scenario.stop,
+             RngStream(seed))
     ok = calls > 0 and not violations
     _report(3, ok, f"{calls} instrumented prunes, {len(violations)} violations")
 
@@ -196,8 +202,8 @@ def test_criterion_6_bitstar_beats_rrtstar_at_budget(one_second_results):
 def test_criterion_7_batch_zero_trivial_case():
     problem = make_demo_problem()
     world = World(DEMO_BOUNDS, [])
-    params = PlannerParams(batch_size=100, radius=20.0, stop=StopCondition(max_batches=10))
-    result = plan(problem, world, params, RngStream(123))
+    params = PlannerParams(batch_size=100, radius=20.0)
+    result = plan(problem, world, params, StopCondition(max_batches=10), RngStream(123))
     direct = c_hat(problem.root, problem.goal_samples[0])
     first = result.convergence[0]
     ok = first.samples_drawn == 0 and abs(result.cost - direct) <= 1e-9

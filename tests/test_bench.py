@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from bitplan.bench import (
     load_scenario,
     resolve_scenario,
     run_trials,
-    with_stop,
     write_convergence_csv,
 )
 from bitplan.anytime import ConvergencePoint, StopCondition
@@ -73,7 +73,7 @@ def test_load_scenario_file(tmp_path):
     scn = load_scenario(_write(tmp_path, DEMO_SCN))
     assert scn.name == "tiny"
     assert scn.base_seed == 5
-    assert scn.bitstar.stop.max_batches == 2
+    assert scn.stop.max_batches == 2
 
 
 def test_missing_root_names_the_field(tmp_path):
@@ -110,9 +110,7 @@ def test_scenario_rejects_blocked_root(tmp_path):
         load_scenario(_write(tmp_path, text))
 
 
-def test_scenario_with_grid_world(tmp_path):
-    (tmp_path / "map.pgm").write_text("P2\n4 4\n255\n" + " ".join(["255"] * 16) + "\n")
-    text = """
+GRID_SCN = """
 [world]
 bounds = 0 0 4 4
 [grid]
@@ -134,9 +132,39 @@ goal_period = 10
 [stop]
 max_batches = 1
 """
-    scn = load_scenario(_write(tmp_path, text))
+
+
+def _write_grid_map(tmp_path):
+    (tmp_path / "map.pgm").write_text("P2\n4 4\n255\n" + " ".join(["255"] * 16) + "\n")
+
+
+def test_scenario_with_grid_world(tmp_path):
+    _write_grid_map(tmp_path)
+    scn = load_scenario(_write(tmp_path, GRID_SCN))
     assert scn.world.grid is not None
     assert scn.world.bounds.hi == (4.0, 4.0)
+
+
+def test_grid_scenario_bounds_may_round_the_map_extent(tmp_path):
+    # 7 cells of 0.1 m span 0.7000000000000001 m in floating point.
+    (tmp_path / "map.pgm").write_text("P2\n7 7\n255\n" + " ".join(["255"] * 49) + "\n")
+    text = (GRID_SCN.replace("bounds = 0 0 4 4", "bounds = 0 0 0.7 0.7")
+            .replace("meters_per_cell = 1", "meters_per_cell = 0.1")
+            .replace("root = 1 1", "root = 0.1 0.1")
+            .replace("goal_center = 3 3", "goal_center = 0.6 0.6")
+            .replace("goal_radius = 0.5", "goal_radius = 0.05"))
+    scn = load_scenario(_write(tmp_path, text))
+    assert scn.world.bounds == scn.world.grid.extent()
+
+
+def test_grid_scenario_bounds_must_match_map_extent(tmp_path):
+    # The world's bounds are the planning region, so a 4 x 4 m map declared
+    # as 100 x 100 m would send almost every draw off the map.
+    _write_grid_map(tmp_path)
+    path = _write(tmp_path, GRID_SCN.replace("bounds = 0 0 4 4", "bounds = 0 0 100 100"))
+    with pytest.raises(ScenarioError, match="bounds") as excinfo:
+        load_scenario(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_scenario_missing_grid_file(tmp_path):
@@ -178,7 +206,7 @@ def test_run_trials_annotates_failures_with_seed(tmp_path, monkeypatch):
 def test_demo_two_second_budget_solves_almost_every_trial():
     # Frozen after measuring: at a 2 planner-second budget every demo trial
     # reaches a finite cost; the contract requires at least 19 of 20.
-    scn = with_stop(resolve_scenario("demo"), StopCondition(time_budget_s=2.0))
+    scn = replace(resolve_scenario("demo"), stop=StopCondition(time_budget_s=2.0))
     series = run_trials(scn, "bitstar", 20)
     solved = sum(1 for s in series if math.isfinite(s.points[-1].cost))
     assert solved >= 19
@@ -263,11 +291,3 @@ def test_csv_aggregate_format(tmp_path):
         "0.000000,0,nan,nan\n"
         "0.500000,2,15.000000,15.000000\n"
     )
-
-
-def test_with_stop_replaces_both_planners(tmp_path):
-    scn = load_scenario(_write(tmp_path, DEMO_SCN))
-    scn2 = with_stop(scn, StopCondition(time_budget_s=1.0))
-    assert scn2.bitstar.stop.time_budget_s == 1.0
-    assert scn2.rrtstar.stop.time_budget_s == 1.0
-    assert scn.bitstar.stop.max_batches == 2  # original untouched

@@ -33,7 +33,8 @@ from bitplan.bitstar import (
 from bitplan.tree import Tree
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, tree_audit
 
-DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0, stop=StopCondition(max_batches=10))
+DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
+DEMO_STOP = StopCondition(max_batches=10)
 
 
 def _context(problem) -> PlannerContext:
@@ -46,11 +47,11 @@ def _context(problem) -> PlannerContext:
 
 def _queued_targets(x, samples, radius):
     """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
-    problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1), DEMO_BOUNDS)
+    problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1))
     ctx = PlannerContext(tree=Tree(x))
     ctx.x_ncon = dict.fromkeys(samples)
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
-    params = PlannerParams(batch_size=1, radius=radius, stop=StopCondition(max_batches=1))
+    params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
     targets = []
     while ctx.qe:
@@ -85,8 +86,9 @@ def test_near_matches_linear_scan_oracle():
 def test_plan_trivial_direct_connection():
     problem = make_demo_problem()
     world = World(DEMO_BOUNDS, [])
-    params = PlannerParams(batch_size=50, radius=20.0, stop=StopCondition(max_batches=5))
-    result = plan(problem, world, params, RngStream(1))
+    params = PlannerParams(batch_size=50, radius=20.0)
+    stop = StopCondition(max_batches=5)
+    result = plan(problem, world, params, stop, RngStream(1))
     assert result.path == [(0.0, -8.0), (0.0, 8.0)]
     assert abs(result.cost - 16.0) < 1e-9
     # Direct connection happens in batch 0, before any sampling.
@@ -96,29 +98,30 @@ def test_plan_trivial_direct_connection():
 
 def test_plan_zero_batches_no_path(demo_world):
     problem = make_demo_problem()
-    params = PlannerParams(batch_size=50, radius=8.0, stop=StopCondition(max_batches=0))
-    result = plan(problem, demo_world, params, RngStream(1))
+    params = PlannerParams(batch_size=50, radius=8.0)
+    stop = StopCondition(max_batches=0)
+    result = plan(problem, demo_world, params, stop, RngStream(1))
     assert result.path is None
     assert result.cost == math.inf
 
 
 def test_plan_demo_world_finds_detour(demo_world):
-    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, RngStream(1))
+    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(1))
     assert result.path is not None
     assert 16.0 < result.cost < 20.0
 
 
 def test_plan_deterministic(demo_world):
     problem = make_demo_problem()
-    a = plan(problem, demo_world, DEMO_PARAMS, RngStream(5))
-    b = plan(problem, demo_world, DEMO_PARAMS, RngStream(5))
+    a = plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(5))
+    b = plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(5))
     assert a.path == b.path
     assert a.cost == b.cost
     assert a.convergence == b.convergence
 
 
 def test_plan_solution_is_collision_free_and_priced_right(demo_world):
-    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, RngStream(2))
+    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(2))
     path = result.path
     length = 0.0
     for u, v in zip(path, path[1:]):
@@ -129,7 +132,7 @@ def test_plan_solution_is_collision_free_and_priced_right(demo_world):
 
 
 def test_plan_convergence_non_increasing(demo_world):
-    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, RngStream(3))
+    result = plan(make_demo_problem(), demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(3))
     costs = [p.cost for p in result.convergence]
     assert all(a >= b for a, b in zip(costs, costs[1:]))
     times = [p.elapsed_s for p in result.convergence]
@@ -137,23 +140,24 @@ def test_plan_convergence_non_increasing(demo_world):
 
 
 def test_plan_respects_time_budget(demo_world):
-    params = PlannerParams(batch_size=100, radius=8.0, stop=StopCondition(time_budget_s=0.25))
-    result = plan(make_demo_problem(), demo_world, params, RngStream(1))
+    params = PlannerParams(batch_size=100, radius=8.0)
+    stop = StopCondition(time_budget_s=0.25)
+    result = plan(make_demo_problem(), demo_world, params, stop, RngStream(1))
     assert result.convergence[-1].elapsed_s >= 0.25
     assert all(p.elapsed_s <= result.convergence[-1].elapsed_s for p in result.convergence)
 
 
 def test_plan_stops_at_target_cost(demo_world):
-    params = PlannerParams(batch_size=100, radius=8.0,
-                           stop=StopCondition(max_batches=50, target_cost=17.0))
-    result = plan(make_demo_problem(), demo_world, params, RngStream(1))
+    params = PlannerParams(batch_size=100, radius=8.0)
+    stop = StopCondition(max_batches=50, target_cost=17.0)
+    result = plan(make_demo_problem(), demo_world, params, stop, RngStream(1))
     assert result.cost <= 17.0
     assert result.convergence[-1].batch < 50
 
 
 def test_plan_root_inside_goal_region():
-    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5), DEMO_BOUNDS)
-    result = plan(problem, World(DEMO_BOUNDS, []), DEMO_PARAMS, RngStream(1))
+    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5))
+    result = plan(problem, World(DEMO_BOUNDS, []), DEMO_PARAMS, DEMO_STOP, RngStream(1))
     assert result.cost == 0.0
     assert result.path == [(0.0, 8.0)]
     assert result.convergence[-1].samples_drawn == 0
@@ -166,9 +170,10 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
     monkeypatch.setattr(space, "REJECTION_BUDGET", 2000)
     bounds = Box((-30.0, -30.0), (30.0, 30.0))
     world = World(bounds, [Circle((0.0, 0.0), 0.05)])
-    problem = ProblemDef((-1.0, 0.0), ((1.0, 0.0),), GoalRegion((1.0, 0.0), 0.1), bounds)
-    params = PlannerParams(batch_size=50, radius=100.0, stop=StopCondition(max_batches=20))
-    result = plan(problem, world, params, RngStream(1))
+    problem = ProblemDef((-1.0, 0.0), ((1.0, 0.0),), GoalRegion((1.0, 0.0), 0.1))
+    params = PlannerParams(batch_size=50, radius=100.0)
+    stop = StopCondition(max_batches=20)
+    result = plan(problem, world, params, stop, RngStream(1))
     assert result.path is not None
     assert f"{result.cost:.4f}" == "2.0130"
     last = result.convergence[-1]
@@ -176,9 +181,9 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
     assert last.batch < 20
     # With no solution to return, starvation is still an error.
     walled = World(bounds, [Rect((-29.99, -31.0), (29.99, 31.0))])
-    problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), GoalRegion((29.995, 0.0), 0.1), bounds)
+    problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), GoalRegion((29.995, 0.0), 0.1))
     with pytest.raises(SamplerStarvedError):
-        plan(problem, walled, params, RngStream(1))
+        plan(problem, walled, params, stop, RngStream(1))
 
 
 def test_queue_selection_trace(monkeypatch, demo_world):
@@ -192,8 +197,9 @@ def test_queue_selection_trace(monkeypatch, demo_world):
         return orig(ctx, problem, params)
 
     monkeypatch.setattr(bitstar, "expand_vertex", spy)
-    params = PlannerParams(batch_size=50, radius=8.0, stop=StopCondition(max_batches=3))
-    plan(make_demo_problem(), demo_world, params, RngStream(7))
+    params = PlannerParams(batch_size=50, radius=8.0)
+    stop = StopCondition(max_batches=3)
+    plan(make_demo_problem(), demo_world, params, stop, RngStream(7))
     assert sound and all(sound)
 
 
@@ -204,18 +210,19 @@ def test_no_state_in_both_tree_and_samples(demo_world):
         tree_states = {ctx.tree.state(v) for v in ctx.tree.vertex_ids()}
         seen.append(tree_states & set(ctx.x_ncon))
 
-    params = PlannerParams(batch_size=50, radius=8.0, stop=StopCondition(max_batches=3))
-    plan(make_demo_problem(), demo_world, params, RngStream(11), batch_hook=hook)
+    params = PlannerParams(batch_size=50, radius=8.0)
+    stop = StopCondition(max_batches=3)
+    plan(make_demo_problem(), demo_world, params, stop, RngStream(11), batch_hook=hook)
     assert seen and all(not overlap for overlap in seen)
 
 
 def test_plan_with_multiple_goal_samples(demo_world):
     region = GoalRegion((0.0, 8.0), 1.5)
-    problem = ProblemDef((0.0, -8.0), ((0.9, 8.0), (-0.9, 8.0)), region, DEMO_BOUNDS)
-    result = plan(problem, demo_world, DEMO_PARAMS, RngStream(6))
+    problem = ProblemDef((0.0, -8.0), ((0.9, 8.0), (-0.9, 8.0)), region)
+    result = plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(6))
     assert result.path is not None
     assert result.path[-1] in {(0.9, 8.0), (-0.9, 8.0)} or region.contains(result.path[-1])
-    again = plan(problem, demo_world, DEMO_PARAMS, RngStream(6))
+    again = plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(6))
     assert again.convergence == result.convergence
 
 
@@ -243,8 +250,9 @@ def test_v_sol_matches_goal_region_membership(demo_world):
         }
         checked.append(ctx.v_sol == in_region)
 
-    params = PlannerParams(batch_size=50, radius=8.0, stop=StopCondition(max_batches=4))
-    plan(problem, demo_world, params, RngStream(13), batch_hook=hook)
+    params = PlannerParams(batch_size=50, radius=8.0)
+    stop = StopCondition(max_batches=4)
+    plan(problem, demo_world, params, stop, RngStream(13), batch_hook=hook)
     assert checked and all(checked)
 
 
@@ -257,10 +265,10 @@ def test_plan_through_occupancy_grid_gap():
     blocked[10, :] = True
     blocked[10, 15:18] = False  # off-center gap forces a detour
     world = World(grid=OccupancyGrid(20, 20, 1.0, (0.0, 0.0), blocked))
-    bounds = world.bounds
-    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0), bounds)
-    params = PlannerParams(batch_size=50, radius=10.0, stop=StopCondition(max_batches=5))
-    result = plan(problem, world, params, RngStream(2))
+    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0))
+    params = PlannerParams(batch_size=50, radius=10.0)
+    stop = StopCondition(max_batches=5)
+    result = plan(problem, world, params, stop, RngStream(2))
     assert result.path is not None
     # The straight shot (16) is walled off; the gap detour optimum is ~18.
     assert 17.5 < result.cost < 22.0

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
+from bitplan.bench import builtin_scenario_path
 from bitplan.cli import cli_main
 
 
@@ -58,6 +60,9 @@ def test_bench_reproducible_bytes(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].startswith(b"t_s,n_solved,median_cost,mean_cost\n")
+    # --time-budget replaces the scenario's whole stop, so the demo's
+    # max_batches = 10 no longer caps RRT* at 10 iterations.
+    assert outs[0].decode().splitlines()[-1].split(",")[1] == "2"
 
 
 def test_bench_seed_override_changes_results(tmp_path):
@@ -137,6 +142,23 @@ def test_plan_without_outputs_just_summarizes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "rrtstar seed=2" in out
+
+
+def test_snapshot_ellipse_has_the_goal_sample_as_focus(tmp_path):
+    # The informed set is g_hat + h_hat < c_sol over the goal samples, so an
+    # off-centre goal sample, not the goal region's centre, is the focus.
+    scn = tmp_path / "offset.scn"
+    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+        "goal_radius = 0.5", "goal_radius = 0.5\ngoal_sample = 0.45 8"))
+    svg_dir = tmp_path / "svg"
+    assert cli_main(["plan", "--scenario", str(scn), "--planner", "bitstar", "--seed", "1",
+                     "--max-batches", "2", "--svg-dir", str(svg_dir)]) == 0
+    root = ET.parse(svg_dir / "batch_002.svg").getroot()
+    ellipses = root.findall("{http://www.w3.org/2000/svg}ellipse")
+    assert len(ellipses) == 1
+    # Midpoint of the root (0, -8) and the goal sample (0.45, 8), y negated.
+    assert float(ellipses[0].get("cx")) == 0.225
+    assert float(ellipses[0].get("cy")) == 0.0
 
 
 def test_help_exits_zero(capsys):

@@ -9,8 +9,8 @@ from bitplan.anytime import StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from conftest import DEMO_BOUNDS, make_demo_problem
 
-DEMO_RRT = RrtParams(eta=2.0, alpha=20, goal_period=50,
-                     stop=StopCondition(max_batches=2000))
+DEMO_RRT = RrtParams(eta=2.0, alpha=20, goal_period=50)
+DEMO_STOP = StopCondition(max_batches=2000)
 
 
 def test_steer_clamps_along_axis():
@@ -37,9 +37,8 @@ def test_steer_degenerate_and_distance_law():
 def test_rrt_direct_goal_in_empty_world():
     problem = make_demo_problem()
     world = World(DEMO_BOUNDS, [])
-    params = RrtParams(eta=20.0, alpha=10, goal_period=50,
-                       stop=StopCondition(max_batches=60))
-    result = rrt_plan(problem, world, params, RngStream(1))
+    params = RrtParams(eta=20.0, alpha=10, goal_period=50)
+    result = rrt_plan(problem, world, params, StopCondition(max_batches=60), RngStream(1))
     # The first goal-targeted sample (iteration 50) connects at the latest.
     assert result.path is not None
     assert result.cost >= 16.0 - 1e-9
@@ -48,7 +47,7 @@ def test_rrt_direct_goal_in_empty_world():
 
 
 def test_rrt_demo_world(demo_world):
-    result = rrt_plan(make_demo_problem(), demo_world, DEMO_RRT, RngStream(1))
+    result = rrt_plan(make_demo_problem(), demo_world, DEMO_RRT, DEMO_STOP, RngStream(1))
     assert result.path is not None
     # Any collision-free path to the goal disc is at least this long.
     assert result.cost >= 15.5
@@ -58,8 +57,8 @@ def test_rrt_demo_world(demo_world):
 
 def test_rrt_trace_monotone_and_deterministic(demo_world):
     problem = make_demo_problem()
-    a = rrt_plan(problem, demo_world, DEMO_RRT, RngStream(9))
-    b = rrt_plan(problem, demo_world, DEMO_RRT, RngStream(9))
+    a = rrt_plan(problem, demo_world, DEMO_RRT, DEMO_STOP, RngStream(9))
+    b = rrt_plan(problem, demo_world, DEMO_RRT, DEMO_STOP, RngStream(9))
     assert a.convergence == b.convergence
     assert a.path == b.path
     costs = [p.cost for p in a.convergence]
@@ -67,16 +66,16 @@ def test_rrt_trace_monotone_and_deterministic(demo_world):
 
 
 def test_rrt_time_budget(demo_world):
-    params = RrtParams(eta=2.0, alpha=20, goal_period=50,
-                       stop=StopCondition(time_budget_s=0.2))
-    result = rrt_plan(make_demo_problem(), demo_world, params, RngStream(4))
+    stop = StopCondition(time_budget_s=0.2)
+    result = rrt_plan(make_demo_problem(), demo_world, DEMO_RRT, stop, RngStream(4))
     assert result.convergence[-1].elapsed_s >= 0.2
 
 
 def test_rrt_root_inside_goal_region():
-    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5), DEMO_BOUNDS)
-    params = RrtParams(eta=2.0, alpha=5, goal_period=50, stop=StopCondition(max_batches=10))
-    result = rrt_plan(problem, World(DEMO_BOUNDS, []), params, RngStream(1))
+    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5))
+    params = RrtParams(eta=2.0, alpha=5, goal_period=50)
+    result = rrt_plan(problem, World(DEMO_BOUNDS, []), params, StopCondition(max_batches=10),
+                      RngStream(1))
     assert result.cost == 0.0
 
 
@@ -89,11 +88,9 @@ def test_rrt_through_occupancy_grid_gap():
     blocked[10, :] = True
     blocked[10, 15:18] = False
     world = World(grid=OccupancyGrid(20, 20, 1.0, (0.0, 0.0), blocked))
-    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0),
-                         world.bounds)
-    params = RrtParams(eta=3.0, alpha=10, goal_period=20,
-                       stop=StopCondition(max_batches=1500))
-    result = rrt_plan(problem, world, params, RngStream(2))
+    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0))
+    params = RrtParams(eta=3.0, alpha=10, goal_period=20)
+    result = rrt_plan(problem, world, params, StopCondition(max_batches=1500), RngStream(2))
     assert result.path is not None
     # The straight shot (16) is walled off; the gap detour optimum is ~18.
     assert 17.5 < result.cost < 24.0
@@ -102,10 +99,9 @@ def test_rrt_through_occupancy_grid_gap():
 
 
 def test_rrt_param_validation():
-    stop = StopCondition(max_batches=1)
     with pytest.raises(ValueError):
-        RrtParams(eta=0.0, alpha=5, goal_period=50, stop=stop)
+        RrtParams(eta=0.0, alpha=5, goal_period=50)
     with pytest.raises(ValueError):
-        RrtParams(eta=1.0, alpha=0, goal_period=50, stop=stop)
+        RrtParams(eta=1.0, alpha=0, goal_period=50)
     with pytest.raises(ValueError):
-        RrtParams(eta=1.0, alpha=5, goal_period=0, stop=stop)
+        RrtParams(eta=1.0, alpha=5, goal_period=0)

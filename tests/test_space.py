@@ -42,7 +42,7 @@ def test_g_hat_examples():
     p = make_demo_problem()
     assert g_hat((0.0, -8.0), p) == 0.0
     assert g_hat((0.0, 8.0), p) == 16.0
-    p2 = ProblemDef((0.0, 0.0), ((3.0, 4.0),), GoalRegion((3.0, 4.0), 0.5), DEMO_BOUNDS)
+    p2 = ProblemDef((0.0, 0.0), ((3.0, 4.0),), GoalRegion((3.0, 4.0), 0.5))
     assert g_hat((3.0, 4.0), p2) == 5.0
 
 
@@ -137,8 +137,8 @@ def test_rng_stream_determinism():
 
 def test_problem_validation(demo_world):
     with pytest.raises(ValueError, match="outside the planning bounds"):
-        ProblemDef((0.0, -11.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5), DEMO_BOUNDS).validate(demo_world)
+        ProblemDef((0.0, -11.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="inside an obstacle"):
-        ProblemDef((0.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5), DEMO_BOUNDS).validate(demo_world)
+        ProblemDef((0.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="outside the goal region"):
-        ProblemDef((0.0, -8.0), ((0.0, 6.0),), GoalRegion((0.0, 8.0), 0.5), DEMO_BOUNDS).validate(demo_world)
+        ProblemDef((0.0, -8.0), ((0.0, 6.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)

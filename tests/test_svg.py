@@ -18,7 +18,7 @@ def _tags(path):
 
 def test_empty_tree_renders_frame_and_obstacles(tmp_path):
     out = tmp_path / "w.svg"
-    render_svg(make_demo_world(), [], None, None, [], out)
+    render_svg(make_demo_world(), [], None, [], [], out)
     root, tags = _tags(out)
     assert tags["svg"] == 1
     assert tags["rect"] == 1  # the frame
@@ -29,7 +29,7 @@ def test_empty_tree_renders_frame_and_obstacles(tmp_path):
 
 def test_no_ellipse_without_incumbent(tmp_path):
     out = tmp_path / "w.svg"
-    render_svg(make_demo_world(), [((0.0, -8.0), (1.0, -4.0))], None, None, [], out)
+    render_svg(make_demo_world(), [((0.0, -8.0), (1.0, -4.0))], None, [], [], out)
     _, tags = _tags(out)
     assert "ellipse" not in tags
     assert tags["path"] == 1
@@ -38,7 +38,7 @@ def test_no_ellipse_without_incumbent(tmp_path):
 def test_ellipse_semi_axes(tmp_path):
     out = tmp_path / "w.svg"
     render_svg(
-        make_demo_world(), [], None, ((0.0, -8.0), (0.0, 8.0), 20.0), [], out
+        make_demo_world(), [], None, [((0.0, -8.0), (0.0, 8.0), 20.0)], [], out
     )
     root, tags = _tags(out)
     assert tags["ellipse"] == 1
@@ -52,7 +52,7 @@ def test_one_path_element_per_tree_edge(tmp_path):
     edges = [((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 0.0)), ((0.0, 0.0), (-1.0, 2.0))]
     samples = [(5.0, 5.0), (-5.0, -5.0)]
     path = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
-    render_svg(make_demo_world(), edges, path, None, samples, out)
+    render_svg(make_demo_world(), edges, path, [], samples, out)
     _, tags = _tags(out)
     assert tags["path"] == len(edges)
     assert tags["polyline"] == 1
@@ -62,7 +62,7 @@ def test_one_path_element_per_tree_edge(tmp_path):
 def test_rect_obstacles_and_grid_rendering(tmp_path):
     w = World(Box((0.0, 0.0), (4.0, 4.0)), [Rect((1.0, 1.0), (2.0, 3.0))])
     out = tmp_path / "r.svg"
-    render_svg(w, [], None, None, [], out)
+    render_svg(w, [], None, [], [], out)
     _, tags = _tags(out)
     assert tags["rect"] == 2  # frame + obstacle
 
@@ -73,7 +73,7 @@ def test_rect_obstacles_and_grid_rendering(tmp_path):
     grid = OccupancyGrid(2, 2, 1.0, (0.0, 0.0), np.array([[True, False], [False, True]]))
     gw = World(grid=grid)
     out2 = tmp_path / "g.svg"
-    render_svg(gw, [], None, None, [], out2)
+    render_svg(gw, [], None, [], [], out2)
     _, tags2 = _tags(out2)
     assert tags2["rect"] == 3  # frame + two blocked cells
 
@@ -81,7 +81,7 @@ def test_rect_obstacles_and_grid_rendering(tmp_path):
 def test_svg_bytes_reproducible(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     args = (make_demo_world(), [((0.0, -8.0), (2.0, -3.0))], [(0.0, -8.0), (2.0, -3.0)],
-            ((0.0, -8.0), (0.0, 8.0), 18.0), [(1.0, 1.0)])
+            [((0.0, -8.0), (0.0, 8.0), 18.0)], [(1.0, 1.0)])
     render_svg(*args, a)
     render_svg(*args, b)
     assert a.read_bytes() == b.read_bytes()
