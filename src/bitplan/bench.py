@@ -1,6 +1,7 @@
 """Scenario files, seeded multi-trial execution, aggregation, and CSV output.
 
-Scenario format (line-oriented, '#' starts a comment, blank lines ignored):
+Scenario format (line-oriented, '#' starts a comment, blank lines ignored;
+every number must be finite):
 
     name = demo                 # optional, defaults to the file stem
     [world]
@@ -50,7 +51,7 @@ from pathlib import Path
 from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
-from .space import Box, GoalRegion, ProblemDef, RngStream, State
+from .space import Box, GoalRegion, ProblemDef, RngStream
 from .world import Circle, Rect, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
@@ -158,26 +159,29 @@ def load_scenario(path) -> Scenario:
             return None, default
         return store[key]
 
+    def numbers(line_no, field, parts, n, conv=float):
+        # The one parser for every number in the file: exactly n finite values.
+        if len(parts) != n:
+            err(line_no, f"{field}: expected {n} number{'s' * (n > 1)}, got {len(parts)}")
+        try:
+            values = tuple(conv(p) for p in parts)
+        except ValueError:
+            err(line_no, f"{field}: invalid value {' '.join(parts)!r}")
+        if not all(math.isfinite(v) for v in values):
+            err(line_no, f"{field}: numbers must be finite, got {' '.join(parts)!r}")
+        return values
+
     def floats(section_name, key, n, required=True, default=None):
         line_no, value = get(section_name, key, required, None)
         if value is None:
             return default
-        parts = value.split()
-        if len(parts) != n:
-            err(line_no, f"{key}: expected {n} numbers, got {len(parts)}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            err(line_no, f"{key}: not a number")
+        return numbers(line_no, key, value.split(), n)
 
     def scalar(section_name, key, conv, required=True, default=None):
         line_no, value = get(section_name, key, required, None)
         if value is None:
             return default
-        try:
-            return conv(value)
-        except ValueError:
-            err(line_no, f"{key}: invalid value {value!r}")
+        return numbers(line_no, key, value.split(), 1, conv)[0]
 
     def positive(section_name, key, conv, required=True, default=None):
         v = scalar(section_name, key, conv, required, default)
@@ -186,7 +190,7 @@ def load_scenario(path) -> Scenario:
             err(line_no, f"{key}: must be positive")
         return v
 
-    name = scalar(None, "name", str, required=False, default=path.stem)
+    _, name = get(None, "name", required=False, default=path.stem)
 
     b = floats("world", "bounds", 4)
     try:
@@ -200,10 +204,9 @@ def load_scenario(path) -> Scenario:
     if has_obstacles and has_grid:
         raise ScenarioError(f"{path}: give either [obstacles] or [grid], not both")
     if has_grid:
-        grid_file = scalar("grid", "file", str)
+        line_no, grid_file = get("grid", "file")
         grid_path = path.parent / grid_file
         if not grid_path.exists():
-            line_no, _ = get("grid", "file")
             err(line_no, f"file: {grid_path} does not exist")
         mpc = positive("grid", "meters_per_cell", float)
         origin = floats("grid", "origin", 2)
@@ -216,18 +219,12 @@ def load_scenario(path) -> Scenario:
     else:
         obstacles = []
         for line_no, line in obstacle_lines:
-            parts = line.split()
+            kind, *parts = line.split()
+            if (kind, len(parts)) not in (("circle", 3), ("rect", 4)):
+                err(line_no, f"expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got {line!r}")
+            v = numbers(line_no, kind, parts, len(parts))
             try:
-                if parts[0] == "circle" and len(parts) == 4:
-                    cx, cy, r = (float(p) for p in parts[1:])
-                    obstacles.append(Circle((cx, cy), r))
-                elif parts[0] == "rect" and len(parts) == 5:
-                    x0, y0, x1, y1 = (float(p) for p in parts[1:])
-                    obstacles.append(Rect((x0, y0), (x1, y1)))
-                else:
-                    err(line_no, f"expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got {line!r}")
-            except ScenarioError:
-                raise
+                obstacles.append(Circle(v[:2], v[2]) if kind == "circle" else Rect(v[:2], v[2:]))
             except ValueError as e:
                 err(line_no, f"bad obstacle: {e}")
         world = World(bounds, obstacles, checks_per_meter=cpm)
@@ -236,7 +233,7 @@ def load_scenario(path) -> Scenario:
     goal_center = floats("problem", "goal_center", 2)
     goal_radius = positive("problem", "goal_radius", float)
     goal_samples = tuple(
-        _parse_point(path, line_no, value) for line_no, value in goal_sample_lines
+        numbers(line_no, "goal_sample", value.split(), 2) for line_no, value in goal_sample_lines
     ) or (goal_center,)
     try:
         problem = ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius))
@@ -275,16 +272,6 @@ def load_scenario(path) -> Scenario:
         err(line_no, "base_seed: must be non-negative")
 
     return Scenario(name, world, problem, bit, rrt, stop, trials, base_seed)
-
-
-def _parse_point(path, line_no, value) -> State:
-    parts = value.split()
-    if len(parts) != 2:
-        raise ScenarioError(f"{path}:{line_no}: goal_sample: expected 2 numbers")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ScenarioError(f"{path}:{line_no}: goal_sample: not a number") from None
 
 
 def run_single(scenario: Scenario, planner: str, seed: int, **hooks):

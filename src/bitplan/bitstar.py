@@ -24,8 +24,8 @@ import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
-from .space import (ProblemDef, RngStream, SamplerStarvedError, State, c_hat, g_hat, h_hat,
-                    sample_batch)
+from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
+                    informed_contains, sample_batch, sq_dists)
 from .tree import Tree
 from .world import World
 
@@ -77,9 +77,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     if math.isinf(c):
         return []
     goals = problem.goal_samples
-    ctx.x_ncon = {
-        x: None for x in ctx.x_ncon if g_hat(x, problem) + h_hat(x, goals) < c
-    }
+    ctx.x_ncon = {x: None for x in ctx.x_ncon if informed_contains(x, problem, c)}
     x_reuse: list[State] = []
     tree = ctx.tree
     queue = deque([tree.root_id])
@@ -91,7 +89,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
                     ctx.v_exp.discard(rid)
                     ctx.v_rewire.discard(rid)
                     ctx.v_sol.discard(rid)
-                    if g_hat(s, problem) + h_hat(s, goals) < c:
+                    if informed_contains(s, problem, c):
                         x_reuse.append(s)
             else:
                 queue.append(ch)
@@ -125,16 +123,6 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world, params: Pla
         ctx.qv.insert(g + h_hat(state, goals), g, vid)
 
 
-def _h_array(arr: np.ndarray, goals: tuple[State, ...]) -> np.ndarray:
-    """Heuristic cost-to-go of every row of arr (min distance to a goal sample)."""
-    if len(goals) == 1:
-        return np.sqrt(((arr - np.asarray(goals[0], dtype=float)) ** 2).sum(axis=1))
-    per_goal = [
-        np.sqrt(((arr - np.asarray(g, dtype=float)) ** 2).sum(axis=1)) for g in goals
-    ]
-    return np.minimum.reduce(per_goal)
-
-
 def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParams) -> int:
     """Pop the best vertex and queue its potentially useful outgoing edges.
 
@@ -151,10 +139,15 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     _, _, vid = ctx.qv.pop_best()
     tree = ctx.tree
     vstate = tree.state(vid)
-    goals = problem.goal_samples
     gh_v = g_hat(vstate, problem)
     gt_v = tree.cost_to_come(vid)
-    vq = np.asarray(vstate, dtype=float)
+
+    def near(states: np.ndarray):
+        # Rows within the radius whose edge could still beat the incumbent,
+        # with each row's edge and cost-to-go heuristics.
+        d = np.sqrt(sq_dists(states, vstate))
+        h = h_hat_rows(states, problem.goal_samples)
+        return np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol)), d, h
 
     if vid not in ctx.v_exp:
         ctx.v_exp.add(vid)
@@ -163,10 +156,7 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         cands = [x for x in ctx.x_new if x in ctx.x_ncon]
     if cands:
         scanned += len(cands)
-        arr = np.asarray(cands, dtype=float)
-        d = np.sqrt(((arr - vq) ** 2).sum(axis=1))
-        h = _h_array(arr, goals)
-        admit = np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol))
+        admit, d, h = near(np.asarray(cands, dtype=float))
         for i in admit:
             x = cands[i]
             if x != vstate:
@@ -176,9 +166,7 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         ctx.v_rewire.add(vid)
         ids, mat = tree.states_matrix()
         scanned += len(ids)
-        d = np.sqrt(((mat - vq) ** 2).sum(axis=1))
-        h = _h_array(mat, goals)
-        admit = np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol))
+        admit, d, h = near(mat)
         for i in admit:
             wid = ids[i]
             wstate = tree.state(wid)
@@ -238,13 +226,6 @@ def _refresh_incumbent(ctx: PlannerContext) -> None:
             ctx.c_sol = best
 
 
-def _can_improve(problem: ProblemDef, c_sol: float) -> bool:
-    # The informed set is non-empty iff some goal sample is closer to the
-    # root than the incumbent cost; otherwise no sample, reuse, or rewire
-    # admission test can ever pass again and the planner has converged.
-    return any(c_hat(problem.root, g) < c_sol for g in problem.goal_samples)
-
-
 def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCondition,
          rng: RngStream, *, batch_hook: Callable | None = None) -> PlanResult:
     """Run BIT* until `stop` fires; never raises on "no path".
@@ -274,7 +255,10 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
         if not ctx.qv and not ctx.qe:
             if batch_hook is not None:
                 batch_hook(batch, ctx)
-            if run.batch_limit_reached(batch) or not _can_improve(problem, ctx.c_sol):
+            # The informed set is empty iff the root lies outside it; then no
+            # admission test can ever pass again and the run has converged.
+            if (run.batch_limit_reached(batch)
+                    or not informed_contains(problem.root, problem, ctx.c_sol)):
                 break
             try:
                 start_new_batch(ctx, problem, run.world, params, rng)

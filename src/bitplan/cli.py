@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bitplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -48,7 +58,7 @@ def _build_parser() -> _Parser:
         if planner_required:
             p.add_argument("--planner", required=True, choices=PLANNERS)
         p.add_argument("--seed", type=int, default=None, help="override the scenario base seed")
-        p.add_argument("--time-budget", type=float, default=None, metavar="S",
+        p.add_argument("--time-budget", type=_finite_float, default=None, metavar="S",
                        help="replace the stop: planner-seconds budget")
         p.add_argument("--max-batches", type=int, default=None, metavar="N",
                        help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
@@ -62,7 +72,7 @@ def _build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run seeded trials and emit the aggregate CSV")
     common(p_bench)
     p_bench.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
-    p_bench.add_argument("--grid-step", type=float, default=0.1, metavar="S",
+    p_bench.add_argument("--grid-step", type=_finite_float, default=0.1, metavar="S",
                          help="aggregate time-grid step (default 0.1)")
 
     p_demo = sub.add_parser("demo", help="run the built-in demo with per-batch snapshots")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
-from .space import ProblemDef, RngStream, State, c_hat
+from .space import ProblemDef, RngStream, State, c_hat, sq_dists
 from .tree import Tree
 from .world import World
 
@@ -84,14 +84,15 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         # matrix and never rebuilds it.
         ids, states = tree.states_matrix()
         run.world.tick(len(ids))
-        d2 = ((states - np.asarray(sample)) ** 2).sum(axis=1)
-        nearest = int(np.argmin(d2))
+        nearest = int(np.argmin(sq_dists(states, sample)))
         new_state = steer(tree.state(ids[nearest]), sample, params.eta)
         if new_state == tree.state(ids[nearest]) or tree.has_state(new_state):
             continue
 
         run.world.tick(len(ids))
-        nd2 = ((states - np.asarray(new_state)) ** 2).sum(axis=1)
+        # Compare squared distances: steer puts new_state exactly eta from its
+        # nearest vertex, and a rounded square root could push that vertex out.
+        nd2 = sq_dists(states, new_state)
         within = np.flatnonzero(nd2 <= eta2)
         order = within[np.argsort(nd2[within], kind="stable")]
         neighbors = [ids[i] for i in order[: params.alpha]]

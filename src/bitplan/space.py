@@ -2,7 +2,8 @@
 
 States are plain tuples of floats so they can live in sets and dicts. All
 cost heuristics are Euclidean and therefore admissible lower bounds on the
-true (collision-checked) edge cost.
+true (collision-checked) edge cost. The row-wise numpy forms beside them
+(`sq_dists`, `h_hat_rows`) are the one neighbour-scan kernel of BIT* and RRT*.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 State = tuple[float, ...]
 
@@ -108,11 +111,12 @@ class RngStream:
 
 def c_hat(x: State, y: State) -> float:
     """Euclidean edge-cost heuristic ||x - y||; a lower bound on true cost."""
-    if len(x) == 2 and len(y) == 2:  # hot path for the planar scenarios
-        return math.hypot(x[0] - y[0], x[1] - y[1])
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+    return math.dist(x, y)
+
+
+def sq_dists(states: np.ndarray, x: State) -> np.ndarray:
+    """Squared Euclidean distance from x to every row of the (n, d) array states."""
+    return ((states - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
 
 
 def g_hat(x: State, problem: ProblemDef) -> float:
@@ -131,6 +135,11 @@ def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
     if len(goal_samples) == 1:
         return c_hat(x, goal_samples[0])
     return min(c_hat(x, g) for g in goal_samples)
+
+
+def h_hat_rows(states: np.ndarray, goal_samples: tuple[State, ...]) -> np.ndarray:
+    """h_hat of every row of the (n, d) array states."""
+    return np.sqrt(np.minimum.reduce([sq_dists(states, g) for g in goal_samples]))
 
 
 def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:

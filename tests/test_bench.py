@@ -11,6 +11,7 @@ from bitplan.bench import (
     ConvergenceSeries,
     ScenarioError,
     aggregate,
+    builtin_scenario_path,
     cost_at,
     load_scenario,
     resolve_scenario,
@@ -96,6 +97,25 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[surprise]\n"))
     with pytest.raises(ScenarioError, match="duplicate"):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[bench]\ntrials = 3\ntrials = 4\n"))
+
+
+# Unchecked, each value breaks a run: a NaN time budget never runs out, an
+# infinite check rate overflows mid-plan, a NaN radius blocks nothing, and a
+# NaN rho or eta finds no path.
+@pytest.mark.parametrize("old, new", [
+    ("max_batches = 10", "max_batches = 10\ntime_budget_s = nan"),
+    ("checks_per_meter = 4", "checks_per_meter = inf"),
+    ("circle 0 0 1.5", "circle 0 0 nan"),
+    ("rho = 8", "rho = nan"),
+    ("eta = 2", "eta = nan"),
+], ids=["time_budget_s", "checks_per_meter", "circle", "rho", "eta"])
+def test_non_finite_number_names_file_line_and_field(tmp_path, old, new):
+    text = builtin_scenario_path("demo").read_text().replace(old, new)
+    bad_line = new.splitlines()[-1]
+    line_no = text.splitlines().index(bad_line) + 1
+    field = bad_line.split()[0]
+    with pytest.raises(ScenarioError, match=rf"s\.scn:{line_no}: {field}: numbers must be finite"):
+        load_scenario(_write(tmp_path, text))
 
 
 def test_scenario_requires_a_stop_bound(tmp_path):

@@ -226,19 +226,6 @@ def test_plan_with_multiple_goal_samples(demo_world):
     assert again.convergence == result.convergence
 
 
-def test_h_array_matches_scalar_heuristic():
-    import numpy as np
-
-    from bitplan.bitstar import _h_array
-
-    rng = random.Random(21)
-    pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
-    for goals in [((1.0, 2.0),), ((1.0, 2.0), (-3.0, 4.0), (0.0, -9.0))]:
-        vec = _h_array(np.asarray(pts), goals)
-        for p, hv in zip(pts, vec):
-            assert abs(hv - h_hat(p, goals)) < 1e-12
-
-
 def test_v_sol_matches_goal_region_membership(demo_world):
     problem = make_demo_problem()
     checked = []

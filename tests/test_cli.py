@@ -48,6 +48,14 @@ def test_broken_scenario_is_runtime_error(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+def test_non_finite_time_budget_is_usage_error(capsys):
+    # A NaN budget never runs out; --max-batches keeps a run that starts short.
+    rc = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
+                   "--time-budget", "nan", "--max-batches", "1"])
+    assert rc == 1
+    assert "--time-budget" in capsys.readouterr().err
+
+
 def test_bench_reproducible_bytes(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -201,6 +209,13 @@ elapsed_s,cost,batch,tree_vertices,samples_drawn
 6.407064,16.182989,1345,1212,1345
 7.986920,16.182989,1500,1358,1500
 """
+# Two goal samples: h_hat is a minimum over them in every scan.
+PINNED_TWO_GOAL_BITSTAR_CSV = """\
+elapsed_s,cost,batch,tree_vertices,samples_drawn
+0.006240,16.478043,1,11,100
+0.056464,16.065435,2,41,200
+0.290896,16.065435,3,94,300
+"""
 
 
 def test_plan_outputs_match_pinned_bytes(tmp_path):
@@ -217,3 +232,12 @@ def test_plan_outputs_match_pinned_bytes(tmp_path):
     assert rrt_csv.read_text() == PINNED_RRTSTAR_CSV
     last_svg = (svg_dir / "batch_003.svg").read_bytes()
     assert hashlib.sha256(last_svg).hexdigest() == PINNED_BITSTAR_LAST_SVG_SHA256
+
+    two_goal_scn, two_goal_csv = tmp_path / "two_goal.scn", tmp_path / "two_goal.csv"
+    two_goal_scn.write_text(builtin_scenario_path("demo").read_text().replace(
+        "goal_radius = 0.5", "goal_radius = 0.5\ngoal_sample = -0.3 8\ngoal_sample = 0.3 7.8"))
+    assert cli_main([
+        "plan", "--scenario", str(two_goal_scn), "--planner", "bitstar", "--seed", "1",
+        "--max-batches", "3", "--out", str(two_goal_csv),
+    ]) == 0
+    assert two_goal_csv.read_text() == PINNED_TWO_GOAL_BITSTAR_CSV

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bitplan import (
@@ -19,6 +20,7 @@ from bitplan import (
     informed_contains,
     sample_batch,
 )
+from bitplan.space import h_hat_rows
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world
 
 
@@ -52,6 +54,15 @@ def test_h_hat_examples():
     assert h_hat((0.0, 0.0), ((0.0, 8.0), (8.0, 0.0))) == 8.0
     with pytest.raises(ValueError):
         h_hat((0.0, 0.0), ())
+
+
+def test_h_hat_rows_matches_scalar_heuristic():
+    rng = random.Random(21)
+    pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
+    for goals in [((1.0, 2.0),), ((1.0, 2.0), (-3.0, 4.0), (0.0, -9.0))]:
+        vec = h_hat_rows(np.asarray(pts), goals)
+        for p, hv in zip(pts, vec):
+            assert abs(hv - h_hat(p, goals)) < 1e-12
 
 
 def test_heuristics_vanish_at_their_anchors():

@@ -189,3 +189,36 @@ def test_counting_world_tracks_work(demo_world):
     cw.tick(10)
     assert cw.units == 28
     assert cw.elapsed_s() == 28 / 250_000.0
+
+
+def _agreement_worlds():
+    circles = make_demo_world()
+    rects = World(Box((0.0, 0.0), (10.0, 10.0)), [Rect((2.0, 2.0), (4.0, 5.0)),
+                                                  Rect((6.0, 1.0), (8.0, 3.0))])
+    blocked = np.zeros((6, 8), dtype=bool)
+    blocked[1, 2] = blocked[3, 3:6] = blocked[5, 7] = True
+    grid = World(grid=OccupancyGrid(8, 6, 0.5, (1.0, -2.0), blocked))
+    rim = [(1.5 * math.cos(a) + cx, 1.5 * math.sin(a)) for cx in (0.0, -7.0, 7.0)
+           for a in np.linspace(0.0, 2.0 * math.pi, 17)]
+    rim += [(1.5, 0.0), (-1.5, 0.0), (0.0, 1.5), (0.0, -1.5), (-5.5, 0.0), (8.5, 0.0)]
+    faces = [(x, y) for x in (2.0, 3.0, 4.0, 6.0, 7.0, 8.0) for y in (1.0, 2.0, 3.0, 3.5, 5.0)]
+    edges = [(1.0 + 0.5 * i, -2.0 + 0.5 * j) for i in range(9) for j in range(7)]
+    edges += [(3.0, 0.25), (4.25, -0.5), (4.99, 0.99), (5.0, 1.0), (2.0, 1.0 + 1e-12)]
+    return [(circles, rim), (rects, faces), (grid, edges)]
+
+
+@pytest.mark.parametrize("which", range(3), ids=["circles", "rects", "grid"])
+def test_is_free_agrees_with_all_free(which):
+    world, boundary = _agreement_worlds()[which]
+    lo, hi = world.bounds.lo, world.bounds.hi
+    # The bounds faces, corners and a hair beyond them.
+    xs = (lo[0] - 1e-9, lo[0], (lo[0] + hi[0]) / 2, hi[0], hi[0] + 1e-9)
+    ys = (lo[1] - 1e-9, lo[1], (lo[1] + hi[1]) / 2, hi[1], hi[1] + 1e-9)
+    rng = random.Random(17 + which)
+    randoms = [(rng.uniform(lo[0] - 1, hi[0] + 1), rng.uniform(lo[1] - 1, hi[1] + 1))
+               for _ in range(1000)]
+    points = boundary + [(x, y) for x in xs for y in ys] + randoms
+    verdicts = {world.is_free(p) for p in boundary}
+    assert verdicts == {True, False}  # the boundary set straddles free and blocked
+    for p in points:
+        assert world.is_free(p) == world.all_free(np.asarray([p])), p
