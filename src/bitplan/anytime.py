@@ -1,11 +1,11 @@
 """The anytime run contract shared by the BIT* and RRT* planners.
 
 A run meters time on the deterministic work clock of CountingWorld (one unit
-per point collision check or neighbor-scan candidate), so identical seeds
-replay identical runs byte for byte. It stops on the same bounds for both
-planners, keeps the best path as a snapshot, and records one convergence
-point per strict cost improvement plus one at termination, which is what
-makes the two planners' convergence curves directly comparable.
+per BIT* sample draw, edge-check point or neighbor-scan candidate), so
+identical seeds replay identical runs byte for byte. It stops on the same
+bounds for both planners, keeps the best path as a snapshot, and records one
+convergence point per strict cost improvement plus one at termination, which
+is what makes the two planners' convergence curves directly comparable.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ class StopCondition:
     def __post_init__(self):
         if self.time_budget_s is None and self.max_batches is None and self.target_cost is None:
             raise ValueError("at least one stop bound must be set")
-        if self.time_budget_s is not None and self.time_budget_s < 0:
+        # Negated comparisons, so that NaN fails them too.
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
             raise ValueError("time budget must be non-negative")
-        if self.max_batches is not None and self.max_batches < 0:
+        if self.max_batches is not None and not self.max_batches >= 0:
             raise ValueError("max batches must be non-negative")
+        if self.target_cost is not None and math.isnan(self.target_cost):
+            raise ValueError("target cost must not be NaN")
 
 
 class ConvergencePoint(NamedTuple):

@@ -27,7 +27,7 @@ from .queues import CostQueue
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
                     informed_contains, sample_batch, sq_dists)
 from .tree import Tree
-from .world import World
+from .world import CountingWorld, World
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,10 @@ class PlannerParams:
     radius: float
 
     def __post_init__(self):
-        if self.batch_size < 1:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.batch_size >= 1:
             raise ValueError("batch size must be at least 1")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("connection radius must be positive")
 
 
@@ -96,8 +97,8 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     return x_reuse
 
 
-def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world, params: PlannerParams,
-                    rng: RngStream) -> None:
+def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world: CountingWorld,
+                    params: PlannerParams, rng: RngStream) -> None:
     """Prune, draw a fresh batch, and requeue every tree vertex.
 
     New samples are informed once an incumbent exists. Reused pruned states

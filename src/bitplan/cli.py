@@ -49,6 +49,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bitplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -57,10 +70,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--scenario", required=True, help="scenario file path or built-in name (e.g. demo)")
         if planner_required:
             p.add_argument("--planner", required=True, choices=PLANNERS)
-        p.add_argument("--seed", type=int, default=None, help="override the scenario base seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="override the scenario base seed")
         p.add_argument("--time-budget", type=_finite_float, default=None, metavar="S",
                        help="replace the stop: planner-seconds budget")
-        p.add_argument("--max-batches", type=int, default=None, metavar="N",
+        p.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N",
                        help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
         p.add_argument("--out", type=Path, default=None, help="CSV output path")
 
@@ -71,15 +85,16 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="run seeded trials and emit the aggregate CSV")
     common(p_bench)
-    p_bench.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
+    p_bench.add_argument("--trials", type=_int_at_least(1), default=None,
+                         help="override the scenario trial count")
     p_bench.add_argument("--grid-step", type=_finite_float, default=0.1, metavar="S",
                          help="aggregate time-grid step (default 0.1)")
 
     p_demo = sub.add_parser("demo", help="run the built-in demo with per-batch snapshots")
-    p_demo.add_argument("--seed", type=int, default=None)
+    p_demo.add_argument("--seed", type=_int_at_least(0), default=None)
     p_demo.add_argument("--out", type=Path, default=None)
     p_demo.add_argument("--svg-dir", type=Path, default=Path("demo_out"))
-    p_demo.add_argument("--max-batches", type=int, default=None, metavar="N")
+    p_demo.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N")
 
     return parser
 

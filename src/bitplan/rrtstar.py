@@ -33,11 +33,12 @@ class RrtParams:
     goal_period: int
 
     def __post_init__(self):
-        if self.eta <= 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not self.eta > 0:
             raise ValueError("steering length eta must be positive")
-        if self.alpha < 1:
+        if not self.alpha >= 1:
             raise ValueError("neighbor cap alpha must be at least 1")
-        if self.goal_period < 1:
+        if not self.goal_period >= 1:
             raise ValueError("goal period must be at least 1")
 
 

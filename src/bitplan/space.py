@@ -11,8 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .world import CountingWorld
 
 State = tuple[float, ...]
 
@@ -102,11 +106,14 @@ class RngStream:
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._rng.uniform(lo, hi)
-
     def point(self, bounds: Box) -> State:
-        return tuple(self.uniform(l, h) for l, h in zip(bounds.lo, bounds.hi))
+        """A uniform point of bounds, one coordinate per draw.
+
+        l + (h - l) * random() is what random.Random.uniform evaluates, so the
+        stream is bit-identical to calling uniform(l, h) per coordinate.
+        """
+        r = self._rng.random
+        return tuple(l + (h - l) * r() for l, h in zip(bounds.lo, bounds.hi))
 
 
 def c_hat(x: State, y: State) -> float:
@@ -150,33 +157,43 @@ def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:
     """
     if math.isinf(c_sol):
         return True
-    return g_hat(x, problem) + h_hat(x, problem.goal_samples) < c_sol
+    return c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol
 
 
-def sample_batch(m: int, problem: ProblemDef, world, c_sol: float, rng: RngStream) -> list[State]:
+def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float,
+                 rng: RngStream) -> list[State]:
     """Draw m i.i.d. uniform samples of the free space inside the informed set.
 
     Rejection sampling from the uniform distribution over world.bounds keeps the
     accepted samples exactly uniform on (free space) intersect (informed set).
-    Raises SamplerStarvedError if one sample exhausts the rejection budget.
+    The cheap informed-set test runs first, so only draws inside it reach the
+    obstacle check. `world` is the metered CountingWorld: every draw costs one
+    work unit whichever test rejects it, and the draws the informed test
+    rejects are charged with world.tick. Raises SamplerStarvedError if one
+    sample exhausts the rejection budget.
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
     bounds = world.bounds
     out: list[State] = []
     attempts = 0
+    uninformed = 0  # draws outside the informed set, charged once per batch
     for _ in range(m):
         for _ in range(REJECTION_BUDGET):
             attempts += 1
             x = rng.point(bounds)
-            if world.is_free(x) and informed_contains(x, problem, c_sol):
+            if not informed_contains(x, problem, c_sol):
+                uninformed += 1
+            elif world.is_free(x):
                 out.append(x)
                 break
         else:
+            world.tick(uninformed)
             rate = len(out) / attempts
             raise SamplerStarvedError(
                 f"no acceptable sample in {REJECTION_BUDGET} consecutive draws "
                 f"(acceptance rate estimate {rate:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
+    world.tick(uninformed)
     return out

@@ -16,9 +16,9 @@ import numpy as np
 from .space import Box, State, c_hat
 
 # Nominal rate at which a desk machine performs elementary planner work: one
-# unit per point collision check and one per candidate scanned in a
-# nearest-neighbor search. CountingWorld converts its unit count into
-# "planner seconds" at this fixed rate, giving every run a deterministic,
+# unit per BIT* sample draw, one per edge-check point and one per candidate
+# scanned in a nearest-neighbor search. CountingWorld converts its unit count
+# into "planner seconds" at this fixed rate, giving every run a deterministic,
 # monotonic clock: identical seeds produce byte-identical convergence output
 # no matter the host machine.
 WORK_UNITS_PER_SECOND = 250_000.0
@@ -209,8 +209,10 @@ def segment_cost(world, x: State, y: State) -> float:
 class CountingWorld:
     """Wraps a world and tallies elementary planner work.
 
-    Point collision checks tick automatically; planners tick their
-    neighbor-scan sizes explicitly. The tally doubles as a deterministic
+    One unit per BIT* sample draw, per edge-check point and per scanned
+    candidate. Point collision checks tick automatically; planners tick
+    their neighbor-scan sizes, and the sampler the draws it rejects without
+    a collision check, explicitly. The tally doubles as a deterministic
     monotonic clock (see WORK_UNITS_PER_SECOND) used for time budgets and
     convergence timestamps, so equal seeds give byte-identical results.
     """

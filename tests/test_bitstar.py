@@ -10,6 +10,7 @@ import bitplan.space as space
 from bitplan import (
     Box,
     Circle,
+    CountingWorld,
     GoalRegion,
     ProblemDef,
     Rect,
@@ -153,6 +154,19 @@ def test_plan_stops_at_target_cost(demo_world):
     result = plan(make_demo_problem(), demo_world, params, stop, RngStream(1))
     assert result.cost <= 17.0
     assert result.convergence[-1].batch < 50
+
+
+def test_planner_params_reject_nan():
+    for batch_size, radius in [(10, math.nan), (math.nan, 8.0)]:
+        with pytest.raises(ValueError):
+            PlannerParams(batch_size, radius)
+
+
+def test_stop_condition_rejects_nan():
+    for kwargs in [{"time_budget_s": math.nan}, {"max_batches": math.nan},
+                   {"max_batches": 5, "target_cost": math.nan}]:
+        with pytest.raises(ValueError):
+            StopCondition(**kwargs)
 
 
 def test_plan_root_inside_goal_region():
@@ -339,7 +353,7 @@ def test_start_new_batch_refills_queues(demo_world):
     ctx = _context(problem)
     a = ctx.tree.add_child(ctx.tree.root_id, (0.0, -4.0), 4.0)
     ctx.tree.add_child(a, (2.0, -3.0), 3.0)
-    start_new_batch(ctx, problem, demo_world, DEMO_PARAMS, RngStream(1))
+    start_new_batch(ctx, problem, CountingWorld(demo_world), DEMO_PARAMS, RngStream(1))
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
     assert len(ctx.x_ncon) == 101

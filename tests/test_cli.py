@@ -56,6 +56,19 @@ def test_non_finite_time_budget_is_usage_error(capsys):
     assert "--time-budget" in capsys.readouterr().err
 
 
+def test_out_of_range_integer_flags_are_usage_errors(capsys, tmp_path):
+    for argv, flag in [
+        (["plan", "--scenario", "demo", "--planner", "bitstar", "--max-batches", "-1"],
+         "--max-batches"),
+        (["bench", "--scenario", "demo", "--planner", "bitstar", "--trials", "0"], "--trials"),
+        (["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "-1",
+          "--max-batches", "1"], "--seed"),
+        (["demo", "--seed", "-2", "--max-batches", "1", "--svg-dir", str(tmp_path)], "--seed"),
+    ]:
+        assert cli_main(argv) == 1, argv
+        assert flag in capsys.readouterr().err
+
+
 def test_bench_reproducible_bytes(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -105,3 +105,9 @@ def test_rrt_param_validation():
         RrtParams(eta=1.0, alpha=0, goal_period=50)
     with pytest.raises(ValueError):
         RrtParams(eta=1.0, alpha=5, goal_period=0)
+
+
+def test_rrt_params_reject_nan():
+    for args in [(math.nan, 5, 10), (1.0, math.nan, 10), (1.0, 5, math.nan)]:
+        with pytest.raises(ValueError):
+            RrtParams(*args)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import bitplan.space as space
 from bitplan import (
     Box,
     CountingWorld,
@@ -91,7 +92,7 @@ def test_informed_contains_examples():
 def test_sample_batch_uniform_in_bounds_without_rejection():
     p = make_demo_problem()
     empty = World(DEMO_BOUNDS, [])
-    out = sample_batch(5, p, empty, math.inf, RngStream(1))
+    out = sample_batch(5, p, CountingWorld(empty), math.inf, RngStream(1))
     assert len(out) == 5
     assert all(DEMO_BOUNDS.contains(x) for x in out)
 
@@ -110,7 +111,7 @@ def test_sample_batch_respects_world_and_acceptance_rate():
 def test_sample_batch_respects_informed_set():
     p = make_demo_problem()
     w = make_demo_world()
-    out = sample_batch(1000, p, w, 20.0, RngStream(3))
+    out = sample_batch(1000, p, CountingWorld(w), 20.0, RngStream(3))
     assert all(informed_contains(x, p, 20.0) for x in out)
     assert all(w.is_free(x) for x in out)
 
@@ -118,8 +119,8 @@ def test_sample_batch_respects_informed_set():
 def test_sample_batch_deterministic():
     p = make_demo_problem()
     w = make_demo_world()
-    a = sample_batch(50, p, w, 20.0, RngStream(9))
-    b = sample_batch(50, p, w, 20.0, RngStream(9))
+    a = sample_batch(50, p, CountingWorld(w), 20.0, RngStream(9))
+    b = sample_batch(50, p, CountingWorld(w), 20.0, RngStream(9))
     assert a == b
 
 
@@ -128,7 +129,44 @@ def test_sample_batch_starves_on_empty_informed_set():
     w = make_demo_world()
     # c_sol below the root-goal distance makes the informed set empty.
     with pytest.raises(SamplerStarvedError, match="acceptance rate"):
-        sample_batch(1, p, w, 10.0, RngStream(1))
+        sample_batch(1, p, CountingWorld(w), 10.0, RngStream(1))
+
+
+class _CountingRng(RngStream):
+    """RngStream that counts its draws."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def point(self, bounds: Box):
+        self.draws += 1
+        return super().point(bounds)
+
+
+def test_sample_batch_charges_one_unit_per_draw():
+    # Draws outside the informed set never reach is_free; they must still
+    # cost their unit on the work clock.
+    p = make_demo_problem()
+    cw = CountingWorld(make_demo_world())
+    rng = _CountingRng(5)
+    out = sample_batch(200, p, cw, 18.0, rng)
+    assert len(out) == 200
+    assert rng.draws > 200
+    assert cw.units == rng.draws
+
+
+def test_sample_batch_charges_every_draw_before_starving(monkeypatch):
+    monkeypatch.setattr(space, "REJECTION_BUDGET", 300)
+    p = make_demo_problem()
+    cw = CountingWorld(make_demo_world())
+    rng = _CountingRng(1)
+    # A sliver of an ellipse around the root-goal segment: samples land now
+    # and then, until 300 draws in a row miss it.
+    with pytest.raises(SamplerStarvedError):
+        sample_batch(1000, p, cw, 16.01, rng)
+    assert rng.draws > 300
+    assert cw.units == rng.draws
 
 
 def test_sample_batch_rejects_bad_count():
@@ -140,10 +178,18 @@ def test_sample_batch_rejects_bad_count():
 def test_rng_stream_determinism():
     a = RngStream(123)
     b = RngStream(123)
-    assert [a.uniform(0, 1) for _ in range(100)] == [b.uniform(0, 1) for _ in range(100)]
-    assert RngStream(123).point(DEMO_BOUNDS) == RngStream(123).point(DEMO_BOUNDS)
+    assert [a.point(DEMO_BOUNDS) for _ in range(100)] == [b.point(DEMO_BOUNDS) for _ in range(100)]
     with pytest.raises(ValueError):
         RngStream(-1)
+
+
+@pytest.mark.parametrize("box", [Box((-10.0, -10.0), (10.0, 10.0)),
+                                 Box((-1.5, 0.25, 3.0), (2.0, 7.75, 3.125))])
+def test_rng_stream_point_is_bitwise_random_uniform(box):
+    stream, ref = RngStream(77), random.Random(77)
+    for _ in range(10_000):
+        expected = tuple(ref.uniform(l, h) for l, h in zip(box.lo, box.hi))
+        assert stream.point(box) == expected
 
 
 def test_problem_validation(demo_world):
