@@ -39,14 +39,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _finite_float(positive: bool):
+    """An argparse type for finite floats > 0 if positive, else >= 0."""
+    kind = "positive" if positive else "non-negative"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(f"expected a {kind} finite number, got {text!r}")
+        return value
+    return parse
 
 
 def _int_at_least(low: int):
@@ -72,8 +77,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--planner", required=True, choices=PLANNERS)
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the scenario base seed")
-        p.add_argument("--time-budget", type=_finite_float, default=None, metavar="S",
-                       help="replace the stop: planner-seconds budget")
+        p.add_argument("--time-budget", type=_finite_float(positive=False), default=None,
+                       metavar="S", help="replace the stop: planner-seconds budget")
         p.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N",
                        help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
         p.add_argument("--out", type=Path, default=None, help="CSV output path")
@@ -87,8 +92,8 @@ def _build_parser() -> _Parser:
     common(p_bench)
     p_bench.add_argument("--trials", type=_int_at_least(1), default=None,
                          help="override the scenario trial count")
-    p_bench.add_argument("--grid-step", type=_finite_float, default=0.1, metavar="S",
-                         help="aggregate time-grid step (default 0.1)")
+    p_bench.add_argument("--grid-step", type=_finite_float(positive=True), default=0.1,
+                         metavar="S", help="aggregate time-grid step (default 0.1)")
 
     p_demo = sub.add_parser("demo", help="run the built-in demo with per-batch snapshots")
     p_demo.add_argument("--seed", type=_int_at_least(0), default=None)

@@ -85,15 +85,18 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         # matrix and never rebuilds it.
         ids, states = tree.states_matrix()
         run.world.tick(len(ids))
-        nearest = int(np.argmin(sq_dists(states, sample)))
+        d2 = sq_dists(states, sample)
+        nearest = int(np.argmin(d2))
         new_state = steer(tree.state(ids[nearest]), sample, params.eta)
         if new_state == tree.state(ids[nearest]) or tree.has_state(new_state):
             continue
 
+        # The near query is charged even when it reuses the nearest scan (an
+        # unsteered sample is its own new state): the clock counts two scans.
         run.world.tick(len(ids))
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
-        nd2 = sq_dists(states, new_state)
+        nd2 = d2 if new_state == sample else sq_dists(states, new_state)
         within = np.flatnonzero(nd2 <= eta2)
         order = within[np.argsort(nd2[within], kind="stable")]
         neighbors = [ids[i] for i in order[: params.alpha]]

@@ -69,6 +69,22 @@ def test_out_of_range_integer_flags_are_usage_errors(capsys, tmp_path):
         assert flag in capsys.readouterr().err
 
 
+def test_out_of_range_float_flags_are_usage_errors(capsys):
+    # Rejected before any trial runs; a zero grid step would otherwise divide
+    # by zero after the trials.
+    bench = ["bench", "--scenario", "demo", "--planner", "rrtstar", "--trials", "1",
+             "--max-batches", "50"]
+    for argv, flag in [
+        (bench + ["--grid-step", "0"], "--grid-step"),
+        (bench + ["--grid-step", "-1"], "--grid-step"),
+        (["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
+          "--max-batches", "1", "--time-budget", "-1"], "--time-budget"),
+        (bench + ["--time-budget", "-0.5"], "--time-budget"),
+    ]:
+        assert cli_main(argv) == 1, argv
+        assert flag in capsys.readouterr().err
+
+
 def test_bench_reproducible_bytes(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -222,6 +238,15 @@ elapsed_s,cost,batch,tree_vertices,samples_drawn
 6.407064,16.182989,1345,1212,1345
 7.986920,16.182989,1500,1358,1500
 """
+# eta = 0.25: about 89% of the iterations steer, so the near query scans the
+# tree again instead of reusing the nearest scan.
+PINNED_STEERED_RRTSTAR_CSV = """\
+elapsed_s,cost,batch,tree_vertices,samples_drawn
+1.877664,19.920865,965,501,965
+2.911228,19.902129,1196,622,1196
+3.059520,19.831714,1226,637,1226
+4.597452,19.831714,1500,780,1500
+"""
 # Two goal samples: h_hat is a minimum over them in every scan.
 PINNED_TWO_GOAL_BITSTAR_CSV = """\
 elapsed_s,cost,batch,tree_vertices,samples_drawn
@@ -254,3 +279,12 @@ def test_plan_outputs_match_pinned_bytes(tmp_path):
         "--max-batches", "3", "--out", str(two_goal_csv),
     ]) == 0
     assert two_goal_csv.read_text() == PINNED_TWO_GOAL_BITSTAR_CSV
+
+    steered_scn, steered_csv = tmp_path / "steered.scn", tmp_path / "steered.csv"
+    steered_scn.write_text(builtin_scenario_path("demo").read_text().replace(
+        "eta = 2\n", "eta = 0.25\n"))
+    assert cli_main([
+        "plan", "--scenario", str(steered_scn), "--planner", "rrtstar", "--seed", "1",
+        "--max-batches", "1500", "--out", str(steered_csv),
+    ]) == 0
+    assert steered_csv.read_text() == PINNED_STEERED_RRTSTAR_CSV

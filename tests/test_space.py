@@ -21,7 +21,7 @@ from bitplan import (
     informed_contains,
     sample_batch,
 )
-from bitplan.space import h_hat_rows
+from bitplan.space import h_hat_rows, sq_dists
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world
 
 
@@ -64,6 +64,52 @@ def test_h_hat_rows_matches_scalar_heuristic():
         vec = h_hat_rows(np.asarray(pts), goals)
         for p, hv in zip(pts, vec):
             assert abs(hv - h_hat(p, goals)) < 1e-12
+
+
+def _reference_sq_dists(states, x):
+    return ((states - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+
+
+def _kernel_inputs(dim, rng):
+    """0, 1 and 1000 rows at magnitudes from 1e-300 to 1e300, then rows with inf and NaN."""
+    yield np.empty((0, dim))
+    for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+        yield rng.uniform(-scale, scale, (1, dim))
+        yield rng.uniform(-scale, scale, (1000, dim))
+    mixed = rng.uniform(-1, 1, (1000, dim)) * 10.0 ** rng.integers(-300, 301, (1000, dim))
+    mixed[::7, 0] = np.inf
+    mixed[3::11, -1] = -np.inf
+    mixed[5::13, 0] = np.nan
+    yield mixed
+
+
+def test_sq_dists_is_bitwise_the_reference():
+    rng = np.random.default_rng(17)
+    with np.errstate(all="ignore"):  # squares of 1e300 overflow to inf
+        for dim in (1, 2, 3):
+            for states in _kernel_inputs(dim, rng):
+                for x in (np.zeros(dim), rng.uniform(-1e3, 1e3, dim),
+                          np.full(dim, 1e300), np.full(dim, np.inf)):
+                    got = sq_dists(states, tuple(x))
+                    want = _reference_sq_dists(states, tuple(x))
+                    assert got.shape == want.shape == (len(states),)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_h_hat_rows_is_bitwise_the_per_goal_minimum():
+    rng = np.random.default_rng(23)
+    with np.errstate(all="ignore"):
+        for dim in (1, 2, 3):
+            pts = rng.uniform(-10, 10, (3, dim))
+            goals = tuple(tuple(row) for row in (pts[0], -pts[0], pts[1], pts[2]))
+            for states in _kernel_inputs(dim, rng):
+                # The origin is exactly as far from goals[0] as from goals[1]: a tie.
+                states = np.vstack([states, np.zeros(dim)])
+                for k in (1, 2, 4):
+                    want = np.sqrt(np.minimum.reduce(
+                        [_reference_sq_dists(states, g) for g in goals[:k]]))
+                    got = h_hat_rows(states, goals[:k])
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_heuristics_vanish_at_their_anchors():
