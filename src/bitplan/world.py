@@ -1,15 +1,16 @@
 """Obstacle models, collision checking, and occupancy-grid I/O.
 
-A World answers two questions: is a point free, and what does a straight
-edge cost (its Euclidean length if collision-free, +inf otherwise). Edges
-are checked at a fixed number of points per meter. Points exactly on an
-obstacle boundary count as blocked.
+A planar World answers two questions with one point test: is a point free,
+and what does a straight edge cost (its Euclidean length if collision-free,
++inf otherwise). Edges are checked at a fixed number of points per meter.
+Points exactly on an obstacle boundary count as blocked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not (all(-math.inf < c < math.inf for c in self.center) and 0 < self.radius < math.inf):
+            raise ValueError("circle needs a finite center and a positive finite radius")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ class OccupancyGrid:
     blocked: np.ndarray  # shape (height, width), True = blocked
 
     def __post_init__(self):
-        if self.meters_per_cell <= 0:
-            raise ValueError("meters_per_cell must be positive")
+        if not (0 < self.meters_per_cell < math.inf and len(self.origin) == 2
+                and all(-math.inf < o < math.inf for o in self.origin)):
+            raise ValueError("meters_per_cell must be positive and finite, origin a finite 2-D point")
         if self.blocked.shape != (self.height, self.width):
             raise ValueError("occupancy array shape does not match width/height")
 
@@ -75,16 +77,18 @@ class OccupancyGrid:
 
 
 class World:
-    """Immutable obstacle model over an axis-aligned bounding box.
+    """Immutable planar obstacle model over a 2-D axis-aligned bounding box.
 
-    Exactly one obstacle representation is active: a list of geometric
-    primitives (possibly empty) or one occupancy grid.
+    Exactly one obstacle representation is active: a list of 2-D circles and
+    rectangles (possibly empty) or one occupancy grid.
     """
 
     def __init__(self, bounds: Box | None = None, obstacles=None, grid: OccupancyGrid | None = None,
                  checks_per_meter: float = 4.0):
-        if checks_per_meter <= 0:
-            raise ValueError("checks_per_meter must be positive")
+        if not 0 < checks_per_meter < math.inf:
+            raise ValueError("checks_per_meter must be positive and finite")
+        if bounds is not None and bounds.dim != 2:
+            raise ValueError("world bounds must be 2-D")
         if grid is not None:
             if obstacles is not None:
                 raise ValueError("choose either geometric obstacles or a grid, not both")
@@ -105,92 +109,86 @@ class World:
         self.obstacles = obstacles
         self.grid = grid
         self.checks_per_meter = checks_per_meter
-        # Cached arrays for the vectorized hot path.
-        self._lo = np.asarray(bounds.lo, dtype=float)
-        self._hi = np.asarray(bounds.hi, dtype=float)
-        circles = [ob for ob in (obstacles or []) if isinstance(ob, Circle)]
-        self._circle_centers = np.asarray([c.center for c in circles], dtype=float)
-        self._circle_r2 = np.asarray([c.radius ** 2 for c in circles], dtype=float)
-        self._planar_circles = bool(circles) and self._circle_centers.shape[1] == 2
-        self._rects = [ob for ob in (obstacles or []) if isinstance(ob, Rect)]
-
-    def is_free(self, x: State) -> bool:
-        """Point-freeness: inside bounds and outside every obstacle."""
-        if not self.bounds.contains(x):
-            return False
-        if self.grid is not None:
-            return not self._grid_blocked_scalar(x)
-        for ob in self.obstacles:
-            if isinstance(ob, Circle):
-                if sum((a - b) ** 2 for a, b in zip(x, ob.center)) <= ob.radius ** 2:
-                    return False
+        # Plain floats, so that `_free` compares IEEE doubles as float64 arrays did.
+        self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
+        self._circles, self._rects = [], []
+        for ob in obstacles or []:
+            if isinstance(ob, Circle) and len(ob.center) == 2:
+                self._circles.append((float(ob.center[0]), float(ob.center[1]), float(ob.radius ** 2)))
+            elif isinstance(ob, Rect) and len(ob.lo) == 2:
+                self._rects.append(tuple(float(v) for v in ob.lo + ob.hi))
             else:
-                if all(l <= a <= h for a, l, h in zip(x, ob.lo, ob.hi)):
-                    return False
+                raise ValueError(f"obstacles must be 2-D circles or rectangles, got {ob!r}")
+
+    def _free(self, x) -> bool:
+        """The one point test: inside the closed bounds, outside every closed
+        circle and rectangle, or in a free half-open grid cell (so the grid's
+        max edge is blocked). NaN fails every comparison, so it is blocked."""
+        a, b = x
+        x0, y0, x1, y1 = self._box
+        if not (x0 <= a <= x1 and y0 <= b <= y1):
+            return False
+        g = self.grid
+        if g is not None:
+            col = math.floor((a - g.origin[0]) / g.meters_per_cell)
+            row = math.floor((b - g.origin[1]) / g.meters_per_cell)
+            return 0 <= col < g.width and 0 <= row < g.height and not g.blocked[row, col]
+        for cx, cy, r2 in self._circles:
+            dx = a - cx
+            dy = b - cy
+            if dx * dx + dy * dy <= r2:
+                return False
+        for lx, ly, hx, hy in self._rects:
+            if lx <= a <= hx and ly <= b <= hy:
+                return False
         return True
 
+    def is_free(self, x: State) -> bool:
+        """Point-freeness: a 2-D point inside bounds and outside every obstacle."""
+        return len(x) == 2 and self._free(x)
+
     def all_free(self, points: np.ndarray) -> bool:
-        """Vectorized is_free over an (n, d) array; True iff every point is free."""
-        if ((points < self._lo) | (points > self._hi)).any():
-            return False
-        if self.grid is not None:
-            return not self._grid_blocked_batch(points)
-        if len(self._circle_r2):
-            if self._planar_circles:
-                dx = points[:, 0, None] - self._circle_centers[:, 0]
-                dy = points[:, 1, None] - self._circle_centers[:, 1]
-                d2 = dx * dx + dy * dy
-            else:
-                d2 = ((points[:, None, :] - self._circle_centers[None, :, :]) ** 2).sum(axis=2)
-            if (d2 <= self._circle_r2).any():
-                return False
-        for ob in self._rects:
-            inside = np.all((points >= np.asarray(ob.lo)) & (points <= np.asarray(ob.hi)), axis=1)
-            if inside.any():
+        """True iff every row of an (n, 2) array is free.
+
+        Rows are tested in `_bisection_order` up to the first blocked one: any
+        order gives the same verdict, and along a segment it meets a blocked
+        run early.
+        """
+        rows = points.tolist()
+        free = self._free
+        for i in _bisection_order(len(rows)):
+            if not free(rows[i]):
                 return False
         return True
 
     def true_cost(self, x: State, y: State) -> float:
         return segment_cost(self, x, y)
 
-    def _grid_blocked_scalar(self, x: State) -> bool:
-        g = self.grid
-        col = math.floor((x[0] - g.origin[0]) / g.meters_per_cell)
-        row = math.floor((x[1] - g.origin[1]) / g.meters_per_cell)
-        # Points on the max edge fall past the last half-open cell: blocked.
-        if not (0 <= col < g.width and 0 <= row < g.height):
-            return True
-        return bool(g.blocked[row, col])
 
-    def _grid_blocked_batch(self, points: np.ndarray) -> bool:
-        g = self.grid
-        cells = np.floor((points - np.asarray(g.origin)) / g.meters_per_cell).astype(int)
-        cols, rows = cells[:, 0], cells[:, 1]
-        oob = (cols < 0) | (cols >= g.width) | (rows < 0) | (rows >= g.height)
-        if np.any(oob):
-            return True
-        return bool(g.blocked[rows, cols].any())
+@cache
+def _bisection_order(n: int) -> tuple[int, ...]:
+    """range(n) as bisection visits it: the midpoint, then the quarter points,
+    and so on, level by level; the two endpoints, usually a tree vertex and a
+    sample already found free, come last."""
+    order, spans = [], [(0, n - 1)]
+    for lo, hi in spans:  # spans grows while it is read: breadth first
+        mid = (lo + hi) // 2
+        if lo < mid:
+            order.append(mid)
+            spans += (lo, mid), (mid, hi)
+    return tuple(order) + ((0, n - 1) if n > 1 else tuple(range(n)))
 
 
-_T_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _t_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _T_CACHE.get(n)
-    if cached is None:
-        ts = np.linspace(0.0, 1.0, n)
-        cached = _T_CACHE[n] = (ts[:, None], (1.0 - ts)[:, None])
-    return cached
+    ts = np.linspace(0.0, 1.0, n)
+    return ts[:, None], (1.0 - ts)[:, None]
 
 
 def segment_points(x: State, y: State, n: int) -> np.ndarray:
     """n points uniformly spaced along the segment x..y, endpoints included."""
     ts, omt = _t_weights(n)
     return omt * np.asarray(x, dtype=float) + ts * np.asarray(y, dtype=float)
-
-
-def segment_free(world, x: State, y: State, n: int) -> bool:
-    return world.all_free(segment_points(x, y, n))
 
 
 def segment_cost(world, x: State, y: State) -> float:
@@ -203,14 +201,15 @@ def segment_cost(world, x: State, y: State) -> float:
     if d == 0.0:
         return 0.0 if world.is_free(x) else math.inf
     n = math.ceil(d * world.checks_per_meter) + 1
-    return d if segment_free(world, x, y, n) else math.inf
+    return d if world.all_free(segment_points(x, y, n)) else math.inf
 
 
 class CountingWorld:
     """Wraps a world and tallies elementary planner work.
 
     One unit per BIT* sample draw, per edge-check point and per scanned
-    candidate. Point collision checks tick automatically; planners tick
+    candidate. Point collision checks tick automatically (`all_free` charges
+    every point, also those its early exit never examines); planners tick
     their neighbor-scan sizes, and the sampler the draws it rejects without
     a collision check, explicitly. The tally doubles as a deterministic
     monotonic clock (see WORK_UNITS_PER_SECOND) used for time budgets and
@@ -253,8 +252,8 @@ def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: 
     Gray values <= threshold are blocked. The grid's world extent is derived
     from its size, `meters_per_cell`, and `origin`.
     """
-    if meters_per_cell <= 0:
-        raise GridLoadError("meters_per_cell must be positive")
+    if not 0 < meters_per_cell < math.inf:
+        raise GridLoadError("meters_per_cell must be positive and finite")
     with open(path, "rb") as fh:
         data = fh.read()
 

@@ -17,7 +17,7 @@ from bitplan import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from bitplan.world import segment_free
+from bitplan.world import _bisection_order, segment_points
 from conftest import make_demo_world
 
 
@@ -88,8 +88,8 @@ def test_nested_refinement(demo_world):
         n = math.ceil(c_hat(a, b) * 4.0) + 1
         if n < 2:
             continue
-        if segment_free(demo_world, a, b, 2 * n - 1):
-            assert segment_free(demo_world, a, b, n)
+        if demo_world.all_free(segment_points(a, b, 2 * n - 1)):
+            assert demo_world.all_free(segment_points(a, b, n))
 
 
 def test_world_requires_exactly_one_representation():
@@ -217,8 +217,131 @@ def test_is_free_agrees_with_all_free(which):
     rng = random.Random(17 + which)
     randoms = [(rng.uniform(lo[0] - 1, hi[0] + 1), rng.uniform(lo[1] - 1, hi[1] + 1))
                for _ in range(1000)]
-    points = boundary + [(x, y) for x in xs for y in ys] + randoms
+    nans = [(math.nan, ys[2]), (xs[2], math.nan), (math.nan, math.nan)]
+    points = boundary + [(x, y) for x in xs for y in ys] + randoms + nans
     verdicts = {world.is_free(p) for p in boundary}
     assert verdicts == {True, False}  # the boundary set straddles free and blocked
+    assert not any(world.is_free(p) for p in nans)
     for p in points:
         assert world.is_free(p) == world.all_free(np.asarray([p])), p
+
+
+def _reference_all_free(world, points):
+    """The numpy edge test `World.all_free` ran before the per-point kernel."""
+    lo, hi = np.asarray(world.bounds.lo, dtype=float), np.asarray(world.bounds.hi, dtype=float)
+    if ((points < lo) | (points > hi)).any():
+        return False
+    g = world.grid
+    if g is not None:
+        cells = np.floor((points - np.asarray(g.origin)) / g.meters_per_cell).astype(int)
+        cols, rows = cells[:, 0], cells[:, 1]
+        if ((cols < 0) | (cols >= g.width) | (rows < 0) | (rows >= g.height)).any():
+            return False
+        return not g.blocked[rows, cols].any()
+    circles = [ob for ob in world.obstacles if isinstance(ob, Circle)]
+    if circles:
+        centers = np.asarray([c.center for c in circles], dtype=float)
+        r2 = np.asarray([c.radius ** 2 for c in circles], dtype=float)
+        dx = points[:, 0, None] - centers[:, 0]
+        dy = points[:, 1, None] - centers[:, 1]
+        if (dx * dx + dy * dy <= r2).any():
+            return False
+    for ob in world.obstacles:
+        if isinstance(ob, Rect) and np.all((points >= np.asarray(ob.lo)) & (points <= np.asarray(ob.hi)),
+                                           axis=1).any():
+            return False
+    return True
+
+
+def _boundary_segments(world):
+    """Segments that graze obstacle boundaries: tangent to each circle, along
+    each rectangle face, or along the grid's cell edges."""
+    if world.grid is not None:
+        g = world.grid
+        (x0, y0), (x1, y1) = world.bounds.lo, world.bounds.hi
+        xs = [g.origin[0] + g.meters_per_cell * i for i in range(g.width + 1)]
+        ys = [g.origin[1] + g.meters_per_cell * j for j in range(g.height + 1)]
+        return [((x, y0), (x, y1)) for x in xs] + [((x0, y), (x1, y)) for y in ys]
+    segments = []
+    for ob in world.obstacles:
+        if isinstance(ob, Circle):
+            (cx, cy), r = ob.center, ob.radius
+            for s in (-r, r):
+                segments += [((cx - 3.0, cy + s), (cx + 3.0, cy + s)),
+                             ((cx + s, cy - 3.0), (cx + s, cy + 3.0))]
+        else:
+            (lx, ly), (hx, hy) = ob.lo, ob.hi
+            for y in (ly, hy):
+                segments.append(((lx - 1.0, y), (hx + 1.0, y)))
+            for x in (lx, hx):
+                segments.append(((x, ly - 1.0), (x, hy + 1.0)))
+    return segments
+
+
+@pytest.mark.parametrize("which", range(3), ids=["circles", "rects", "grid"])
+def test_all_free_matches_the_numpy_reference_on_segments(which):
+    world, _ = _agreement_worlds()[which]
+    lo, hi = world.bounds.lo, world.bounds.hi
+    rng = random.Random(31 + which)
+    segments = _boundary_segments(world) + [
+        tuple((rng.uniform(lo[0] - 1, hi[0] + 1), rng.uniform(lo[1] - 1, hi[1] + 1)) for _ in "ab")
+        for _ in range(300)
+    ]
+    verdicts = set()
+    for n in (1, 2, 3, 26, 200):
+        for a, b in segments:
+            points = segment_points(a, b, n)
+            verdict = world.all_free(points)
+            assert verdict == _reference_all_free(world, points), (a, b, n)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    grazing = {_reference_all_free(world, segment_points(a, b, 3)) for a, b in _boundary_segments(world)}
+    assert False in grazing  # midpoints on a tangent, face or cell edge are blocked
+
+
+def test_bisection_order_is_a_permutation():
+    for n in range(1, 301):
+        order = _bisection_order(n)
+        assert sorted(order) == list(range(n)), n
+    assert _bisection_order(9) == (4, 2, 6, 1, 3, 5, 7, 0, 8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: World(Box((0.0, 0.0, 0.0), (10.0, 10.0, 10.0)), []),
+    lambda: World(Box((0.0,), (10.0,)), []),
+    lambda: World(Box((0.0, 0.0), (10.0, 10.0)), [Circle((5.0, 5.0, 5.0), 1.0)]),
+    lambda: World(Box((0.0, 0.0), (10.0, 10.0)), [Rect((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]),
+], ids=["3-D bounds", "1-D bounds", "3-D circle", "3-D rect"])
+def test_world_is_planar(make):
+    with pytest.raises(ValueError, match="2-D"):
+        make()
+
+
+_FREE_2X2 = np.zeros((2, 2), dtype=bool)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Circle((0.0, 0.0), math.nan),
+    lambda: Circle((0.0, 0.0), math.inf),
+    lambda: Circle((math.nan, 0.0), 1.0),
+    lambda: Circle((0.0, -math.inf), 1.0),
+    lambda: World(Box((0.0, 0.0), (1.0, 1.0)), [], checks_per_meter=math.nan),
+    lambda: World(Box((0.0, 0.0), (1.0, 1.0)), [], checks_per_meter=math.inf),
+    lambda: OccupancyGrid(2, 2, math.nan, (0.0, 0.0), _FREE_2X2),
+    lambda: OccupancyGrid(2, 2, math.inf, (0.0, 0.0), _FREE_2X2),
+    lambda: OccupancyGrid(2, 2, 1.0, (math.nan, 0.0), _FREE_2X2),
+    lambda: OccupancyGrid(2, 2, 1.0, (0.0, math.inf), _FREE_2X2),
+], ids=["radius nan", "radius inf", "center nan", "center -inf", "checks_per_meter nan",
+        "checks_per_meter inf", "meters_per_cell nan", "meters_per_cell inf", "origin nan",
+        "origin inf"])
+def test_world_types_reject_non_finite_numbers(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_pgm_load_rejects_non_finite_cell_size(tmp_path):
+    f = tmp_path / "g.pgm"
+    f.write_text("P2\n2 2\n255\n0 0 0 0\n")
+    for mpc in (math.nan, math.inf):
+        with pytest.raises(GridLoadError, match="meters_per_cell"):
+            load_occupancy_grid(f, mpc, (0.0, 0.0), 127)
