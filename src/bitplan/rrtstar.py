@@ -102,15 +102,14 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         neighbors = [ids[i] for i in order[: params.alpha]]
 
         # Choose the parent lazily in ascending cost order: the first
-        # collision-free candidate is optimal among the neighbor set.
-        ranked = sorted(
-            neighbors,
-            key=lambda v: (tree.cost_to_come(v) + c_hat(tree.state(v), new_state), v),
-        )
+        # collision-free candidate is optimal among the neighbor set (c_hat
+        # inlined in the key; equal costs go to the lower id).
+        near = [(v, tree.state(v)) for v in neighbors]
+        ranked = sorted([(tree.cost_to_come(v) + math.dist(s, new_state), v, s) for v, s in near])
         parent = None
         edge_cost = math.inf
-        for v in ranked:
-            cost = run.world.true_cost(tree.state(v), new_state)
+        for _, v, s in ranked:
+            cost = run.world.true_cost(s, new_state)
             if math.isfinite(cost):
                 parent = v
                 edge_cost = cost
@@ -122,13 +121,14 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         if problem.goal_region.contains(new_state):
             v_sol.add(new_id)
 
+        # Costs are re-read: a rewire can lower other neighbors' costs.
         g_new = tree.cost_to_come(new_id)
-        for w in neighbors:
+        for w, s in near:
             if w == parent:
                 continue
-            if g_new + c_hat(new_state, tree.state(w)) >= tree.cost_to_come(w):
+            if g_new + math.dist(new_state, s) >= tree.cost_to_come(w):
                 continue
-            cost = run.world.true_cost(new_state, tree.state(w))
+            cost = run.world.true_cost(new_state, s)
             if g_new + cost < tree.cost_to_come(w):
                 tree.rewire(w, new_id, cost)
 

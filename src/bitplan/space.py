@@ -59,8 +59,9 @@ class GoalRegion:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("goal radius must be positive")
+        # Negated comparisons, so that NaN fails them too.
+        if not (all(-math.inf < c < math.inf for c in self.center) and 0 < self.radius < math.inf):
+            raise ValueError("goal region needs a finite center and a positive finite radius")
 
     def contains(self, x: State) -> bool:
         return c_hat(x, self.center) <= self.radius

@@ -9,6 +9,7 @@ Points exactly on an obstacle boundary count as blocked.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -147,17 +148,16 @@ class World:
         """Point-freeness: a 2-D point inside bounds and outside every obstacle."""
         return len(x) == 2 and self._free(x)
 
-    def all_free(self, points: np.ndarray) -> bool:
-        """True iff every row of an (n, 2) array is free.
+    def all_free(self, points: Sequence[State]) -> bool:
+        """True iff every point of a sequence (or row of an (n, 2) array) is free.
 
-        Rows are tested in `_bisection_order` up to the first blocked one: any
-        order gives the same verdict, and along a segment it meets a blocked
-        run early.
+        Points are indexed in `_bisection_order` up to the first blocked one:
+        any order gives the same verdict, and along a segment it meets a
+        blocked run early.
         """
-        rows = points.tolist()
         free = self._free
-        for i in _bisection_order(len(rows)):
-            if not free(rows[i]):
+        for i in _bisection_order(len(points)):
+            if not free(points[i]):
                 return False
         return True
 
@@ -180,15 +180,31 @@ def _bisection_order(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _t_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _t_weights(n: int) -> tuple[tuple[float, float], ...]:
     ts = np.linspace(0.0, 1.0, n)
-    return ts[:, None], (1.0 - ts)[:, None]
+    return tuple(zip((1.0 - ts).tolist(), ts.tolist()))
 
 
-def segment_points(x: State, y: State, n: int) -> np.ndarray:
+class _SegmentPoints(Sequence):
+    """`segment_points`, each point computed only when an edge check indexes it."""
+
+    __slots__ = ("_x", "_y", "_w")
+
+    def __init__(self, x: State, y: State, n: int):
+        self._x, self._y, self._w = x, y, _t_weights(n)
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def __getitem__(self, i: int) -> State:
+        o, t = self._w[i]
+        (x0, x1), (y0, y1) = self._x, self._y
+        return (o * x0 + t * y0, o * x1 + t * y1)  # numpy's (1 - ts) * x + ts * y, bitwise
+
+
+def segment_points(x: State, y: State, n: int) -> Sequence[State]:
     """n points uniformly spaced along the segment x..y, endpoints included."""
-    ts, omt = _t_weights(n)
-    return omt * np.asarray(x, dtype=float) + ts * np.asarray(y, dtype=float)
+    return _SegmentPoints(x, y, n)
 
 
 def segment_cost(world, x: State, y: State) -> float:
@@ -238,7 +254,7 @@ class CountingWorld:
         self.units += 1
         return self.inner.is_free(x)
 
-    def all_free(self, points: np.ndarray) -> bool:
+    def all_free(self, points: Sequence[State]) -> bool:
         self.units += len(points)
         return self.inner.all_free(points)
 

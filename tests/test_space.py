@@ -245,3 +245,18 @@ def test_problem_validation(demo_world):
         ProblemDef((0.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="outside the goal region"):
         ProblemDef((0.0, -8.0), ((0.0, 6.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
+
+
+@pytest.mark.parametrize("center, radius", [
+    ((0.0, 0.0), math.nan),
+    ((0.0, 0.0), math.inf),
+    ((0.0, 0.0), 0.0),
+    ((0.0, 0.0), -1.0),
+    ((math.nan, 0.0), 1.0),
+    ((0.0, math.inf), 1.0),
+    ((-math.inf, 0.0), 1.0),
+], ids=["radius nan", "radius inf", "radius zero", "radius negative", "center nan",
+        "center inf", "center -inf"])
+def test_goal_region_rejects_non_finite_or_non_positive_input(center, radius):
+    with pytest.raises(ValueError, match="goal region"):
+        GoalRegion(center, radius)

@@ -226,8 +226,16 @@ def test_is_free_agrees_with_all_free(which):
         assert world.is_free(p) == world.all_free(np.asarray([p])), p
 
 
-def _reference_all_free(world, points):
-    """The numpy edge test `World.all_free` ran before the per-point kernel."""
+def _reference_points(a, b, n):
+    """The float64 array `segment_points` built before its points were lazy."""
+    ts = np.linspace(0.0, 1.0, n)
+    return (1 - ts)[:, None] * np.asarray(a, dtype=float) + ts[:, None] * np.asarray(b, dtype=float)
+
+
+def _reference_all_free(world, a, b, n):
+    """The numpy edge test `World.all_free` ran before the per-point kernel,
+    on the reference array of the segment a..b at n points."""
+    points = _reference_points(a, b, n)
     lo, hi = np.asarray(world.bounds.lo, dtype=float), np.asarray(world.bounds.hi, dtype=float)
     if ((points < lo) | (points > hi)).any():
         return False
@@ -291,12 +299,30 @@ def test_all_free_matches_the_numpy_reference_on_segments(which):
     for n in (1, 2, 3, 26, 200):
         for a, b in segments:
             points = segment_points(a, b, n)
+            rows = np.array([points[i] for i in range(n)], dtype=float)
+            assert rows.tobytes() == _reference_points(a, b, n).tobytes(), (a, b, n)  # bitwise
             verdict = world.all_free(points)
-            assert verdict == _reference_all_free(world, points), (a, b, n)
+            assert verdict == _reference_all_free(world, a, b, n), (a, b, n)
+            assert verdict == world.all_free(rows), (a, b, n)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-    grazing = {_reference_all_free(world, segment_points(a, b, 3)) for a, b in _boundary_segments(world)}
+    grazing = {_reference_all_free(world, a, b, 3) for a, b in _boundary_segments(world)}
     assert False in grazing  # midpoints on a tangent, face or cell edge are blocked
+
+
+def test_segment_points_is_a_read_only_sequence():
+    a, b = (1.0, -2.0), (-3.5, 4.25)
+    points = segment_points(a, b, 5)
+    assert len(points) == 5
+    assert points[0] == a and points[-1] == b and points[2] == (-1.25, 1.125)
+    assert [points[i] for i in range(-5, 0)] == [points[i] for i in range(5)] == list(points)
+    assert list(reversed(points)) == list(points)[::-1]
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            points[i]
+    with pytest.raises(TypeError):
+        points[0] = a
+    assert len(segment_points(a, b, 1)) == 1 and segment_points(a, b, 1)[0] == a
 
 
 def test_bisection_order_is_a_permutation():
