@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -43,25 +43,80 @@ class PlannerParams:
             raise ValueError("connection radius must be positive")
 
 
+class Samples:
+    """The unconnected samples x_ncon, held as one (n, d) matrix per batch.
+
+    Rows keep insertion order, and a state given twice keeps its first row.
+    The matrix, each row's h_hat and the new-this-batch mask are fixed when
+    the set is built: by `plan` at set-up and by `start_new_batch` once per
+    batch. Between builds the only change is `discard`, which clears a row's
+    live flag when `prune` drops the sample or `expand_edge` connects it.
+    Membership, iteration and length see the live rows only, so a reader can
+    never see a removed sample.
+    """
+
+    def __init__(self, states: Iterable[State] = (), goal_samples: tuple[State, ...] = (),
+                 new: Iterable[State] = ()):
+        self._states = list(dict.fromkeys(states))
+        self._row = {x: i for i, x in enumerate(self._states)}  # live samples only
+        self._mat = np.asarray(self._states, dtype=float)
+        # h_hat_rows works row by row, so any subset of h is bitwise the
+        # h_hat_rows of that subset of rows.
+        self._h = h_hat_rows(self._mat, goal_samples) if self._states else np.empty(0)
+        self._live = np.ones(len(self._states), dtype=bool)
+        new = set(new)
+        self._new = np.array([x in new for x in self._states], dtype=bool)
+
+    def __contains__(self, x: State) -> bool:
+        return x in self._row
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def discard(self, x: State) -> None:
+        """Remove the live sample x."""
+        self._live[self._row.pop(x)] = False
+
+    def new_states(self) -> list[State]:
+        """This batch's new samples in row order, connected since or not."""
+        return [x for x, new in zip(self._states, self._new.tolist()) if new]
+
+    def candidates(self, new_only: bool) -> tuple[list[State], np.ndarray, np.ndarray]:
+        """The live samples in row order (only this batch's new ones if
+        new_only), with their rows of the matrix and their h_hat values."""
+        rows = np.flatnonzero(self._live & self._new if new_only else self._live)
+        states = self._states
+        return [states[i] for i in rows.tolist()], self._mat[rows], self._h[rows]
+
+
 @dataclass
 class PlannerContext:
     """All mutable planner state threaded through the per-iteration steps.
 
-    x_ncon and x_new are insertion-ordered state sets (dicts with None
-    values) so that every iteration order in the planner is deterministic.
-    c_sol is the incumbent solution cost and doubles as the pruning
-    threshold; it never increases.
+    x_ncon owns the unconnected samples (see Samples): `plan` builds it at
+    set-up and `start_new_batch` rebuilds it, matrix and h_hat included, once
+    per batch; in between, `prune` and `expand_edge` only discard from it.
+    Its iteration order is insertion order, so every iteration order in the
+    planner is deterministic. c_sol is the incumbent solution cost and
+    doubles as the pruning threshold; it never increases.
     """
 
     tree: Tree
     qv: CostQueue = field(default_factory=CostQueue)
     qe: CostQueue = field(default_factory=CostQueue)
-    x_ncon: dict[State, None] = field(default_factory=dict)
-    x_new: dict[State, None] = field(default_factory=dict)
+    x_ncon: Samples = field(default_factory=Samples)
     v_exp: set[int] = field(default_factory=set)
     v_rewire: set[int] = field(default_factory=set)
     v_sol: set[int] = field(default_factory=set)
     c_sol: float = math.inf
+
+    @property
+    def x_new(self) -> list[State]:
+        """This batch's new samples (see Samples.new_states)."""
+        return self.x_ncon.new_states()
 
 
 def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
@@ -78,7 +133,9 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     if math.isinf(c):
         return []
     goals = problem.goal_samples
-    ctx.x_ncon = {x: None for x in ctx.x_ncon if informed_contains(x, problem, c)}
+    samples = ctx.x_ncon
+    for x in [x for x in samples if not informed_contains(x, problem, c)]:
+        samples.discard(x)
     x_reuse: list[State] = []
     tree = ctx.tree
     queue = deque([tree.root_id])
@@ -99,25 +156,23 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
 
 def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world: CountingWorld,
                     params: PlannerParams, rng: RngStream) -> None:
-    """Prune, draw a fresh batch, and requeue every tree vertex.
+    """Prune, draw a fresh batch, rebuild x_ncon and requeue every tree vertex.
 
-    New samples are informed once an incumbent exists. Reused pruned states
-    rejoin x_ncon but not x_new: vertices that saw them in earlier batches
-    already considered those connections, and pruned vertices lose their
-    expanded flag, so no connection opportunity is lost.
+    New samples are informed once an incumbent exists. x_ncon is rebuilt here,
+    once per batch, from the surviving samples, the new ones and the reused
+    pruned states, in that order; the rebuild computes the batch's samples
+    matrix and h_hat values. Reused pruned states rejoin x_ncon but not x_new:
+    vertices that saw them in earlier batches already considered those
+    connections, and pruned vertices lose their expanded flag, so no
+    connection opportunity is lost.
     """
     if ctx.qv or ctx.qe:
         raise ValueError("a new batch may only start when both queues are empty")
     x_reuse = prune(ctx, problem)
     fresh = sample_batch(params.batch_size, problem, world, ctx.c_sol, rng)
-    ctx.x_new = {}
-    for x in fresh:
-        if not ctx.tree.has_state(x):  # keep tree and sample sets disjoint
-            ctx.x_ncon[x] = None
-            ctx.x_new[x] = None
-    for x in x_reuse:
-        ctx.x_ncon[x] = None
     goals = problem.goal_samples
+    x_new = [x for x in fresh if not ctx.tree.has_state(x)]  # keep tree and samples disjoint
+    ctx.x_ncon = Samples([*ctx.x_ncon, *x_new, *x_reuse], goals, x_new)
     tree = ctx.tree
     for vid, state in tree.items():
         g = tree.cost_to_come(vid)
@@ -129,12 +184,13 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
     Runs entirely on heuristics, no collision checks. Edges to unconnected
     samples are admitted with the optimistic g_hat test; a first-time vertex
-    scans all of x_ncon, a repeat only this batch's new samples. Rewiring
+    scans all of x_ncon, a repeat only this batch's new samples, both on the
+    rows and h_hat values x_ncon computed when the batch began. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
     solution exists. Queue entries memoize the edge and cost-to-go
-    heuristics (pure functions of the states); only cost-to-come can go
-    stale and is re-read at pop time. Returns the number of candidates
-    scanned so the caller can charge the work clock.
+    heuristics (pure functions of the states) as plain floats; only
+    cost-to-come can go stale and is re-read at pop time. Returns the number
+    of candidates scanned so the caller can charge the work clock.
     """
     scanned = 0
     _, _, vid = ctx.qv.pop_best()
@@ -143,21 +199,19 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     gh_v = g_hat(vstate, problem)
     gt_v = tree.cost_to_come(vid)
 
-    def near(states: np.ndarray):
+    def near(states: np.ndarray, h: np.ndarray):
         # Rows within the radius whose edge could still beat the incumbent,
-        # with each row's edge and cost-to-go heuristics.
+        # with each row's edge and cost-to-go heuristics. Only Python floats
+        # leave: the queues compare them far faster than numpy scalars.
         d = np.sqrt(sq_dists(states, vstate))
-        h = h_hat_rows(states, problem.goal_samples)
-        return np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol)), d, h
+        admit = np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol))
+        return admit.tolist(), d.tolist(), h.tolist()
 
-    if vid not in ctx.v_exp:
-        ctx.v_exp.add(vid)
-        cands = list(ctx.x_ncon)
-    else:
-        cands = [x for x in ctx.x_new if x in ctx.x_ncon]
+    cands, mat, h = ctx.x_ncon.candidates(new_only=vid in ctx.v_exp)
+    ctx.v_exp.add(vid)
     if cands:
         scanned += len(cands)
-        admit, d, h = near(np.asarray(cands, dtype=float))
+        admit, d, h = near(mat, h)
         for i in admit:
             x = cands[i]
             if x != vstate:
@@ -167,7 +221,7 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         ctx.v_rewire.add(vid)
         ids, mat = tree.states_matrix()
         scanned += len(ids)
-        admit, d, h = near(mat)
+        admit, d, h = near(mat, h_hat_rows(mat, problem.goal_samples))
         for i in admit:
             wid = ids[i]
             wstate = tree.state(wid)
@@ -199,7 +253,7 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef, world) -> None:
     if x in ctx.x_ncon:
         cost = world.true_cost(vstate, x)
         if gt_v + cost + h_x < ctx.c_sol:
-            del ctx.x_ncon[x]
+            ctx.x_ncon.discard(x)
             new_id = tree.add_child(vid, x, cost)
             g_new = tree.cost_to_come(new_id)
             ctx.qv.insert(g_new + h_x, g_new, new_id)
@@ -237,13 +291,10 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     ctx) fires at every batch boundary.
     """
     run = AnytimeRun(world, stop)
-    ctx = PlannerContext(tree=Tree(problem.root))
-    tree = ctx.tree
     goals = problem.goal_samples
-    for g in goals:
-        if g != problem.root:
-            ctx.x_ncon[g] = None
-    ctx.x_new = dict(ctx.x_ncon)
+    x_goal = [g for g in goals if g != problem.root]
+    ctx = PlannerContext(tree=Tree(problem.root), x_ncon=Samples(x_goal, goals, x_goal))
+    tree = ctx.tree
     if problem.goal_region.contains(problem.root):
         ctx.v_sol.add(tree.root_id)
         ctx.c_sol = 0.0

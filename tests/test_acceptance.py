@@ -29,6 +29,10 @@ from conftest import DEMO_BOUNDS, make_demo_problem, tree_audit
 # computed by the Dijkstra oracle below and frozen here.
 ORACLE_COST = 17.284062043356666
 
+# Exact optimum from the demo root (0, -8) to the goal sample (0, 8): a
+# tangent, a 1.5 m arc round the centre circle, and a tangent.
+ANALYTIC_OPTIMUM = 2 * math.sqrt(8**2 - 1.5**2) + 1.5 * (math.pi - 2 * math.acos(1.5 / 8))
+
 SEEDS = range(1, 21)
 
 
@@ -101,6 +105,16 @@ def test_criterion_1_demo_world_near_optimality(ten_batch_results):
     med = statistics.median(r.cost for r in ten_batch_results)
     ok = med <= 1.05 * oracle
     _report(1, ok, f"median cost {med:.4f} <= 1.05 x oracle {oracle:.4f} = {1.05 * oracle:.4f}")
+
+
+def test_bitstar_never_beats_the_analytic_optimum(demo_scenario, ten_batch_results,
+                                                  one_second_results):
+    assert f"{ANALYTIC_OPTIMUM:.6f}" == "16.282083"
+    goals = demo_scenario.problem.goal_samples
+    results = [*ten_batch_results, *one_second_results["bitstar"]]
+    assert all(r.path is not None and r.path[-1] in goals for r in results)
+    lowest = min(r.cost for r in results)
+    assert lowest >= ANALYTIC_OPTIMUM - 1e-9, f"cost {lowest!r} beats the optimum"
 
 
 def test_criterion_2_anytime_monotonicity(ten_batch_results, one_second_results):

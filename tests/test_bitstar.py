@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 import bitplan.bitstar as bitstar
@@ -20,17 +21,21 @@ from bitplan import (
     c_hat,
     g_hat,
     h_hat,
+    informed_contains,
 )
 from bitplan.anytime import StopCondition
 from bitplan.bitstar import (
     PlannerContext,
     PlannerParams,
+    Samples,
     expand_edge,
     expand_vertex,
     plan,
     prune,
     start_new_batch,
 )
+from bitplan.queues import CostQueue
+from bitplan.space import h_hat_rows
 from bitplan.tree import Tree
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, tree_audit
 
@@ -38,19 +43,16 @@ DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
 DEMO_STOP = StopCondition(max_batches=10)
 
 
-def _context(problem) -> PlannerContext:
-    ctx = PlannerContext(tree=Tree(problem.root))
-    for g in problem.goal_samples:
-        ctx.x_ncon[g] = None
-    ctx.x_new = dict(ctx.x_ncon)
-    return ctx
+def _context(problem, samples=()) -> PlannerContext:
+    """A lone root; x_ncon holds the goal samples (new) and then `samples` (old)."""
+    goals = problem.goal_samples
+    return PlannerContext(tree=Tree(problem.root), x_ncon=Samples([*goals, *samples], goals, goals))
 
 
 def _queued_targets(x, samples, radius):
     """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
     problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1))
-    ctx = PlannerContext(tree=Tree(x))
-    ctx.x_ncon = dict.fromkeys(samples)
+    ctx = PlannerContext(tree=Tree(x), x_ncon=Samples(samples, problem.goal_samples))
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
     params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
@@ -279,8 +281,7 @@ def test_plan_through_occupancy_grid_gap():
 
 def test_prune_noop_without_incumbent():
     problem = make_demo_problem()
-    ctx = _context(problem)
-    ctx.x_ncon[(9.0, 9.0)] = None
+    ctx = _context(problem, [(9.0, 9.0)])
     reuse = prune(ctx, problem)
     assert reuse == []
     assert (9.0, 9.0) in ctx.x_ncon
@@ -288,9 +289,8 @@ def test_prune_noop_without_incumbent():
 
 def test_prune_drops_hopeless_samples():
     problem = make_demo_problem()
-    ctx = _context(problem)
-    ctx.x_ncon[(9.0, 9.0)] = None   # g_hat + h_hat ~= 28.29 >= 20
-    ctx.x_ncon[(0.0, 0.0)] = None   # 8 + 8 = 16 < 20
+    # (9, 9): g_hat + h_hat ~= 28.29 >= 20; (0, 0): 8 + 8 = 16 < 20.
+    ctx = _context(problem, [(9.0, 9.0), (0.0, 0.0)])
     ctx.c_sol = 20.0
     prune(ctx, problem)
     assert (9.0, 9.0) not in ctx.x_ncon
@@ -331,13 +331,15 @@ def test_prune_soundness_postcondition():
     ctx = _context(problem)
     rng = random.Random(8)
     ids = [ctx.tree.root_id]
+    samples = []
     for _ in range(200):
         parent = rng.choice(ids)
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         if ctx.tree.has_state(state):
             continue
         ids.append(ctx.tree.add_child(parent, state, c_hat(ctx.tree.state(parent), state)))
-        ctx.x_ncon[(rng.uniform(-10, 10), rng.uniform(-10, 10))] = None
+        samples.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
+    ctx.x_ncon = Samples([*ctx.x_ncon, *samples], problem.goal_samples)
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
@@ -411,14 +413,121 @@ def test_expand_vertex_rewiring_after_incumbent():
 
 def test_expand_vertex_second_expansion_sees_only_new_samples():
     problem = make_demo_problem()
+    goals = problem.goal_samples
     ctx = _context(problem)
     root = ctx.tree.root_id
     ctx.v_exp.add(root)
-    ctx.x_ncon[(1.0, -7.0)] = None  # an old sample within radius
-    ctx.x_new = {}
+    # The goal and an old sample within radius, neither of them new.
+    ctx.x_ncon = Samples([*goals, (1.0, -7.0)], goals)
     ctx.qv.insert(16.0, 0.0, root)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
+
+
+def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypatch, demo_world):
+    # Every number an edge entry carries is a Python float, not a numpy scalar,
+    # and every edge key is at least its vertex's key g + h_hat(v): criterion 4
+    # on the planner's own keys, which come from sq_dists and h_hat_rows.
+    problem = make_demo_problem()
+    goals = problem.goal_samples
+    inserted = []
+    insert = CostQueue.insert
+
+    def recording_insert(queue, key, tiebreak, item):
+        inserted.append((queue, key, tiebreak, item))
+        insert(queue, key, tiebreak, item)
+
+    orig = bitstar.expand_vertex
+    edges = {False: 0, True: 0}  # edges queued before and after a solution exists
+    not_float = []
+    worst = -math.inf
+
+    def spy(ctx, problem, params):
+        nonlocal worst
+        inserted.clear()
+        scanned = orig(ctx, problem, params)
+        for queue, key, tiebreak, (vid, x, edge, h) in inserted:
+            if queue is not ctx.qe:
+                continue
+            edges[ctx.c_sol < math.inf] += 1
+            numbers = (key, tiebreak, edge, h, *x)
+            not_float.extend(n for n in numbers if type(n) is not float)
+            tree = ctx.tree
+            vertex_key = tree.cost_to_come(vid) + h_hat(tree.state(vid), goals)
+            worst = max(worst, vertex_key - key)
+        return scanned
+
+    monkeypatch.setattr(CostQueue, "insert", recording_insert)
+    monkeypatch.setattr(bitstar, "expand_vertex", spy)
+    plan(problem, demo_world, DEMO_PARAMS, StopCondition(max_batches=3), RngStream(1))
+    assert edges[False] > 0 and edges[True] > 0
+    assert not_float == []
+    assert worst <= 1e-9
+
+
+def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_world):
+    # Oracle: x_ncon and x_new kept as insertion-ordered dicts, as the planner
+    # kept them before it owned a samples matrix. A first expansion must scan
+    # list(x_ncon), a repeat the new samples still in x_ncon, in that order,
+    # on rows and h values bitwise those of a fresh h_hat_rows.
+    problem = make_demo_problem()
+    goals = problem.goal_samples
+    x_ncon = dict.fromkeys(g for g in goals if g != problem.root)
+    x_new = dict(x_ncon)
+    drawn, reused, scans = [], [], []
+    seen = {True: 0, False: 0}  # first and repeat expansions checked
+
+    def record(fn, out):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            out.append(result)
+            return result
+        return wrapped
+
+    add_child = Tree.add_child
+
+    def connect(tree, parent, state, edge_cost):
+        x_ncon.pop(state, None)
+        return add_child(tree, parent, state, edge_cost)
+
+    orig_batch = bitstar.start_new_batch
+
+    def batch(ctx, problem, world, params, rng):
+        nonlocal x_ncon, x_new
+        c = ctx.c_sol
+        orig_batch(ctx, problem, world, params, rng)
+        if not math.isinf(c):
+            x_ncon = {x: None for x in x_ncon if informed_contains(x, problem, c)}
+        x_new = {x: None for x in drawn.pop() if not ctx.tree.has_state(x)}
+        x_ncon.update(x_new)
+        x_ncon.update(dict.fromkeys(reused.pop()))
+        assert list(ctx.x_ncon) == list(x_ncon)
+        assert ctx.x_new == list(x_new)
+
+    orig_expand = bitstar.expand_vertex
+
+    def expand(ctx, problem, params):
+        expanded = len(ctx.v_exp)
+        scanned = orig_expand(ctx, problem, params)
+        first = len(ctx.v_exp) > expanded
+        expected = list(x_ncon) if first else [x for x in x_new if x in x_ncon]
+        cands, mat, h = scans.pop()
+        assert cands == expected
+        if expected:
+            rows = np.asarray(expected, dtype=float)
+            assert mat.tobytes() == rows.tobytes()
+            assert h.tobytes() == h_hat_rows(rows, goals).tobytes()
+        seen[first] += 1
+        return scanned
+
+    monkeypatch.setattr(bitstar, "prune", record(bitstar.prune, reused))
+    monkeypatch.setattr(bitstar, "sample_batch", record(bitstar.sample_batch, drawn))
+    monkeypatch.setattr(bitstar.Samples, "candidates", record(bitstar.Samples.candidates, scans))
+    monkeypatch.setattr(Tree, "add_child", connect)
+    monkeypatch.setattr(bitstar, "start_new_batch", batch)
+    monkeypatch.setattr(bitstar, "expand_vertex", expand)
+    plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(1))
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_expand_edge_blocked_by_obstacle(demo_world):
