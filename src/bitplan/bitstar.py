@@ -25,7 +25,7 @@ import numpy as np
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
-                    informed_contains, sample_batch, sq_dists)
+                    informed_contains, informed_test, sample_batch, sq_dists)
 from .tree import Tree
 from .world import CountingWorld, World
 
@@ -133,8 +133,9 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     if math.isinf(c):
         return []
     goals = problem.goal_samples
+    informed = informed_test(problem, c)
     samples = ctx.x_ncon
-    for x in [x for x in samples if not informed_contains(x, problem, c)]:
+    for x in [x for x in samples if not informed(x)]:
         samples.discard(x)
     x_reuse: list[State] = []
     tree = ctx.tree
@@ -147,7 +148,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
                     ctx.v_exp.discard(rid)
                     ctx.v_rewire.discard(rid)
                     ctx.v_sol.discard(rid)
-                    if informed_contains(s, problem, c):
+                    if informed(s):
                         x_reuse.append(s)
             else:
                 queue.append(ch)
@@ -304,7 +305,9 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     batch = 0
     samples_drawn = 0
     while not run.should_stop():
-        if not ctx.qv and not ctx.qe:
+        # CostQueue keys are finite, so an infinite best value means empty.
+        kv, ke = ctx.qv.best_value(), ctx.qe.best_value()
+        if kv == ke == math.inf:
             if batch_hook is not None:
                 batch_hook(batch, ctx)
             # The informed set is empty iff the root lies outside it; then no
@@ -320,7 +323,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
                 break
             batch += 1
             samples_drawn += params.batch_size
-        elif ctx.qv.best_value() <= ctx.qe.best_value():
+        elif kv <= ke:
             run.world.tick(expand_vertex(ctx, problem, params))
         else:
             expand_edge(ctx, problem, run.world)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -108,13 +108,15 @@ class RngStream:
         self._rng = random.Random(seed)
 
     def point(self, bounds: Box) -> State:
-        """A uniform point of bounds, one coordinate per draw.
+        """A uniform point of the planar box bounds, x drawn before y.
 
         l + (h - l) * random() is what random.Random.uniform evaluates, so the
-        stream is bit-identical to calling uniform(l, h) per coordinate.
+        stream is bit-identical to calling uniform(l, h) per coordinate. A box
+        that is not planar raises ValueError when its corners are unpacked.
         """
+        (l0, l1), (h0, h1) = bounds.lo, bounds.hi
         r = self._rng.random
-        return tuple(l + (h - l) * r() for l, h in zip(bounds.lo, bounds.hi))
+        return (l0 + (h0 - l0) * r(), l1 + (h1 - l1) * r())
 
 
 def c_hat(x: State, y: State) -> float:
@@ -164,15 +166,30 @@ def h_hat_rows(states: np.ndarray, goal_samples: tuple[State, ...]) -> np.ndarra
     return np.sqrt(out, out=out)
 
 
-def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:
-    """True iff x could lie on a solution shorter than the incumbent.
+def informed_test(problem: ProblemDef, c_sol: float) -> Callable[[State], bool]:
+    """The informed-set test for one incumbent cost, as a function of x.
 
-    Membership is the strict ellipse test g_hat + h_hat < c_sol; with no
-    incumbent (c_sol = inf) every state qualifies.
+    x passes iff it could lie on a solution shorter than c_sol: the strict
+    ellipse test g_hat + h_hat < c_sol, with h_hat the distance to the
+    nearest goal sample. With no incumbent (c_sol = inf) every state passes.
+    The root, the goal samples and c_sol are bound once, so a caller that
+    tests many states (a batch of draws, the samples `prune` visits) pays
+    for none of the lookups per state.
     """
     if math.isinf(c_sol):
-        return True
-    return c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol
+        return lambda x: True
+    dist = math.dist
+    root = problem.root
+    goals = problem.goal_samples
+    if len(goals) == 1:
+        (goal,) = goals
+        return lambda x: dist(root, x) + dist(x, goal) < c_sol
+    return lambda x: dist(root, x) + h_hat(x, goals) < c_sol
+
+
+def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:
+    """True iff x could lie on a solution shorter than the incumbent (see informed_test)."""
+    return informed_test(problem, c_sol)(x)
 
 
 def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float,
@@ -181,23 +198,27 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
 
     Rejection sampling from the uniform distribution over world.bounds keeps the
     accepted samples exactly uniform on (free space) intersect (informed set).
-    The cheap informed-set test runs first, so only draws inside it reach the
-    obstacle check. `world` is the metered CountingWorld: every draw costs one
-    work unit whichever test rejects it, and the draws the informed test
-    rejects are charged with world.tick. Raises SamplerStarvedError if one
-    sample exhausts the rejection budget.
+    Each draw is one rng.point(world.bounds) call. The informed-set test,
+    built once per batch by informed_test, runs first, so only draws inside
+    it reach the obstacle check. `world` is the metered CountingWorld: every
+    draw costs one work unit whichever test rejects it; world.is_free charges
+    its own, and the draws the informed test rejects are charged with one
+    world.tick per batch. Raises SamplerStarvedError if one sample exhausts
+    the rejection budget (REJECTION_BUDGET, read when the batch starts).
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
     bounds = world.bounds
+    informed = informed_test(problem, c_sol)
+    budget = REJECTION_BUDGET
     out: list[State] = []
     attempts = 0
     uninformed = 0  # draws outside the informed set, charged once per batch
     for _ in range(m):
-        for _ in range(REJECTION_BUDGET):
+        for _ in range(budget):
             attempts += 1
             x = rng.point(bounds)
-            if not informed_contains(x, problem, c_sol):
+            if not informed(x):
                 uninformed += 1
             elif world.is_free(x):
                 out.append(x)
@@ -206,7 +227,7 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
             world.tick(uninformed)
             rate = len(out) / attempts
             raise SamplerStarvedError(
-                f"no acceptable sample in {REJECTION_BUDGET} consecutive draws "
+                f"no acceptable sample in {budget} consecutive draws "
                 f"(acceptance rate estimate {rate:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )

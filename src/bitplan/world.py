@@ -120,6 +120,14 @@ class World:
                 self._rects.append(tuple(float(v) for v in ob.lo + ob.hi))
             else:
                 raise ValueError(f"obstacles must be 2-D circles or rectangles, got {ob!r}")
+        # The grid as plain numbers and one flat C-order byte per cell (1 =
+        # blocked), read once, whatever dtype and memory order grid.blocked
+        # has: indexing bytes is cheaper than indexing a numpy array, and a
+        # 400 x 400 map takes 160 kB, far less than nested lists would.
+        self._grid = None if grid is None else (
+            float(grid.origin[0]), float(grid.origin[1]), float(grid.meters_per_cell),
+            int(grid.width), int(grid.height),
+            np.ascontiguousarray(grid.blocked, dtype=bool).tobytes())
 
     def _free(self, x) -> bool:
         """The one point test: inside the closed bounds, outside every closed
@@ -129,11 +137,12 @@ class World:
         x0, y0, x1, y1 = self._box
         if not (x0 <= a <= x1 and y0 <= b <= y1):
             return False
-        g = self.grid
+        g = self._grid
         if g is not None:
-            col = math.floor((a - g.origin[0]) / g.meters_per_cell)
-            row = math.floor((b - g.origin[1]) / g.meters_per_cell)
-            return 0 <= col < g.width and 0 <= row < g.height and not g.blocked[row, col]
+            ox, oy, mpc, width, height, blocked = g
+            col = math.floor((a - ox) / mpc)
+            row = math.floor((b - oy) / mpc)
+            return 0 <= col < width and 0 <= row < height and not blocked[row * width + col]
         for cx, cy, r2 in self._circles:
             dx = a - cx
             dy = b - cy

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bitplan import (
     Box,
     CountingWorld,
     GoalRegion,
+    OccupancyGrid,
     ProblemDef,
     RngStream,
     SamplerStarvedError,
@@ -221,6 +224,98 @@ def test_sample_batch_rejects_bad_count():
         sample_batch(0, p, make_demo_world(), math.inf, RngStream(1))
 
 
+def _reference_sample_batch(m, problem, world, c_sol, rng):
+    """sample_batch before informed_test: a generator-expression draw and
+    c_hat + h_hat < c_sol per draw."""
+    bounds = world.bounds
+    r = rng._rng.random
+    out = []
+    attempts = uninformed = 0
+    for _ in range(m):
+        for _ in range(space.REJECTION_BUDGET):
+            attempts += 1
+            x = tuple(l + (h - l) * r() for l, h in zip(bounds.lo, bounds.hi))
+            if not (math.isinf(c_sol)
+                    or c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol):
+                uninformed += 1
+            elif world.is_free(x):
+                out.append(x)
+                break
+        else:
+            world.tick(uninformed)
+            raise SamplerStarvedError(
+                f"no acceptable sample in {space.REJECTION_BUDGET} consecutive draws "
+                f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
+                f"empty or vanishingly small"
+            )
+    world.tick(uninformed)
+    return out
+
+
+def _generated_grid():
+    """The grid-informed-bitstar map and query (perfbench/gridworld.py, seed 1)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gridworld.py"
+    spec = importlib.util.spec_from_file_location("gridworld", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    gw = module.GridWorld(1)
+    world = World(grid=OccupancyGrid(module.CELLS, module.CELLS, module.METERS_PER_CELL,
+                                     (0.0, 0.0), gw.blocked), checks_per_meter=10)
+    problem = ProblemDef(gw.root, (gw.goal,), GoalRegion(gw.goal, module.GOAL_RADIUS_M))
+    return world, problem, gw.detour_cost()
+
+
+def _first_draw_on_the_boundary(problem, seed):
+    """c_sol for which the stream's first draw lies exactly on the ellipse,
+    so a sampler that tests <= instead of < accepts it."""
+    x = RngStream(seed).point(DEMO_BOUNDS)
+    assert make_demo_world().is_free(x)
+    return c_hat(problem.root, x) + h_hat(x, problem.goal_samples)
+
+
+def _sampler_cases():
+    demo, p = make_demo_world(), make_demo_problem()
+    # A second goal sample off the root-goal axis: its ellipse pokes out of
+    # the first one, so h_hat's minimum over both goals decides some draws.
+    two = ProblemDef(p.root, ((0.0, 8.0), (0.3, 7.7)), GoalRegion((0.0, 8.0), 0.5))
+    grid, gp, detour = _generated_grid()
+    return {
+        "demo-uninformed": (demo, p, math.inf, 500, 1),
+        "demo-tight": (demo, p, 16.5, 200, 2),
+        "demo-boundary": (demo, p, _first_draw_on_the_boundary(p, 3), 50, 3),
+        "two-goals": (demo, two, 16.3, 200, 4),
+        "two-goals-boundary": (demo, two, _first_draw_on_the_boundary(two, 7), 50, 7),
+        "grid-uninformed": (grid, gp, math.inf, 300, 5),
+        "grid-tight": (grid, gp, 1.02 * detour, 50, 6),
+    }
+
+
+@pytest.mark.parametrize("case", ["demo-uninformed", "demo-tight", "demo-boundary", "two-goals",
+                                  "two-goals-boundary", "grid-uninformed", "grid-tight"])
+def test_sample_batch_is_bitwise_the_reference_sampler(case):
+    world, problem, c_sol, m, seed = _sampler_cases()[case]
+    got_world, got_rng = CountingWorld(world), RngStream(seed)
+    want_world, want_rng = CountingWorld(world), RngStream(seed)
+    got = sample_batch(m, problem, got_world, c_sol, got_rng)
+    want = _reference_sample_batch(m, problem, want_world, c_sol, want_rng)
+    assert [tuple(map(float.hex, x)) for x in got] == [tuple(map(float.hex, x)) for x in want]
+    assert got_world.units == want_world.units > m
+    assert got_rng._rng.getstate() == want_rng._rng.getstate()
+
+
+def test_sample_batch_starves_like_the_reference_sampler(monkeypatch):
+    monkeypatch.setattr(space, "REJECTION_BUDGET", 300)
+    p = make_demo_problem()
+    runs = []
+    for sampler in (sample_batch, _reference_sample_batch):
+        cw, rng = CountingWorld(make_demo_world()), RngStream(1)
+        with pytest.raises(SamplerStarvedError) as err:
+            sampler(1000, p, cw, 16.01, rng)
+        runs.append((str(err.value), cw.units, rng._rng.getstate()))
+    assert runs[0] == runs[1]
+    assert "in 300 consecutive draws" in runs[0][0]
+
+
 def test_rng_stream_determinism():
     a = RngStream(123)
     b = RngStream(123)
@@ -233,6 +328,11 @@ def test_rng_stream_determinism():
                                  Box((-1.5, 0.25, 3.0), (2.0, 7.75, 3.125))])
 def test_rng_stream_point_is_bitwise_random_uniform(box):
     stream, ref = RngStream(77), random.Random(77)
+    if box.dim != 2:
+        # Every draw comes from world.bounds, which World keeps planar.
+        with pytest.raises(ValueError):
+            stream.point(box)
+        return
     for _ in range(10_000):
         expected = tuple(ref.uniform(l, h) for l, h in zip(box.lo, box.hi))
         assert stream.point(box) == expected

@@ -226,6 +226,40 @@ def test_is_free_agrees_with_all_free(which):
         assert world.is_free(p) == world.all_free(np.asarray([p])), p
 
 
+def _cells_as(layout, cells):
+    """The bool array cells as OccupancyGrid.blocked of another dtype or memory layout."""
+    if layout == "int":
+        return cells.astype(np.int64)
+    if layout == "float":
+        return cells.astype(float)
+    if layout == "fortran":
+        return np.asfortranarray(cells)
+    if layout == "strided":
+        wide = np.zeros((2 * cells.shape[0], 3 * cells.shape[1]), dtype=bool)
+        wide[::2, 1::3] = cells
+        return wide[::2, 1::3]
+    return cells
+
+
+@pytest.mark.parametrize("layout", ["bool", "int", "float", "fortran", "strided"])
+def test_grid_cells_read_the_same_from_any_blocked_dtype_or_layout(layout):
+    height, width, mpc, (ox, oy) = 5, 7, 0.5, (-1.25, 2.5)
+    cells = np.random.default_rng(41).random((height, width)) < 0.4
+    blocked = _cells_as(layout, cells)
+    assert layout == "bool" or blocked.dtype != bool or not blocked.flags.c_contiguous
+    world = World(grid=OccupancyGrid(width, height, mpc, (ox, oy), blocked))
+    x1, y1 = ox + width * mpc, oy + height * mpc
+    rng = random.Random(43)
+    points = [(rng.uniform(ox, x1), rng.uniform(oy, y1)) for _ in range(2000)]
+    points += [(ox + mpc * i, oy + mpc * j) for i in range(width + 1) for j in range(height + 1)]
+    points += [(x1, rng.uniform(oy, y1)) for _ in range(20)] + [(rng.uniform(ox, x1), y1)
+                                                                  for _ in range(20)]
+    for a, b in points:
+        col, row = math.floor((a - ox) / mpc), math.floor((b - oy) / mpc)
+        want = 0 <= col < width and 0 <= row < height and not cells[row, col]
+        assert world.is_free((a, b)) == world.all_free([(a, b)]) == want, (a, b)
+
+
 def _reference_points(a, b, n):
     """The float64 array `segment_points` built before its points were lazy."""
     ts = np.linspace(0.0, 1.0, n)
