@@ -13,7 +13,7 @@ from .space import (
     c_hat,
     g_hat,
     h_hat,
-    informed_contains,
+    informed_test,
     sample_batch,
 )
 from .world import (
@@ -51,7 +51,7 @@ __all__ = [
     "c_hat",
     "g_hat",
     "h_hat",
-    "informed_contains",
+    "informed_test",
     "load_occupancy_grid",
     "plan",
     "rrt_plan",

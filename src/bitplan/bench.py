@@ -98,9 +98,9 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 def resolve_scenario(ref: str) -> Scenario:
-    """Load a scenario from a path, or by built-in name (e.g. "demo")."""
+    """Load a scenario from a file path, or by built-in name (e.g. "demo")."""
     p = Path(ref)
-    if p.exists():
+    if p.is_file():
         return load_scenario(p)
     builtin = builtin_scenario_path(ref)
     if builtin.exists():

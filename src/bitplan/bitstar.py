@@ -25,7 +25,7 @@ import numpy as np
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
-                    informed_contains, informed_test, sample_batch, sq_dists)
+                    informed_test, sample_batch, sq_dists)
 from .tree import Tree
 from .world import CountingWorld, World
 
@@ -80,10 +80,6 @@ class Samples:
         """Remove the live sample x."""
         self._live[self._row.pop(x)] = False
 
-    def new_states(self) -> list[State]:
-        """This batch's new samples in row order, connected since or not."""
-        return [x for x, new in zip(self._states, self._new.tolist()) if new]
-
     def candidates(self, new_only: bool) -> tuple[list[State], np.ndarray, np.ndarray]:
         """The live samples in row order (only this batch's new ones if
         new_only), with their rows of the matrix and their h_hat values."""
@@ -112,11 +108,6 @@ class PlannerContext:
     v_rewire: set[int] = field(default_factory=set)
     v_sol: set[int] = field(default_factory=set)
     c_sol: float = math.inf
-
-    @property
-    def x_new(self) -> list[State]:
-        """This batch's new samples (see Samples.new_states)."""
-        return self.x_ncon.new_states()
 
 
 def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
@@ -313,7 +304,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
             # The informed set is empty iff the root lies outside it; then no
             # admission test can ever pass again and the run has converged.
             if (run.batch_limit_reached(batch)
-                    or not informed_contains(problem.root, problem, ctx.c_sol)):
+                    or not informed_test(problem, ctx.c_sol)(problem.root)):
                 break
             try:
                 start_new_batch(ctx, problem, run.world, params, rng)

@@ -71,10 +71,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bitplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, planner_required=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario file path or built-in name (e.g. demo)")
-        if planner_required:
-            p.add_argument("--planner", required=True, choices=PLANNERS)
+        p.add_argument("--planner", required=True, choices=PLANNERS)
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the scenario base seed")
         p.add_argument("--time-budget", type=_finite_float(positive=False), default=None,
@@ -95,7 +94,9 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--grid-step", type=_finite_float(positive=True), default=0.1,
                          metavar="S", help="aggregate time-grid step (default 0.1)")
 
+    # `demo` is `plan` on the built-in scenario with BIT*; only its stdout line differs.
     p_demo = sub.add_parser("demo", help="run the built-in demo with per-batch snapshots")
+    p_demo.set_defaults(scenario="demo", planner="bitstar", time_budget=None)
     p_demo.add_argument("--seed", type=_int_at_least(0), default=None)
     p_demo.add_argument("--out", type=Path, default=None)
     p_demo.add_argument("--svg-dir", type=Path, default=Path("demo_out"))
@@ -143,7 +144,7 @@ def _cmd_plan(args) -> int:
     )
     seed = args.seed if args.seed is not None else scenario.base_seed
     hooks = {}
-    if getattr(args, "svg_dir", None) is not None:
+    if args.svg_dir is not None:
         if args.planner == "bitstar":
             hooks["batch_hook"] = _snapshot_hook(args.svg_dir, scenario)
         else:
@@ -153,8 +154,11 @@ def _cmd_plan(args) -> int:
     if args.out is not None:
         write_convergence_csv(ConvergenceSeries(args.planner, seed, tuple(result.convergence)),
                               args.out)
-    print(f"{args.planner} seed={seed} cost={result.cost:.6f} "
-          f"records={len(result.convergence)}")
+    if args.command == "demo":
+        print(f"demo seed={seed} cost={result.cost:.6f} snapshots in {args.svg_dir}")
+    else:
+        print(f"{args.planner} seed={seed} cost={result.cost:.6f} "
+              f"records={len(result.convergence)}")
     return 0
 
 
@@ -181,18 +185,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_demo(args) -> int:
-    scenario = _apply_stop_overrides(resolve_scenario("demo"), None, args.max_batches)
-    seed = args.seed if args.seed is not None else scenario.base_seed
-    hooks = {"batch_hook": _snapshot_hook(args.svg_dir, scenario)}
-    result = run_single(scenario, "bitstar", seed, **hooks)
-    if args.out is not None:
-        write_convergence_csv(ConvergenceSeries("bitstar", seed, tuple(result.convergence)),
-                              args.out)
-    print(f"demo seed={seed} cost={result.cost:.6f} snapshots in {args.svg_dir}")
-    return 0
-
-
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -203,11 +195,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
-        if args.command == "plan":
-            return _cmd_plan(args)
         if args.command == "bench":
             return _cmd_bench(args)
-        return _cmd_demo(args)
+        return _cmd_plan(args)
     except (ScenarioError, GridLoadError, SamplerStarvedError, OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

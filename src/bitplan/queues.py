@@ -21,9 +21,6 @@ class CostQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     def insert(self, key: float, tiebreak: float, item) -> None:
         if not (math.isfinite(key) and math.isfinite(tiebreak)):
             raise ValueError("queue keys must be finite")

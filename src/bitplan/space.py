@@ -30,23 +30,18 @@ class SamplerStarvedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box, closed on all faces."""
+    """Planar axis-aligned box, closed on all faces."""
 
     lo: State
     hi: State
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError("box corners must have the same dimension")
-        if not all(l < h for l, h in zip(self.lo, self.hi)):
-            raise ValueError("box must satisfy lo < hi componentwise")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
+        if not (len(self.lo) == len(self.hi) == 2 and all(l < h for l, h in zip(self.lo, self.hi))):
+            raise ValueError("box needs 2-D corners with lo < hi componentwise")
 
     def contains(self, x: State) -> bool:
-        return len(x) == self.dim and all(
+        # A root or goal sample from user input may have any length.
+        return len(x) == 2 and all(
             l <= a <= h for a, l, h in zip(x, self.lo, self.hi)
         )
 
@@ -111,8 +106,7 @@ class RngStream:
         """A uniform point of the planar box bounds, x drawn before y.
 
         l + (h - l) * random() is what random.Random.uniform evaluates, so the
-        stream is bit-identical to calling uniform(l, h) per coordinate. A box
-        that is not planar raises ValueError when its corners are unpacked.
+        stream is bit-identical to calling uniform(l, h) per coordinate.
         """
         (l0, l1), (h0, h1) = bounds.lo, bounds.hi
         r = self._rng.random
@@ -185,11 +179,6 @@ def informed_test(problem: ProblemDef, c_sol: float) -> Callable[[State], bool]:
         (goal,) = goals
         return lambda x: dist(root, x) + dist(x, goal) < c_sol
     return lambda x: dist(root, x) + h_hat(x, goals) < c_sol
-
-
-def informed_contains(x: State, problem: ProblemDef, c_sol: float) -> bool:
-    """True iff x could lie on a solution shorter than the incumbent (see informed_test)."""
-    return informed_test(problem, c_sol)(x)
 
 
 def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float,

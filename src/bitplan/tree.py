@@ -45,9 +45,6 @@ class Tree:
     def __contains__(self, vid: int) -> bool:
         return vid in self._v
 
-    def vertex_ids(self):
-        return list(self._v)
-
     def items(self):
         """(id, state) pairs in creation order."""
         return [(vid, v.state) for vid, v in self._v.items()]

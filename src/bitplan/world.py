@@ -36,8 +36,9 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not (all(-math.inf < c < math.inf for c in self.center) and 0 < self.radius < math.inf):
-            raise ValueError("circle needs a finite center and a positive finite radius")
+        if not (len(self.center) == 2 and all(-math.inf < c < math.inf for c in self.center)
+                and 0 < self.radius < math.inf):
+            raise ValueError("circle needs a finite 2-D center and a positive finite radius")
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,8 @@ class Rect:
     hi: State
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi) or not all(
-            l < h for l, h in zip(self.lo, self.hi)
-        ):
-            raise ValueError("rectangle must satisfy lo < hi componentwise")
+        if not (len(self.lo) == len(self.hi) == 2 and all(l < h for l, h in zip(self.lo, self.hi))):
+            raise ValueError("rectangle needs 2-D corners with lo < hi componentwise")
 
 
 @dataclass(eq=False)
@@ -88,8 +87,6 @@ class World:
                  checks_per_meter: float = 4.0):
         if not 0 < checks_per_meter < math.inf:
             raise ValueError("checks_per_meter must be positive and finite")
-        if bounds is not None and bounds.dim != 2:
-            raise ValueError("world bounds must be 2-D")
         if grid is not None:
             if obstacles is not None:
                 raise ValueError("choose either geometric obstacles or a grid, not both")
@@ -114,9 +111,9 @@ class World:
         self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
         self._circles, self._rects = [], []
         for ob in obstacles or []:
-            if isinstance(ob, Circle) and len(ob.center) == 2:
+            if isinstance(ob, Circle):
                 self._circles.append((float(ob.center[0]), float(ob.center[1]), float(ob.radius ** 2)))
-            elif isinstance(ob, Rect) and len(ob.lo) == 2:
+            elif isinstance(ob, Rect):
                 self._rects.append(tuple(float(v) for v in ob.lo + ob.hi))
             else:
                 raise ValueError(f"obstacles must be 2-D circles or rectangles, got {ob!r}")

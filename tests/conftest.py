@@ -23,7 +23,7 @@ def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
 def tree_audit(tree, tol: float = 1e-9) -> None:
     """Full structural audit: single root, mutual parent/child consistency,
     acyclicity, and cached cost-to-come equal to the parent-walk sum."""
-    ids = tree.vertex_ids()
+    ids = [vid for vid, _ in tree.items()]
     roots = [v for v in ids if tree.parent(v) is None]
     assert roots == [tree.root_id], f"expected exactly one root, found {roots}"
     for vid in ids:

@@ -140,8 +140,8 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
         nonlocal calls
         x_reuse = orig(ctx, prob)
         calls += 1
-        for vid in ctx.tree.vertex_ids():
-            key = ctx.tree.cost_to_come(vid) + h_hat(ctx.tree.state(vid), goals)
+        for vid, state in ctx.tree.items():
+            key = ctx.tree.cost_to_come(vid) + h_hat(state, goals)
             if key > ctx.c_sol:
                 violations.append(("vertex", vid, key, ctx.c_sol))
         for x in ctx.x_ncon:

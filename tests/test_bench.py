@@ -198,6 +198,15 @@ def test_resolve_scenario_unknown_name():
         resolve_scenario("definitely-not-a-scenario")
 
 
+def test_a_directory_does_not_shadow_a_builtin_scenario(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo").mkdir()
+    scn = resolve_scenario("demo")
+    builtin = load_scenario(builtin_scenario_path("demo"))
+    assert scn.name == "demo"
+    assert (scn.problem, scn.bitstar, scn.stop) == (builtin.problem, builtin.bitstar, builtin.stop)
+
+
 def test_run_trials_deterministic_and_seeded(tmp_path):
     scn = load_scenario(_write(tmp_path, DEMO_SCN))
     a = run_trials(scn, "bitstar", 2)

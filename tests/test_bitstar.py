@@ -21,7 +21,7 @@ from bitplan import (
     c_hat,
     g_hat,
     h_hat,
-    informed_contains,
+    informed_test,
 )
 from bitplan.anytime import StopCondition
 from bitplan.bitstar import (
@@ -223,7 +223,7 @@ def test_no_state_in_both_tree_and_samples(demo_world):
     seen = []
 
     def hook(batch, ctx):
-        tree_states = {ctx.tree.state(v) for v in ctx.tree.vertex_ids()}
+        tree_states = {state for _, state in ctx.tree.items()}
         seen.append(tree_states & set(ctx.x_ncon))
 
     params = PlannerParams(batch_size=50, radius=8.0)
@@ -248,8 +248,8 @@ def test_v_sol_matches_goal_region_membership(demo_world):
 
     def hook(batch, ctx):
         in_region = {
-            vid for vid in ctx.tree.vertex_ids()
-            if problem.goal_region.contains(ctx.tree.state(vid))
+            vid for vid, state in ctx.tree.items()
+            if problem.goal_region.contains(state)
         }
         checked.append(ctx.v_sol == in_region)
 
@@ -343,8 +343,8 @@ def test_prune_soundness_postcondition():
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
-    for vid in ctx.tree.vertex_ids():
-        assert ctx.tree.cost_to_come(vid) + h_hat(ctx.tree.state(vid), goals) <= ctx.c_sol
+    for vid, state in ctx.tree.items():
+        assert ctx.tree.cost_to_come(vid) + h_hat(state, goals) <= ctx.c_sol
     for x in ctx.x_ncon:
         assert g_hat(x, problem) + h_hat(x, goals) < ctx.c_sol
     tree_audit(ctx.tree)
@@ -359,8 +359,9 @@ def test_start_new_batch_refills_queues(demo_world):
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
     assert len(ctx.x_ncon) == 101
-    assert len(ctx.x_new) == 100
-    assert all(x in ctx.x_ncon for x in ctx.x_new)
+    x_new, _, _ = ctx.x_ncon.candidates(new_only=True)
+    assert len(x_new) == 100
+    assert all(x in ctx.x_ncon for x in x_new)
 
 
 def test_start_new_batch_requires_empty_queues(demo_world):
@@ -408,7 +409,7 @@ def test_expand_vertex_rewiring_after_incumbent():
     assert len(ctx.qe) == 1
     _, _, (src, target, _, _) = ctx.qe.pop_best()
     assert src == root and target == (3.0, -6.0)
-    assert detour in ctx.tree.vertex_ids()
+    assert detour in ctx.tree
 
 
 def test_expand_vertex_second_expansion_sees_only_new_samples():
@@ -497,12 +498,13 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
         c = ctx.c_sol
         orig_batch(ctx, problem, world, params, rng)
         if not math.isinf(c):
-            x_ncon = {x: None for x in x_ncon if informed_contains(x, problem, c)}
+            informed = informed_test(problem, c)
+            x_ncon = {x: None for x in x_ncon if informed(x)}
         x_new = {x: None for x in drawn.pop() if not ctx.tree.has_state(x)}
         x_ncon.update(x_new)
         x_ncon.update(dict.fromkeys(reused.pop()))
         assert list(ctx.x_ncon) == list(x_ncon)
-        assert ctx.x_new == list(x_new)
+        assert ctx.x_ncon.candidates(new_only=True)[0] == list(x_new)
 
     orig_expand = bitstar.expand_vertex
 

@@ -116,17 +116,27 @@ def test_bench_seed_override_changes_results(tmp_path):
     assert texts[0] != texts[1]
 
 
-def test_demo_subcommand(tmp_path):
-    svg_dir = tmp_path / "snaps"
-    out = tmp_path / "demo.csv"
-    rc = cli_main([
-        "demo", "--seed", "3", "--max-batches", "1",
-        "--svg-dir", str(svg_dir), "--out", str(out),
-    ])
-    assert rc == 0
-    assert (svg_dir / "batch_000.svg").exists()
-    assert (svg_dir / "batch_001.svg").exists()
-    assert out.exists()
+def test_demo_subcommand(tmp_path, capsys):
+    # `demo` is `plan --scenario demo --planner bitstar`: the same CSV and
+    # SVG bytes, and only the stdout line differs.
+    runs = {}
+    for name, argv in (("demo", ["demo"]),
+                       ("plan", ["plan", "--scenario", "demo", "--planner", "bitstar"])):
+        svg_dir, out = tmp_path / name / "snaps", tmp_path / name / "run.csv"
+        rc = cli_main([*argv, "--seed", "3", "--max-batches", "1",
+                       "--svg-dir", str(svg_dir), "--out", str(out)])
+        assert rc == 0
+        runs[name] = (capsys.readouterr().out, out.read_bytes(),
+                      {p.name: p.read_bytes() for p in svg_dir.iterdir()})
+    demo_out, demo_csv, demo_svgs = runs["demo"]
+    plan_out, plan_csv, plan_svgs = runs["plan"]
+    assert sorted(demo_svgs) == ["batch_000.svg", "batch_001.svg"]
+    assert demo_svgs == plan_svgs
+    assert demo_csv == plan_csv
+    records = len(demo_csv.splitlines()) - 1
+    cost = demo_csv.splitlines()[-1].split(b",")[1].decode()
+    assert demo_out == f"demo seed=3 cost={cost} snapshots in {tmp_path / 'demo' / 'snaps'}\n"
+    assert plan_out == f"bitstar seed=3 cost={cost} records={records}\n"
 
 
 def test_plan_on_grid_scenario_file(tmp_path):
