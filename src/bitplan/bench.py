@@ -316,7 +316,9 @@ def aggregate(series_list, grid_step: float, horizon: float) -> AggregateTable:
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
-    times = [i * grid_step for i in range(int(math.floor(horizon / grid_step)) + 1)]
+    # Round the step count down, except when the horizon is a whole number of
+    # steps up to rounding: 0.3 / 0.1 is 2.9999999999999996 in floats.
+    times = [i * grid_step for i in range(math.floor(horizon / grid_step * (1 + 1e-9)) + 1)]
     n_solved, medians, means = [], [], []
     for t in times:
         costs = [c for s in series_list if math.isfinite(c := cost_at(s, t))]

@@ -44,9 +44,10 @@ class PlannerParams:
 
 
 class Samples:
-    """The unconnected samples x_ncon, held as one (n, d) matrix per batch.
+    """The unconnected samples x_ncon, held as one (2, n) matrix per batch.
 
-    Rows keep insertion order, and a state given twice keeps its first row.
+    Row i of the set is column i of the matrix and `states[i]`; rows keep
+    insertion order, and a state given twice keeps its first row.
     The matrix, each row's h_hat and the new-this-batch mask are fixed when
     the set is built: by `plan` at set-up and by `start_new_batch` once per
     batch. Between builds the only change is `discard`, which clears a row's
@@ -57,15 +58,15 @@ class Samples:
 
     def __init__(self, states: Iterable[State] = (), goal_samples: tuple[State, ...] = (),
                  new: Iterable[State] = ()):
-        self._states = list(dict.fromkeys(states))
-        self._row = {x: i for i, x in enumerate(self._states)}  # live samples only
-        self._mat = np.asarray(self._states, dtype=float)
-        # h_hat_rows works row by row, so any subset of h is bitwise the
-        # h_hat_rows of that subset of rows.
-        self._h = h_hat_rows(self._mat, goal_samples) if self._states else np.empty(0)
-        self._live = np.ones(len(self._states), dtype=bool)
+        self.states = list(dict.fromkeys(states))  # every row's state, live or not
+        self._row = {x: i for i, x in enumerate(self.states)}  # live samples only
+        self._mat = np.array(self.states, dtype=float).reshape(-1, 2).T.copy()
+        # h_hat_rows works column by column, so any subset of h is bitwise
+        # the h_hat_rows of that subset of columns.
+        self._h = h_hat_rows(self._mat, goal_samples) if self.states else np.empty(0)
+        self._live = np.ones(len(self.states), dtype=bool)
         new = set(new)
-        self._new = np.array([x in new for x in self._states], dtype=bool)
+        self._new = np.array([x in new for x in self.states], dtype=bool)
 
     def __contains__(self, x: State) -> bool:
         return x in self._row
@@ -80,12 +81,12 @@ class Samples:
         """Remove the live sample x."""
         self._live[self._row.pop(x)] = False
 
-    def candidates(self, new_only: bool) -> tuple[list[State], np.ndarray, np.ndarray]:
-        """The live samples in row order (only this batch's new ones if
-        new_only), with their rows of the matrix and their h_hat values."""
+    def candidates(self, new_only: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live rows in order (only this batch's new ones if new_only),
+        with their (2, k) columns of the matrix and their h_hat values."""
         rows = np.flatnonzero(self._live & self._new if new_only else self._live)
-        states = self._states
-        return [states[i] for i in rows.tolist()], self._mat[rows], self._h[rows]
+        # take keeps each coordinate row contiguous; m[:, rows] would not.
+        return rows, self._mat.take(rows, axis=1), self._h[rows]
 
 
 @dataclass
@@ -177,7 +178,8 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     Runs entirely on heuristics, no collision checks. Edges to unconnected
     samples are admitted with the optimistic g_hat test; a first-time vertex
     scans all of x_ncon, a repeat only this batch's new samples, both on the
-    rows and h_hat values x_ncon computed when the batch began. Rewiring
+    matrix and h_hat values x_ncon computed when the batch began, and only
+    the admitted samples' states are looked up. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
     solution exists. Queue entries memoize the edge and cost-to-go
     heuristics (pure functions of the states) as plain floats; only
@@ -191,36 +193,37 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     gh_v = g_hat(vstate, problem)
     gt_v = tree.cost_to_come(vid)
 
-    def near(states: np.ndarray, h: np.ndarray):
-        # Rows within the radius whose edge could still beat the incumbent,
-        # with each row's edge and cost-to-go heuristics. Only Python floats
-        # leave: the queues compare them far faster than numpy scalars.
-        d = np.sqrt(sq_dists(states, vstate))
+    def near(cols: np.ndarray, h: np.ndarray):
+        # Columns within the radius whose edge could still beat the
+        # incumbent, with their edge and cost-to-go heuristics. Only Python
+        # floats leave: the queues compare them far faster than numpy scalars.
+        d = np.sqrt(sq_dists(cols, vstate))
         admit = np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol))
-        return admit.tolist(), d.tolist(), h.tolist()
+        return admit, d[admit].tolist(), h[admit].tolist()
 
-    cands, mat, h = ctx.x_ncon.candidates(new_only=vid in ctx.v_exp)
+    rows, cols, h = ctx.x_ncon.candidates(new_only=vid in ctx.v_exp)
     ctx.v_exp.add(vid)
-    if cands:
-        scanned += len(cands)
-        admit, d, h = near(mat, h)
-        for i in admit:
-            x = cands[i]
+    if len(rows):
+        scanned += len(rows)
+        admit, d, h = near(cols, h)
+        states = ctx.x_ncon.states
+        for r, dx, hx in zip(rows[admit].tolist(), d, h):
+            x = states[r]
             if x != vstate:
-                ctx.qe.insert(gt_v + d[i] + h[i], gt_v + d[i], (vid, x, d[i], h[i]))
+                ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, x, dx, hx))
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
-        ids, mat = tree.states_matrix()
+        ids, cols = tree.states_matrix()
         scanned += len(ids)
-        admit, d, h = near(mat, h_hat_rows(mat, problem.goal_samples))
-        for i in admit:
+        admit, d, h = near(cols, h_hat_rows(cols, problem.goal_samples))
+        for i, dw, hw in zip(admit.tolist(), d, h):
             wid = ids[i]
             wstate = tree.state(wid)
             if wstate == vstate or tree.parent(wid) == vid:
                 continue
-            if gh_v + d[i] < tree.cost_to_come(wid):
-                ctx.qe.insert(gt_v + d[i] + h[i], gt_v + d[i], (vid, wstate, d[i], h[i]))
+            if gh_v + dw < tree.cost_to_come(wid):
+                ctx.qe.insert(gt_v + dw + hw, gt_v + dw, (vid, wstate, dw, hw))
     return scanned
 
 

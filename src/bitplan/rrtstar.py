@@ -83,12 +83,12 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         # RRT* never removes vertices, so the tree only ever appends to this
         # matrix and never rebuilds it.
-        ids, states = tree.states_matrix()
+        ids, cols = tree.states_matrix()
         run.world.tick(len(ids))
-        d2 = sq_dists(states, sample)
-        nearest = int(np.argmin(d2))
-        new_state = steer(tree.state(ids[nearest]), sample, params.eta)
-        if new_state == tree.state(ids[nearest]) or tree.has_state(new_state):
+        d2 = sq_dists(cols, sample)
+        nearest_state = tree.state(ids[int(np.argmin(d2))])
+        new_state = steer(nearest_state, sample, params.eta)
+        if new_state == nearest_state or tree.has_state(new_state):
             continue
 
         # The near query is charged even when it reuses the nearest scan (an
@@ -96,16 +96,17 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         run.world.tick(len(ids))
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
-        nd2 = d2 if new_state == sample else sq_dists(states, new_state)
+        nd2 = d2 if new_state == sample else sq_dists(cols, new_state)
         within = np.flatnonzero(nd2 <= eta2)
         order = within[np.argsort(nd2[within], kind="stable")]
-        neighbors = [ids[i] for i in order[: params.alpha]]
+        neighbors = [ids[i] for i in order[: params.alpha].tolist()]
+        # (id, state, c_hat to new_state) per neighbor, nearest first.
+        near = [(v, s, math.dist(s, new_state)) for v, s in zip(neighbors, map(tree.state, neighbors))]
 
         # Choose the parent lazily in ascending cost order: the first
-        # collision-free candidate is optimal among the neighbor set (c_hat
-        # inlined in the key; equal costs go to the lower id).
-        near = [(v, tree.state(v)) for v in neighbors]
-        ranked = sorted([(tree.cost_to_come(v) + math.dist(s, new_state), v, s) for v, s in near])
+        # collision-free candidate is optimal among the neighbor set (equal
+        # costs go to the lower id).
+        ranked = sorted([(tree.cost_to_come(v) + d, v, s) for v, s, d in near])
         parent = None
         edge_cost = math.inf
         for _, v, s in ranked:
@@ -122,11 +123,13 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             v_sol.add(new_id)
 
         # Costs are re-read: a rewire can lower other neighbors' costs.
+        # math.dist takes fabs(p - q) per coordinate, so d is bitwise the
+        # distance from new_state back to s.
         g_new = tree.cost_to_come(new_id)
-        for w, s in near:
+        for w, s, d in near:
             if w == parent:
                 continue
-            if g_new + math.dist(new_state, s) >= tree.cost_to_come(w):
+            if g_new + d >= tree.cost_to_come(w):
                 continue
             cost = run.world.true_cost(new_state, s)
             if g_new + cost < tree.cost_to_come(w):

@@ -32,11 +32,12 @@ class Tree:
         self._v: dict[int, _Vertex] = {0: _Vertex(root_state, None, 0.0, 0.0)}
         self._by_state: dict[State, int] = {root_state: 0}
         self._next_id = 1
-        # Lazily rebuilt (ids, states) matrix for vectorized radius queries;
-        # additions append, removals invalidate.
+        # Lazily rebuilt (ids, states) matrix for vectorized radius queries,
+        # column-major (d, capacity) as space.sq_dists reads it; additions
+        # append a column, removals invalidate.
         self._mat_ids: list[int] = [0]
-        self._mat = np.empty((64, len(root_state)))
-        self._mat[0] = root_state
+        self._mat = np.empty((len(root_state), 64))
+        self._mat[:, 0] = root_state
         self._mat_dirty = False
 
     def __len__(self) -> int:
@@ -85,11 +86,9 @@ class Tree:
         self._by_state[state] = vid
         if not self._mat_dirty:
             n = len(self._mat_ids)
-            if n == len(self._mat):
-                bigger = np.empty((2 * n, self._mat.shape[1]))
-                bigger[:n] = self._mat
-                self._mat = bigger
-            self._mat[n] = state
+            if n == self._mat.shape[1]:
+                self._mat = np.hstack((self._mat, np.empty_like(self._mat)))
+            self._mat[:, n] = state
             self._mat_ids.append(vid)
         return vid
 
@@ -141,12 +140,14 @@ class Tree:
         return path
 
     def states_matrix(self) -> tuple[list[int], np.ndarray]:
-        """Aligned (vertex ids, (n, d) state array) in creation order."""
+        """Aligned (vertex ids, (d, n) state array) in creation order: column
+        i is the state of vertex ids[i], and each row is one contiguous
+        coordinate."""
         if self._mat_dirty:
             self._mat_ids = list(self._v)
-            self._mat = np.asarray([v.state for v in self._v.values()], dtype=float)
+            self._mat = np.array([v.state for v in self._v.values()], dtype=float).T.copy()
             self._mat_dirty = False
-        return self._mat_ids, self._mat[: len(self._mat_ids)]
+        return self._mat_ids, self._mat[:, : len(self._mat_ids)]
 
     def _vertex(self, vid: int) -> _Vertex:
         v = self._v.get(vid)

@@ -285,6 +285,17 @@ def test_aggregate_medians_monotone_once_all_defined():
     assert all(x >= y for x, y in zip(meds, meds[1:]))
 
 
+@pytest.mark.parametrize("horizon", [0.3, 0.7])
+def test_aggregate_ends_at_a_horizon_of_whole_steps(horizon):
+    # horizon / 0.1 falls just below a whole number in floats; the grid must
+    # still reach the horizon, where the last improvement is on the table.
+    s = ConvergenceSeries("p", 1, _pts([(0.05, 20.0), (horizon - 0.01, 19.0)]))
+    table = aggregate([s], 0.1, horizon)
+    steps = round(horizon * 10)
+    assert [f"{t:.6f}" for t in table.times] == [f"{i / 10:.6f}" for i in range(steps + 1)]
+    assert table.median_cost[-1] == 19.0
+
+
 def test_aggregate_rejects_bad_grid():
     with pytest.raises(ValueError):
         aggregate([], 0.0, 1.0)

@@ -359,7 +359,8 @@ def test_start_new_batch_refills_queues(demo_world):
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
     assert len(ctx.x_ncon) == 101
-    x_new, _, _ = ctx.x_ncon.candidates(new_only=True)
+    rows, _, _ = ctx.x_ncon.candidates(new_only=True)
+    x_new = [ctx.x_ncon.states[r] for r in rows.tolist()]
     assert len(x_new) == 100
     assert all(x in ctx.x_ncon for x in x_new)
 
@@ -470,7 +471,7 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
     # Oracle: x_ncon and x_new kept as insertion-ordered dicts, as the planner
     # kept them before it owned a samples matrix. A first expansion must scan
     # list(x_ncon), a repeat the new samples still in x_ncon, in that order,
-    # on rows and h values bitwise those of a fresh h_hat_rows.
+    # on (2, k) columns and h values bitwise those of a fresh h_hat_rows.
     problem = make_demo_problem()
     goals = problem.goal_samples
     x_ncon = dict.fromkeys(g for g in goals if g != problem.root)
@@ -504,7 +505,8 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
         x_ncon.update(x_new)
         x_ncon.update(dict.fromkeys(reused.pop()))
         assert list(ctx.x_ncon) == list(x_ncon)
-        assert ctx.x_ncon.candidates(new_only=True)[0] == list(x_new)
+        rows = ctx.x_ncon.candidates(new_only=True)[0].tolist()
+        assert [ctx.x_ncon.states[r] for r in rows] == list(x_new)
 
     orig_expand = bitstar.expand_vertex
 
@@ -513,18 +515,27 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
         scanned = orig_expand(ctx, problem, params)
         first = len(ctx.v_exp) > expanded
         expected = list(x_ncon) if first else [x for x in x_new if x in x_ncon]
-        cands, mat, h = scans.pop()
-        assert cands == expected
+        rows, cols, h, states = scans.pop()
+        assert [states[r] for r in rows.tolist()] == expected
+        # One contiguous row per coordinate, column i the state of rows[i].
+        assert cols.shape == (2, len(expected)) and cols.flags.c_contiguous
         if expected:
-            rows = np.asarray(expected, dtype=float)
-            assert mat.tobytes() == rows.tobytes()
-            assert h.tobytes() == h_hat_rows(rows, goals).tobytes()
+            want = np.asarray(expected, dtype=float).T
+            assert cols.tobytes() == want.tobytes()
+            assert h.tobytes() == h_hat_rows(want, goals).tobytes()
         seen[first] += 1
         return scanned
 
     monkeypatch.setattr(bitstar, "prune", record(bitstar.prune, reused))
     monkeypatch.setattr(bitstar, "sample_batch", record(bitstar.sample_batch, drawn))
-    monkeypatch.setattr(bitstar.Samples, "candidates", record(bitstar.Samples.candidates, scans))
+    candidates = bitstar.Samples.candidates
+
+    def scan(samples, new_only):
+        result = candidates(samples, new_only)
+        scans.append((*result, samples.states))
+        return result
+
+    monkeypatch.setattr(bitstar.Samples, "candidates", scan)
     monkeypatch.setattr(Tree, "add_child", connect)
     monkeypatch.setattr(bitstar, "start_new_batch", batch)
     monkeypatch.setattr(bitstar, "expand_vertex", expand)

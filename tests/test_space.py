@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import random
 from pathlib import Path
@@ -64,13 +65,29 @@ def test_h_hat_rows_matches_scalar_heuristic():
     rng = random.Random(21)
     pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
     for goals in [((1.0, 2.0),), ((1.0, 2.0), (-3.0, 4.0), (0.0, -9.0))]:
-        vec = h_hat_rows(np.asarray(pts), goals)
+        vec = h_hat_rows(np.asarray(pts).T, goals)
         for p, hv in zip(pts, vec):
             assert abs(hv - h_hat(p, goals)) < 1e-12
 
 
 def _reference_sq_dists(states, x):
     return ((states - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
+
+
+def _reference_in_order(states, x):
+    """Square the (n, d) differences, then add the columns one after another."""
+    d = states - np.asarray(x, dtype=float)
+    d *= d
+    out = d[:, 0].copy()
+    for j in range(1, d.shape[1]):
+        out += d[:, j]
+    return out
+
+
+def _references(dim):
+    """Row-major references that add each row in order: the column loop for
+    any d, and numpy's reduce, which sums 8 or more terms in unrolled blocks."""
+    return (_reference_in_order, _reference_sq_dists) if dim < 8 else (_reference_in_order,)
 
 
 def _kernel_inputs(dim, rng):
@@ -87,31 +104,35 @@ def _kernel_inputs(dim, rng):
 
 
 def test_sq_dists_is_bitwise_the_reference():
+    # sq_dists reads the (d, n) transpose of the row-major reference's input.
     rng = np.random.default_rng(17)
     with np.errstate(all="ignore"):  # squares of 1e300 overflow to inf
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 8, 9):
             for states in _kernel_inputs(dim, rng):
+                cols = np.ascontiguousarray(states.T)
                 for x in (np.zeros(dim), rng.uniform(-1e3, 1e3, dim),
                           np.full(dim, 1e300), np.full(dim, np.inf)):
-                    got = sq_dists(states, tuple(x))
-                    want = _reference_sq_dists(states, tuple(x))
-                    assert got.shape == want.shape == (len(states),)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    got = sq_dists(cols, tuple(x))
+                    for reference in _references(dim):
+                        want = reference(states, tuple(x))
+                        assert got.shape == want.shape == (len(states),)
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_h_hat_rows_is_bitwise_the_per_goal_minimum():
     rng = np.random.default_rng(23)
     with np.errstate(all="ignore"):
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 8, 9):
             pts = rng.uniform(-10, 10, (3, dim))
             goals = tuple(tuple(row) for row in (pts[0], -pts[0], pts[1], pts[2]))
             for states in _kernel_inputs(dim, rng):
                 # The origin is exactly as far from goals[0] as from goals[1]: a tie.
                 states = np.vstack([states, np.zeros(dim)])
-                for k in (1, 2, 4):
+                cols = np.ascontiguousarray(states.T)
+                for k, reference in itertools.product((1, 2, 4), _references(dim)):
                     want = np.sqrt(np.minimum.reduce(
-                        [_reference_sq_dists(states, g) for g in goals[:k]]))
-                    got = h_hat_rows(states, goals[:k])
+                        [reference(states, g) for g in goals[:k]]))
+                    got = h_hat_rows(cols, goals[:k])
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

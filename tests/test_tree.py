@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bitplan.tree import Tree
@@ -145,17 +146,51 @@ def test_solution_cost_matches_cost_to_come():
         assert abs(length - t.cost_to_come(vid)) < 1e-9
 
 
+def _assert_matrix_is_the_tree(t):
+    # (d, n), one contiguous row per coordinate, column i bitwise the state
+    # of vertex ids[i], in creation order.
+    ids, mat = t.states_matrix()
+    items = t.items()
+    assert ids == [vid for vid, _ in items]
+    assert mat.shape == (2, len(items)) and mat.strides[1] == mat.itemsize
+    want = np.array([s for _, s in items], dtype=float)
+    assert mat.T.tobytes() == want.tobytes()
+
+
 def test_states_matrix_tracks_mutations():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
     b = t.add_child(t.root_id, (2.0, 0.0), 2.0)
     ids, mat = t.states_matrix()
     assert ids == [t.root_id, a, b]
-    assert mat.shape == (3, 2)
+    assert mat.shape == (2, 3)
     t.remove_subtree(a)
     ids, mat = t.states_matrix()
     assert ids == [t.root_id, b]
-    assert tuple(mat[1]) == (2.0, 0.0)
+    assert tuple(mat[:, 1]) == (2.0, 0.0)
+    _assert_matrix_is_the_tree(t)
+
+
+def test_states_matrix_across_growth_removal_and_rewire():
+    rng = random.Random(5)
+    t = Tree((0.0, -0.0))
+    ids = [t.root_id]
+    # Appends cross the 64 -> 128 -> 256 capacity doublings.
+    while len(t) < 300:
+        parent = rng.choice(ids)
+        ids.append(t.add_child(parent, (rng.uniform(-1e3, 1e3), -rng.random()), 1.0))
+        if len(t) in (2, 63, 64, 65, 128, 129, 256, 257, 300):
+            _assert_matrix_is_the_tree(t)
+    # A rewire moves no state.
+    t.rewire(ids[200], t.root_id, 1.0)
+    _assert_matrix_is_the_tree(t)
+    # A removal rebuilds the matrix; later appends grow the rebuilt one.
+    removed = {vid for vid, _ in t.remove_subtree(ids[100])}
+    _assert_matrix_is_the_tree(t)
+    ids = [vid for vid in ids if vid not in removed]
+    for _ in range(200):
+        ids.append(t.add_child(rng.choice(ids), (rng.uniform(-1e3, 1e3), rng.random()), 1.0))
+    _assert_matrix_is_the_tree(t)
 
 
 def test_operation_fuzz_preserves_invariants():
