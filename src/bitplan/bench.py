@@ -52,7 +52,7 @@ from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
 from .space import Box, GoalRegion, ProblemDef, RngStream
-from .world import Circle, Rect, World, load_occupancy_grid
+from .world import Circle, GridLoadError, Rect, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
 
@@ -206,12 +206,15 @@ def load_scenario(path) -> Scenario:
     if has_grid:
         line_no, grid_file = get("grid", "file")
         grid_path = path.parent / grid_file
-        if not grid_path.exists():
-            err(line_no, f"file: {grid_path} does not exist")
+        if not grid_path.is_file():
+            err(line_no, f"file: {grid_path} does not exist or is not a file")
         mpc = positive("grid", "meters_per_cell", float)
         origin = floats("grid", "origin", 2)
         threshold = scalar("grid", "threshold", int)
-        grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
+        try:
+            grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
+        except (GridLoadError, OSError) as e:
+            raise ScenarioError(f"{path}:{line_no}: file: {grid_path}: {e}") from e
         try:
             world = World(bounds, grid=grid, checks_per_meter=cpm)
         except ValueError as e:

@@ -102,6 +102,7 @@ class RngStream:
             raise ValueError("seed must be a non-negative integer")
         self.seed = seed
         self._rng = random.Random(seed)
+        self._random = self._rng.random
 
     def point(self, bounds: Box) -> State:
         """A uniform point of the planar box bounds, x drawn before y.
@@ -110,7 +111,7 @@ class RngStream:
         stream is bit-identical to calling uniform(l, h) per coordinate.
         """
         (l0, l1), (h0, h1) = bounds.lo, bounds.hi
-        r = self._rng.random
+        r = self._random
         return (l0 + (h0 - l0) * r(), l1 + (h1 - l1) * r())
 
 
@@ -183,44 +184,65 @@ def informed_test(problem: ProblemDef, c_sol: float) -> Callable[[State], bool]:
     return lambda x: dist(root, x) + h_hat(x, goals) < c_sol
 
 
+def informed_box(problem: ProblemDef, c_sol: float) -> tuple[float, float, float, float]:
+    """(lo0, lo1, hi0, hi1): an axis-aligned box holding every state that
+    informed_test(problem, c_sol) accepts; infinite when c_sol is.
+
+    A state that passes lies within c_sol of the root and of its nearest goal
+    sample, so the box is the root's box root +- c' intersected with the
+    bounding box of all the goal samples' boxes (not their intersection,
+    which loses states near the farther goals). c' = c_sol * (1 + 1e-9)
+    covers math.dist's rounding; float rounding is monotone, so the margin
+    survives the box arithmetic.
+    """
+    if math.isinf(c_sol):
+        return (-math.inf, -math.inf, math.inf, math.inf)
+    c = c_sol * (1 + 1e-9)
+    (r0, r1), (g0, g1) = problem.root, zip(*problem.goal_samples)
+    return (max(r0, min(g0)) - c, max(r1, min(g1)) - c, min(r0, max(g0)) + c, min(r1, max(g1)) + c)
+
+
 def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float,
                  rng: RngStream) -> list[State]:
     """Draw m i.i.d. uniform samples of the free space inside the informed set.
 
     Rejection sampling from the uniform distribution over world.bounds keeps the
     accepted samples exactly uniform on (free space) intersect (informed set).
-    Each draw is one rng.point(world.bounds) call. The informed-set test,
-    built once per batch by informed_test, runs first, so only draws inside
-    it reach the obstacle check. `world` is the metered CountingWorld: every
+    Each draw is one rng.point(world.bounds) call, and the only Python call
+    most draws make: a draw outside informed_box is rejected inline, one
+    inside it meets the exact informed_test, and only a draw that passes
+    both reaches world.is_free. `world` is the metered CountingWorld: every
     draw costs one work unit whichever test rejects it; world.is_free charges
-    its own, and the draws the informed test rejects are charged with one
-    world.tick per batch. Raises SamplerStarvedError if one sample exhausts
-    the rejection budget (REJECTION_BUDGET, read when the batch starts).
+    its own, and the draws the box or the informed test rejects are charged
+    with one world.tick per batch. Raises SamplerStarvedError if one sample
+    exhausts the rejection budget (REJECTION_BUDGET, read when the batch
+    starts).
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
-    bounds = world.bounds
+    bounds, point, is_free = world.bounds, rng.point, world.is_free
     informed = informed_test(problem, c_sol)
+    lo0, lo1, hi0, hi1 = informed_box(problem, c_sol)
     budget = REJECTION_BUDGET
     out: list[State] = []
     attempts = 0
-    uninformed = 0  # draws outside the informed set, charged once per batch
+    checked = 0  # draws that reached is_free, which charges them itself
     for _ in range(m):
-        for _ in range(budget):
-            attempts += 1
-            x = rng.point(bounds)
-            if not informed(x):
-                uninformed += 1
-            elif world.is_free(x):
-                out.append(x)
-                break
+        for k in range(budget):
+            x = point(bounds)
+            if lo0 <= x[0] <= hi0 and lo1 <= x[1] <= hi1 and informed(x):
+                checked += 1
+                if is_free(x):
+                    out.append(x)
+                    attempts += k + 1
+                    break
         else:
-            world.tick(uninformed)
-            rate = len(out) / attempts
+            attempts += budget
+            world.tick(attempts - checked)
             raise SamplerStarvedError(
                 f"no acceptable sample in {budget} consecutive draws "
-                f"(acceptance rate estimate {rate:.3g}); the informed set is "
+                f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.tick(uninformed)
+    world.tick(attempts - checked)
     return out

@@ -80,7 +80,9 @@ class World:
     """Immutable planar obstacle model over a 2-D axis-aligned bounding box.
 
     Exactly one obstacle representation is active: a list of 2-D circles and
-    rectangles (possibly empty) or one occupancy grid.
+    rectangles (possibly empty) or one occupancy grid. `is_free` and
+    `all_free` share one kernel, `_free_run`, which tests a run of points in
+    one loop, so a point costs no Python call of its own.
     """
 
     def __init__(self, bounds: Box | None = None, obstacles=None, grid: OccupancyGrid | None = None,
@@ -107,7 +109,7 @@ class World:
         self.obstacles = obstacles
         self.grid = grid
         self.checks_per_meter = checks_per_meter
-        # Plain floats, so that `_free` compares IEEE doubles as float64 arrays did.
+        # Plain floats, so that `_free_run` compares IEEE doubles as float64 arrays did.
         self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
         self._circles, self._rects = [], []
         for ob in obstacles or []:
@@ -126,46 +128,50 @@ class World:
             int(grid.width), int(grid.height),
             np.ascontiguousarray(grid.blocked, dtype=bool).tobytes())
 
-    def _free(self, x) -> bool:
-        """The one point test: inside the closed bounds, outside every closed
-        circle and rectangle, or in a free half-open grid cell (so the grid's
-        max edge is blocked). NaN fails every comparison, so it is blocked."""
-        a, b = x
+    def _free_run(self, points) -> bool:
+        """The one point test, over a run of planar points: True iff each is
+        inside the closed bounds, outside every closed circle and rectangle,
+        or in a free half-open grid cell (so the grid's max edge is blocked).
+        Stops at the first blocked point. NaN fails every comparison, so it
+        is blocked."""
         x0, y0, x1, y1 = self._box
-        if not (x0 <= a <= x1 and y0 <= b <= y1):
-            return False
         g = self._grid
         if g is not None:
             ox, oy, mpc, width, height, blocked = g
-            col = math.floor((a - ox) / mpc)
-            row = math.floor((b - oy) / mpc)
-            return 0 <= col < width and 0 <= row < height and not blocked[row * width + col]
-        for cx, cy, r2 in self._circles:
-            dx = a - cx
-            dy = b - cy
-            if dx * dx + dy * dy <= r2:
+            for a, b in points:
+                if not (x0 <= a <= x1 and y0 <= b <= y1):
+                    return False
+                col = math.floor((a - ox) / mpc)
+                row = math.floor((b - oy) / mpc)
+                if not (0 <= col < width and 0 <= row < height) or blocked[row * width + col]:
+                    return False
+            return True
+        circles, rects = self._circles, self._rects
+        for a, b in points:
+            if not (x0 <= a <= x1 and y0 <= b <= y1):
                 return False
-        for lx, ly, hx, hy in self._rects:
-            if lx <= a <= hx and ly <= b <= hy:
-                return False
+            for cx, cy, r2 in circles:
+                dx = a - cx
+                dy = b - cy
+                if dx * dx + dy * dy <= r2:
+                    return False
+            for lx, ly, hx, hy in rects:
+                if lx <= a <= hx and ly <= b <= hy:
+                    return False
         return True
 
     def is_free(self, x: State) -> bool:
         """Point-freeness: a 2-D point inside bounds and outside every obstacle."""
-        return len(x) == 2 and self._free(x)
+        return len(x) == 2 and self._free_run((x,))
 
     def all_free(self, points: Sequence[State]) -> bool:
         """True iff every point of a sequence (or row of an (n, 2) array) is free.
 
-        Points are indexed in `_bisection_order` up to the first blocked one:
-        any order gives the same verdict, and along a segment it meets a
-        blocked run early.
+        The points are tested in the sequence's own order up to the first
+        blocked one; any order gives the same verdict. `segment_points` puts
+        an edge's points in bisection order, which meets a blocked run early.
         """
-        free = self._free
-        for i in _bisection_order(len(points)):
-            if not free(points[i]):
-                return False
-        return True
+        return self._free_run(points)
 
     def true_cost(self, x: State, y: State) -> float:
         return segment_cost(self, x, y)
@@ -187,12 +193,13 @@ def _bisection_order(n: int) -> tuple[int, ...]:
 
 @cache
 def _t_weights(n: int) -> tuple[tuple[float, float], ...]:
-    ts = np.linspace(0.0, 1.0, n)
+    """The (1 - t, t) weights of n points spaced evenly on [0, 1], in `_bisection_order`."""
+    ts = np.linspace(0.0, 1.0, n)[list(_bisection_order(n))]
     return tuple(zip((1.0 - ts).tolist(), ts.tolist()))
 
 
 class _SegmentPoints(Sequence):
-    """`segment_points`, each point computed only when an edge check indexes it."""
+    """`segment_points`, each point computed only when an edge check reaches it."""
 
     __slots__ = ("_x", "_y", "_w")
 
@@ -207,9 +214,15 @@ class _SegmentPoints(Sequence):
         (x0, x1), (y0, y1) = self._x, self._y
         return (o * x0 + t * y0, o * x1 + t * y1)  # numpy's (1 - ts) * x + ts * y, bitwise
 
+    def __iter__(self):
+        (x0, x1), (y0, y1) = self._x, self._y
+        for o, t in self._w:
+            yield (o * x0 + t * y0, o * x1 + t * y1)
+
 
 def segment_points(x: State, y: State, n: int) -> Sequence[State]:
-    """n points uniformly spaced along the segment x..y, endpoints included."""
+    """The n points spaced evenly along the segment x..y, endpoints included,
+    in `_bisection_order`: midpoint first, the endpoints last."""
     return _SegmentPoints(x, y, n)
 
 
@@ -240,15 +253,9 @@ class CountingWorld:
 
     def __init__(self, inner: World):
         self.inner = inner
+        self.bounds = inner.bounds
+        self.checks_per_meter = inner.checks_per_meter
         self.units = 0
-
-    @property
-    def bounds(self) -> Box:
-        return self.inner.bounds
-
-    @property
-    def checks_per_meter(self) -> float:
-        return self.inner.checks_per_meter
 
     def tick(self, n: int) -> None:
         self.units += n

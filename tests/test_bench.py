@@ -193,6 +193,21 @@ def test_scenario_missing_grid_file(tmp_path):
         load_scenario(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("kind", ["p6-map", "directory"])
+def test_a_bad_grid_map_names_the_scenario_line_and_the_map(tmp_path, kind):
+    if kind == "p6-map":
+        (tmp_path / "map.pgm").write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        detail = "expected P2 or P5, got 'P6'"
+    else:
+        (tmp_path / "map.pgm").mkdir()
+        detail = "is not a file"
+    path = _write(tmp_path, GRID_SCN)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    msg = str(excinfo.value)
+    assert msg.startswith(f"{path}:5: file: {tmp_path / 'map.pgm'}") and detail in msg, msg
+
+
 def test_resolve_scenario_unknown_name():
     with pytest.raises(ScenarioError, match="no such file"):
         resolve_scenario("definitely-not-a-scenario")

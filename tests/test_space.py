@@ -25,7 +25,7 @@ from bitplan import (
     informed_test,
     sample_batch,
 )
-from bitplan.space import h_hat_rows, sq_dists
+from bitplan.space import h_hat_rows, informed_box, sq_dists
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world
 
 
@@ -157,6 +157,67 @@ def test_informed_test_examples():
     assert informed_test(p, 20.0)((0.0, 0.0))
     assert not informed_test(p, 20.0)((6.0, 0.0))  # 10 + 10 on the boundary
     assert informed_test(p, math.inf)((9.9, 9.9))
+
+
+def _ellipse_extremes(root, goal, c):
+    """The four axis-extreme points of {x : |x - root| + |x - goal| = c}."""
+    d = math.dist(root, goal)
+    a = c / 2
+    b = math.sqrt(max(a * a - d * d / 4, 0.0))
+    m = ((root[0] + goal[0]) / 2, (root[1] + goal[1]) / 2)
+    u = ((goal[0] - root[0]) / d, (goal[1] - root[1]) / d)
+    v = (-u[1], u[0])
+    out = []
+    for k in (0, 1):
+        reach = math.hypot(a * u[k], b * v[k])
+        for s in (1.0, -1.0):
+            out.append(tuple(m[j] + s * (a * a * u[k] * u[j] + b * b * v[k] * v[j]) / reach
+                             for j in (0, 1)))
+    return out
+
+
+def _nudged(x):
+    """x, and x moved by one ulp (math.nextafter) in each direction of each coordinate."""
+    steps = [lambda t: t, lambda t: math.nextafter(t, -math.inf), lambda t: math.nextafter(t, math.inf)]
+    return [(f(x[0]), g(x[1])) for f in steps for g in steps]
+
+
+def test_informed_box_holds_every_state_the_informed_test_accepts():
+    rng = random.Random(61)
+    accepted = 0
+    for case in range(300):
+        root = (rng.uniform(-10, 10), rng.uniform(-10, 10))
+        r, theta = rng.uniform(0.01, 15), rng.uniform(0, 2 * math.pi)
+        goals = [(root[0] + r * math.cos(theta), root[1] + r * math.sin(theta))]
+        if case % 3:  # a goal on the opposite side of the root, then maybe one anywhere
+            r2 = rng.uniform(0.01, 15)
+            goals.append((root[0] - r2 * math.cos(theta), root[1] - r2 * math.sin(theta)))
+        if case % 3 == 2:
+            goals.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
+        p = ProblemDef(root, tuple(goals), GoalRegion(goals[0], 1.0))
+        d = min(math.dist(root, g) for g in goals)
+        for c in (d, math.nextafter(d, math.inf), d * (1 + 1e-12), d * (1 + 1e-6), d * 1.01,
+                  d * 1.5, d * 3):
+            test = informed_test(p, c)
+            lo0, lo1, hi0, hi1 = informed_box(p, c)
+            points = [x for g in goals for e in _ellipse_extremes(root, g, c) for x in _nudged(e)]
+            points += [(rng.uniform(lo0 - 1, hi0 + 1), rng.uniform(lo1 - 1, hi1 + 1))
+                       for _ in range(20)]
+            for x in points:
+                if test(x):
+                    accepted += 1
+                    assert lo0 <= x[0] <= hi0 and lo1 <= x[1] <= hi1, (root, goals, c, x)
+    assert accepted > 10_000
+    assert informed_box(make_demo_problem(), math.inf) == (-math.inf, -math.inf, math.inf, math.inf)
+
+
+def test_informed_box_covers_the_farther_goal():
+    # Goals on opposite sides of the root, 16 m apart: c_sol = 9 leaves each
+    # goal's ellipse outside the other goal's box, so the box must span both.
+    p = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), GoalRegion((0.0, 8.0), 8.5))
+    lo0, lo1, hi0, hi1 = informed_box(p, 9.0)
+    assert lo0 < -8.0 and hi0 > 8.0 and lo1 < 6.0 and hi1 > 8.0
+    assert informed_test(p, 9.0)((-8.0, 7.9)) and informed_test(p, 9.0)((8.0, 7.9))
 
 
 def test_sample_batch_uniform_in_bounds_without_rejection():
@@ -299,6 +360,11 @@ def _sampler_cases():
     # A second goal sample off the root-goal axis: its ellipse pokes out of
     # the first one, so h_hat's minimum over both goals decides some draws.
     two = ProblemDef(p.root, ((0.0, 8.0), (0.3, 7.7)), GoalRegion((0.0, 8.0), 0.5))
+    # Goals 16 m apart with the root between them: the draws near either goal
+    # lie outside the other goal's box (from the demo root they do not).
+    far = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), GoalRegion((0.0, 8.0), 8.5))
+    # A root by the corner: its box reaches past the bounds.
+    corner = ProblemDef((-9.5, -9.5), ((-6.0, -7.0),), GoalRegion((-6.0, -7.0), 0.5))
     grid, gp, detour = _generated_grid()
     return {
         "demo-uninformed": (demo, p, math.inf, 500, 1),
@@ -306,13 +372,16 @@ def _sampler_cases():
         "demo-boundary": (demo, p, _first_draw_on_the_boundary(p, 3), 50, 3),
         "two-goals": (demo, two, 16.3, 200, 4),
         "two-goals-boundary": (demo, two, _first_draw_on_the_boundary(two, 7), 50, 7),
+        "two-goals-far": (demo, far, 9.0, 200, 8),
+        "corner-root": (demo, corner, 1.2 * c_hat(corner.root, corner.goal_samples[0]), 100, 9),
         "grid-uninformed": (grid, gp, math.inf, 300, 5),
         "grid-tight": (grid, gp, 1.02 * detour, 50, 6),
     }
 
 
 @pytest.mark.parametrize("case", ["demo-uninformed", "demo-tight", "demo-boundary", "two-goals",
-                                  "two-goals-boundary", "grid-uninformed", "grid-tight"])
+                                  "two-goals-boundary", "two-goals-far", "corner-root",
+                                  "grid-uninformed", "grid-tight"])
 def test_sample_batch_is_bitwise_the_reference_sampler(case):
     world, problem, c_sol, m, seed = _sampler_cases()[case]
     got_world, got_rng = CountingWorld(world), RngStream(seed)

@@ -333,8 +333,10 @@ def test_all_free_matches_the_numpy_reference_on_segments(which):
     for n in (1, 2, 3, 26, 200):
         for a, b in segments:
             points = segment_points(a, b, n)
-            rows = np.array([points[i] for i in range(n)], dtype=float)
-            assert rows.tobytes() == _reference_points(a, b, n).tobytes(), (a, b, n)  # bitwise
+            rows = np.array(list(points), dtype=float)
+            assert [points[i] for i in range(n)] == list(points)
+            want = _reference_points(a, b, n)[list(_bisection_order(n))]
+            assert rows.tobytes() == want.tobytes(), (a, b, n)  # bitwise, in bisection order
             verdict = world.all_free(points)
             assert verdict == _reference_all_free(world, a, b, n), (a, b, n)
             assert verdict == world.all_free(rows), (a, b, n)
@@ -348,8 +350,10 @@ def test_segment_points_is_a_read_only_sequence():
     a, b = (1.0, -2.0), (-3.5, 4.25)
     points = segment_points(a, b, 5)
     assert len(points) == 5
-    assert points[0] == a and points[-1] == b and points[2] == (-1.25, 1.125)
+    # Bisection order (2, 1, 3, 0, 4): the midpoint first, the endpoints last.
+    assert points[0] == (-1.25, 1.125) and points[3] == a and points[-1] == b
     assert [points[i] for i in range(-5, 0)] == [points[i] for i in range(5)] == list(points)
+    assert set(points) == set(map(tuple, _reference_points(a, b, 5).tolist()))
     assert list(reversed(points)) == list(points)[::-1]
     for i in (5, -6):
         with pytest.raises(IndexError):
