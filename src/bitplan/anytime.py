@@ -1,11 +1,16 @@
-"""The anytime run contract shared by the BIT* and RRT* planners.
+"""The anytime run shared by the BIT* and RRT* planners.
 
-A run meters time on the deterministic work clock of CountingWorld (one unit
-per BIT* sample draw, edge-check point or neighbor-scan candidate), so
-identical seeds replay identical runs byte for byte. It stops on the same
-bounds for both planners, keeps the best path as a snapshot, and records one
-convergence point per strict cost improvement plus one at termination, which
-is what makes the two planners' convergence curves directly comparable.
+An AnytimeRun holds what both planners keep for one run: the tree, the goal
+vertices v_sol, the incumbent (its cost c_sol and a copy of its path), the
+batch and sample counts and the convergence records. The incumbent rule lives
+only in `AnytimeRun.improve`: the cheapest goal vertex, ties to the lowest id,
+replaces the incumbent only when it is strictly cheaper. A run meters time on
+the deterministic work clock of CountingWorld (one unit per BIT* sample draw,
+edge-check point or neighbor-scan candidate), so identical seeds replay
+identical runs byte for byte. It stops on the same bounds for both planners
+and records one convergence point per strict cost improvement plus one at
+termination, which is what makes the two planners' convergence curves
+directly comparable.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .space import State
+from .space import ProblemDef, State
 from .tree import Tree
 from .world import CountingWorld, World
 
@@ -63,47 +68,63 @@ class PlanResult:
 
 
 class AnytimeRun:
-    """One planner run: work clock, stop tests, best-path snapshot, records.
+    """One planner run: the tree, the goal vertices, the incumbent and the clock.
 
-    `world` is the metered world the planner must check edges against. The
-    best path is copied out of the tree when it improves, so a later prune
-    of its endpoint cannot lose it.
+    `world` is the metered world the planner must check edges against.
+    `v_sol` holds the tree's vertices in the goal region; `c_sol` is the
+    incumbent cost and `path` its path, copied out of the tree when it
+    improves, so a later prune of its endpoint cannot lose it. `batch` counts
+    batches (RRT*: iterations) and `samples_drawn` the samples they drew.
+    A root inside the goal region is the incumbent from the start.
     """
 
-    def __init__(self, world: World, stop: StopCondition):
+    def __init__(self, problem: ProblemDef, world: World, stop: StopCondition):
         self.world = CountingWorld(world)
         self.stop = stop
+        self.tree = Tree(problem.root)
+        self.v_sol: set[int] = set()
+        self.c_sol = math.inf
         self.path: list[State] | None = None
-        self.cost = math.inf
         self.records: list[ConvergencePoint] = []
+        self.batch = 0
+        self.samples_drawn = 0
+        if problem.goal_region.contains(problem.root):
+            self.v_sol.add(self.tree.root_id)
+            self.improve()
 
     def should_stop(self) -> bool:
         """True once the time budget is spent or the target cost is reached."""
         stop = self.stop
         if stop.time_budget_s is not None and self.world.elapsed_s() >= stop.time_budget_s:
             return True
-        return stop.target_cost is not None and self.cost <= stop.target_cost
+        return stop.target_cost is not None and self.c_sol <= stop.target_cost
 
-    def batch_limit_reached(self, batch: int) -> bool:
-        """True once `batch` batches (RRT*: iterations) have run."""
-        return self.stop.max_batches is not None and batch >= self.stop.max_batches
+    def batch_limit_reached(self) -> bool:
+        """True once max_batches batches (RRT*: iterations) have run."""
+        return self.stop.max_batches is not None and self.batch >= self.stop.max_batches
 
-    def improve(self, tree: Tree, v_sol, batch: int, samples_drawn: int) -> None:
-        """Snapshot the cheapest goal vertex in v_sol as the new best path.
+    def improve(self) -> None:
+        """Make the cheapest goal vertex the incumbent if it is strictly cheaper.
 
-        Callers invoke it only when that vertex is strictly cheaper than the
-        current best; ties on cost go to the lowest vertex id.
+        c_sol is a running minimum: a prune may evict the goal vertex that
+        achieved it, and the remaining ones must not push it back up. Ties on
+        cost go to the lowest vertex id. Each improvement adds a record.
         """
-        best = min(v_sol, key=lambda v: (tree.cost_to_come(v), v))
-        self.cost = tree.cost_to_come(best)
-        self.path = tree.solution(best)
-        self.records.append(
-            ConvergencePoint(self.world.elapsed_s(), self.cost, batch, len(tree), samples_drawn)
-        )
+        tree = self.tree
+        # Costs first: the (cost, id) tie-break runs only on an improvement.
+        if min(map(tree.cost_to_come, self.v_sol), default=math.inf) < self.c_sol:
+            best = min(self.v_sol, key=lambda v: (tree.cost_to_come(v), v))
+            self.c_sol = tree.cost_to_come(best)
+            self.path = tree.solution(best)
+            self.records.append(self._record())
 
-    def result(self, tree: Tree, batch: int, samples_drawn: int) -> PlanResult:
+    def _record(self) -> ConvergencePoint:
+        return ConvergencePoint(self.world.elapsed_s(), self.c_sol, self.batch, len(self.tree),
+                                self.samples_drawn)
+
+    def result(self) -> PlanResult:
         """Close the trace with a termination record and return the best path."""
-        final = ConvergencePoint(self.world.elapsed_s(), self.cost, batch, len(tree), samples_drawn)
+        final = self._record()
         if not self.records or self.records[-1].elapsed_s != final.elapsed_s:
             self.records.append(final)
-        return PlanResult(path=self.path, cost=self.cost, convergence=self.records)
+        return PlanResult(path=self.path, cost=self.c_sol, convergence=self.records)

@@ -1,7 +1,7 @@
 """Scenario files, seeded multi-trial execution, aggregation, and CSV output.
 
 Scenario format (line-oriented, '#' starts a comment, blank lines ignored;
-every number must be finite):
+every number must be finite; an unknown section or key is an error):
 
     name = demo                 # optional, defaults to the file stem
     [world]
@@ -150,12 +150,17 @@ def load_scenario(path) -> Scenario:
             err(line_no, f"duplicate key {key!r}")
         store[key] = (line_no, value)
 
+    def where(section_name):
+        return f"[{section_name}]" if section_name else "top level"
+
+    read: set[tuple[str | None, str]] = set()  # every (section, key) looked up
+
     def get(section_name, key, required=True, default=None):
+        read.add((section_name, key))
         store = top if section_name is None else sections.get(section_name, {})
         if key not in store:
             if required:
-                where = f"[{section_name}]" if section_name else "top level"
-                raise ScenarioError(f"{path}: missing required key {key!r} in {where}")
+                raise ScenarioError(f"{path}: missing required key {key!r} in {where(section_name)}")
             return None, default
         return store[key]
 
@@ -273,6 +278,14 @@ def load_scenario(path) -> Scenario:
     if base_seed < 0:
         line_no, _ = get("bench", "base_seed")
         err(line_no, "base_seed: must be non-negative")
+
+    # A key nothing read is a typo or misplaced: running without it would
+    # silently use a default.
+    first = min(((line_no, key, name) for name, store in [(None, top), *sections.items()]
+                 for key, (line_no, _) in store.items() if (name, key) not in read), default=None)
+    if first is not None:
+        line_no, key, name = first
+        err(line_no, f"unknown key {key!r} in {where(name)}")
 
     return Scenario(name, world, problem, bit, rrt, stop, trials, base_seed)
 

@@ -9,15 +9,17 @@ expensive collision check runs. When both queues are empty, the batch ends:
 provably useless vertices and samples are pruned and a fresh batch of
 uniform samples is drawn from the informed set.
 
-The stop bounds, work clock, best-path snapshot and convergence records are
-the anytime run contract of `anytime.AnytimeRun`, shared with RRT*.
+The run state is `PlannerContext`, an `anytime.AnytimeRun` (the tree, the goal
+vertices, the incumbent, the stop bounds, the work clock and the convergence
+records, shared with RRT*) with the two queues and the sample sets added.
+`expand_edge` hands every possible improvement to `AnytimeRun.improve`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -26,8 +28,7 @@ from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
                     informed_test, sample_batch, sq_dists)
-from .tree import Tree
-from .world import CountingWorld, World
+from .world import World
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,15 @@ class Samples:
     Row i of the set is column i of the matrix and `states[i]`; rows keep
     insertion order, and a state given twice keeps its first row.
     The matrix, each row's h_hat and the new-this-batch mask are fixed when
-    the set is built: by `plan` at set-up and by `start_new_batch` once per
-    batch. Between builds the only change is `discard`, which clears a row's
-    live flag when `prune` drops the sample or `expand_edge` connects it.
+    the set is built: by `PlannerContext` at set-up and by `start_new_batch`
+    once per batch. Between builds the only change is `discard`, which clears
+    a row's live flag when `prune` drops the sample or `expand_edge` connects
+    it.
     Membership, iteration and length see the live rows only, so a reader can
     never see a removed sample.
     """
 
-    def __init__(self, states: Iterable[State] = (), goal_samples: tuple[State, ...] = (),
+    def __init__(self, states: Iterable[State], goal_samples: tuple[State, ...],
                  new: Iterable[State] = ()):
         self.states = list(dict.fromkeys(states))  # every row's state, live or not
         self._row = {x: i for i, x in enumerate(self.states)}  # live samples only
@@ -89,26 +91,28 @@ class Samples:
         return rows, self._mat.take(rows, axis=1), self._h[rows]
 
 
-@dataclass
-class PlannerContext:
-    """All mutable planner state threaded through the per-iteration steps.
+class PlannerContext(AnytimeRun):
+    """The BIT* run: the anytime run state plus the queues and sample sets.
 
-    x_ncon owns the unconnected samples (see Samples): `plan` builds it at
-    set-up and `start_new_batch` rebuilds it, matrix and h_hat included, once
-    per batch; in between, `prune` and `expand_edge` only discard from it.
-    Its iteration order is insertion order, so every iteration order in the
-    planner is deterministic. c_sol is the incumbent solution cost and
-    doubles as the pruning threshold; it never increases.
+    x_ncon owns the unconnected samples (see Samples): it starts as the goal
+    samples other than the root, and `start_new_batch` rebuilds it, matrix
+    and h_hat included, once per batch; in between, `prune` and `expand_edge`
+    only discard from it. Its iteration order is insertion order, so every
+    iteration order in the planner is deterministic. v_exp holds the vertices
+    already expanded (a repeat expansion scans only the batch's new samples)
+    and v_rewire those whose rewiring edges were queued. c_sol, the incumbent
+    cost, doubles as the pruning threshold; it never increases.
     """
 
-    tree: Tree
-    qv: CostQueue = field(default_factory=CostQueue)
-    qe: CostQueue = field(default_factory=CostQueue)
-    x_ncon: Samples = field(default_factory=Samples)
-    v_exp: set[int] = field(default_factory=set)
-    v_rewire: set[int] = field(default_factory=set)
-    v_sol: set[int] = field(default_factory=set)
-    c_sol: float = math.inf
+    def __init__(self, problem: ProblemDef, world: World, stop: StopCondition):
+        super().__init__(problem, world, stop)
+        self.qv = CostQueue()
+        self.qe = CostQueue()
+        goals = problem.goal_samples
+        x_goal = [g for g in goals if g != problem.root]
+        self.x_ncon = Samples(x_goal, goals, x_goal)
+        self.v_exp: set[int] = set()
+        self.v_rewire: set[int] = set()
 
 
 def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
@@ -147,8 +151,8 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     return x_reuse
 
 
-def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world: CountingWorld,
-                    params: PlannerParams, rng: RngStream) -> None:
+def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerParams,
+                    rng: RngStream) -> None:
     """Prune, draw a fresh batch, rebuild x_ncon and requeue every tree vertex.
 
     New samples are informed once an incumbent exists. x_ncon is rebuilt here,
@@ -162,7 +166,7 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, world: CountingWor
     if ctx.qv or ctx.qe:
         raise ValueError("a new batch may only start when both queues are empty")
     x_reuse = prune(ctx, problem)
-    fresh = sample_batch(params.batch_size, problem, world, ctx.c_sol, rng)
+    fresh = sample_batch(params.batch_size, problem, ctx.world, ctx.c_sol, rng)
     goals = problem.goal_samples
     x_new = [x for x in fresh if not ctx.tree.has_state(x)]  # keep tree and samples disjoint
     ctx.x_ncon = Samples([*ctx.x_ncon, *x_new, *x_reuse], goals, x_new)
@@ -227,13 +231,14 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     return scanned
 
 
-def expand_edge(ctx: PlannerContext, problem: ProblemDef, world) -> None:
+def expand_edge(ctx: PlannerContext, problem: ProblemDef) -> None:
     """Pop the best edge and evaluate it against the tree with true costs.
 
     All admission conditions are re-checked with fresh cost-to-come values,
     which is what makes lazily keyed (possibly stale) queue entries safe. If
     even the best edge cannot beat the incumbent, nothing in either queue
-    can, and both are cleared to end the batch.
+    can, and both are cleared to end the batch. A new goal vertex or a
+    rewire may improve the incumbent, so both end with `ctx.improve()`.
     """
     _, _, (vid, x, edge, h_x) = ctx.qe.pop_best()
     tree = ctx.tree
@@ -246,7 +251,7 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef, world) -> None:
 
     vstate = tree.state(vid)
     if x in ctx.x_ncon:
-        cost = world.true_cost(vstate, x)
+        cost = ctx.world.true_cost(vstate, x)
         if gt_v + cost + h_x < ctx.c_sol:
             ctx.x_ncon.discard(x)
             new_id = tree.add_child(vid, x, cost)
@@ -254,26 +259,17 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef, world) -> None:
             ctx.qv.insert(g_new + h_x, g_new, new_id)
             if problem.goal_region.contains(x):
                 ctx.v_sol.add(new_id)
-                _refresh_incumbent(ctx)
+                ctx.improve()
     else:
         xid = tree.id_of(x)
         if xid is None:
             raise AssertionError("edge target is neither unconnected nor in the tree")
         if gt_v + edge < tree.cost_to_come(xid):
-            cost = world.true_cost(vstate, x)
+            cost = ctx.world.true_cost(vstate, x)
             if gt_v + cost + h_x < ctx.c_sol:
                 if gt_v + cost < tree.cost_to_come(xid):
                     tree.rewire(xid, vid, cost)
-                    _refresh_incumbent(ctx)
-
-
-def _refresh_incumbent(ctx: PlannerContext) -> None:
-    # c_sol is a running minimum: pruning may evict the goal vertex that
-    # achieved it, and the remaining goal vertices must not push it back up.
-    if ctx.v_sol:
-        best = min(ctx.tree.cost_to_come(v) for v in ctx.v_sol)
-        if best < ctx.c_sol:
-            ctx.c_sol = best
+                    ctx.improve()
 
 
 def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCondition,
@@ -283,44 +279,31 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     The result is the best path ever found with its convergence records (see
     AnytimeRun). If the sampler starves once a path exists, the run ends and
     returns it; before that, SamplerStarvedError propagates. batch_hook(batch,
-    ctx) fires at every batch boundary.
+    ctx) fires at every batch boundary, with the PlannerContext as ctx.
     """
-    run = AnytimeRun(world, stop)
-    goals = problem.goal_samples
-    x_goal = [g for g in goals if g != problem.root]
-    ctx = PlannerContext(tree=Tree(problem.root), x_ncon=Samples(x_goal, goals, x_goal))
-    tree = ctx.tree
-    if problem.goal_region.contains(problem.root):
-        ctx.v_sol.add(tree.root_id)
-        ctx.c_sol = 0.0
-        run.improve(tree, ctx.v_sol, 0, 0)
-    ctx.qv.insert(h_hat(problem.root, goals), 0.0, tree.root_id)
-
-    batch = 0
-    samples_drawn = 0
-    while not run.should_stop():
+    ctx = PlannerContext(problem, world, stop)
+    ctx.qv.insert(h_hat(problem.root, problem.goal_samples), 0.0, ctx.tree.root_id)
+    while not ctx.should_stop():
         # CostQueue keys are finite, so an infinite best value means empty.
         kv, ke = ctx.qv.best_value(), ctx.qe.best_value()
         if kv == ke == math.inf:
             if batch_hook is not None:
-                batch_hook(batch, ctx)
+                batch_hook(ctx.batch, ctx)
             # The informed set is empty iff the root lies outside it; then no
             # admission test can ever pass again and the run has converged.
-            if (run.batch_limit_reached(batch)
+            if (ctx.batch_limit_reached()
                     or not informed_test(problem, ctx.c_sol)(problem.root)):
                 break
             try:
-                start_new_batch(ctx, problem, run.world, params, rng)
+                start_new_batch(ctx, problem, params, rng)
             except SamplerStarvedError:
-                if run.path is None:
+                if ctx.path is None:
                     raise
                 break
-            batch += 1
-            samples_drawn += params.batch_size
+            ctx.batch += 1
+            ctx.samples_drawn += params.batch_size
         elif kv <= ke:
-            run.world.tick(expand_vertex(ctx, problem, params))
+            ctx.world.tick(expand_vertex(ctx, problem, params))
         else:
-            expand_edge(ctx, problem, run.world)
-            if ctx.c_sol < run.cost:
-                run.improve(tree, ctx.v_sol, batch, samples_drawn)
-    return run.result(tree, batch, samples_drawn)
+            expand_edge(ctx, problem)
+    return ctx.result()

@@ -123,16 +123,12 @@ def _snapshot_hook(svg_dir: Path, scenario):
             for vid, state in tree.items()
             if tree.parent(vid) is not None
         ]
-        path = None
-        if ctx.v_sol:
-            best = min(ctx.v_sol, key=lambda v: (tree.cost_to_come(v), v))
-            path = tree.solution(best)
         # The informed set g_hat + h_hat < c_sol is the union of one ellipse
         # per goal sample, each with the root and that sample as foci.
         ellipses = []
         if math.isfinite(ctx.c_sol):
             ellipses = [(problem.root, g, ctx.c_sol) for g in problem.goal_samples]
-        render_svg(scenario.world, edges, path, ellipses, list(ctx.x_ncon),
+        render_svg(scenario.world, edges, ctx.path, ellipses, list(ctx.x_ncon),
                    svg_dir / f"batch_{batch:03d}.svg")
 
     return hook

@@ -1,10 +1,11 @@
 """RRT* baseline: sample, steer, choose-parent, rewire.
 
-Shares the tree and the anytime run contract (`anytime.AnytimeRun`: work
-clock, stop bounds, best-path snapshot, convergence records) with the BIT*
-planner so convergence curves are directly comparable. One iteration draws
-one sample; a stop condition's max_batches bounds the iteration count (RRT*
-is effectively BIT* with a batch size of one).
+Runs on the same run state as the BIT* planner (`anytime.AnytimeRun`: the
+tree, the goal vertices, the incumbent, the work clock, the stop bounds and
+the convergence records), so convergence curves are directly comparable. One
+iteration draws one sample and counts as one batch, so a stop condition's
+max_batches bounds the iteration count (RRT* is effectively BIT* with a batch
+size of one).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .space import ProblemDef, RngStream, State, c_hat, sq_dists
-from .tree import Tree
 from .world import World
 
 
@@ -63,20 +63,13 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
     improves them. Vertex ids double as insertion order, so all tie-breaking
     is deterministic under a fixed seed.
     """
-    run = AnytimeRun(world, stop)
-    tree = Tree(problem.root)
-    v_sol: set[int] = set()
+    run = AnytimeRun(problem, world, stop)
+    tree = run.tree
     goal_state = problem.goal_samples[0]
-    if problem.goal_region.contains(problem.root):
-        v_sol.add(tree.root_id)
-        run.improve(tree, v_sol, 0, 0)
-
     eta2 = params.eta * params.eta
-    iteration = 0
-    while not run.should_stop() and not run.batch_limit_reached(iteration):
-        iteration += 1
-
-        if iteration % params.goal_period == 0:
+    while not run.should_stop() and not run.batch_limit_reached():
+        run.batch = run.samples_drawn = run.batch + 1
+        if run.batch % params.goal_period == 0:
             sample = goal_state
         else:
             sample = rng.point(world.bounds)
@@ -120,7 +113,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         new_id = tree.add_child(parent, new_state, edge_cost)
         if problem.goal_region.contains(new_state):
-            v_sol.add(new_id)
+            run.v_sol.add(new_id)
 
         # Costs are re-read: a rewire can lower other neighbors' costs.
         # math.dist takes fabs(p - q) per coordinate, so d is bitwise the
@@ -135,7 +128,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             if g_new + cost < tree.cost_to_come(w):
                 tree.rewire(w, new_id, cost)
 
-        if v_sol and min(tree.cost_to_come(v) for v in v_sol) < run.cost:
-            run.improve(tree, v_sol, iteration, iteration)
-
-    return run.result(tree, iteration, iteration)
+        # Last: the rewire checks above charge the clock, and the record
+        # carries the time at the end of the iteration.
+        run.improve()
+    return run.result()

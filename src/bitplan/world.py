@@ -304,10 +304,13 @@ def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: 
         body = data[pos:].split()
         if len(body) != n:
             raise GridLoadError(f"size: expected {n} pixel values, got {len(body)}")
+        # numpy calls int() on each token, in C.
         try:
-            values = np.array([int(t) for t in body], dtype=np.int64)
+            values = np.array(body, dtype=np.int64)
         except ValueError:
             raise GridLoadError("pixels: non-integer pixel value") from None
+        except OverflowError:
+            raise GridLoadError("pixels: value out of range 0..255") from None
     else:
         raw = data[pos:]
         if len(raw) != n:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -97,6 +98,32 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[surprise]\n"))
     with pytest.raises(ScenarioError, match="duplicate"):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[bench]\ntrials = 3\ntrials = 4\n"))
+
+
+# A misspelt or misplaced key would otherwise load and run on a default
+# (checks_per_metre = 40 ran at the default of 4 checks per meter).
+@pytest.mark.parametrize("old, new, where", [
+    ("[world]\n", "[world]\nchecks_per_metre = 40\n", "[world]"),
+    ("rho = 8\n", "rho = 8\nrho_typo = 3\n", "[bitstar]"),
+    ("name = tiny\n", "name = tiny\nbounds = -10 -10 10 10\n", "top level"),
+    ("max_batches = 2\n", "max_batches = 2\ngoal_sample = 0 8\n", "[stop]"),
+    ("base_seed = 5\n", "base_seed = 5\nseed = 5\nalso_unknown = 1\n", "[bench]"),
+], ids=["world", "bitstar", "top-level", "goal-sample-in-stop", "first-of-two"])
+def test_unknown_key_names_file_line_and_key(tmp_path, old, new, where):
+    text = DEMO_SCN.replace(old, new)
+    bad_line = new.splitlines()[1]
+    line_no = text.splitlines().index(bad_line) + 1
+    key = bad_line.split()[0]
+    with pytest.raises(ScenarioError,
+                       match=rf"s\.scn:{line_no}: unknown key '{key}' in {re.escape(where)}$"):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_unknown_grid_key_is_rejected(tmp_path):
+    _write_grid_map(tmp_path)
+    text = GRID_SCN.replace("threshold = 127\n", "threshold = 127\ninvert = 1\n")
+    with pytest.raises(ScenarioError, match=r"s\.scn:9: unknown key 'invert' in \[grid\]$"):
+        load_scenario(_write(tmp_path, text))
 
 
 # Unchecked, each value breaks a run: a NaN time budget never runs out, an

@@ -11,7 +11,6 @@ import bitplan.space as space
 from bitplan import (
     Box,
     Circle,
-    CountingWorld,
     GoalRegion,
     ProblemDef,
     Rect,
@@ -43,16 +42,20 @@ DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
 DEMO_STOP = StopCondition(max_batches=10)
 
 
-def _context(problem, samples=()) -> PlannerContext:
-    """A lone root; x_ncon holds the goal samples (new) and then `samples` (old)."""
+def _context(problem, samples=(), world=None) -> PlannerContext:
+    """A lone root on `world` (default: the demo world); x_ncon holds the
+    goal samples (new) and then `samples` (old)."""
+    ctx = PlannerContext(problem, make_demo_world() if world is None else world, DEMO_STOP)
     goals = problem.goal_samples
-    return PlannerContext(tree=Tree(problem.root), x_ncon=Samples([*goals, *samples], goals, goals))
+    ctx.x_ncon = Samples([*goals, *samples], goals, goals)
+    return ctx
 
 
 def _queued_targets(x, samples, radius):
     """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
     problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1))
-    ctx = PlannerContext(tree=Tree(x), x_ncon=Samples(samples, problem.goal_samples))
+    ctx = PlannerContext(problem, World(DEMO_BOUNDS, []), DEMO_STOP)
+    ctx.x_ncon = Samples(samples, problem.goal_samples)
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
     params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
@@ -352,10 +355,10 @@ def test_prune_soundness_postcondition():
 
 def test_start_new_batch_refills_queues(demo_world):
     problem = make_demo_problem()
-    ctx = _context(problem)
+    ctx = _context(problem, world=demo_world)
     a = ctx.tree.add_child(ctx.tree.root_id, (0.0, -4.0), 4.0)
     ctx.tree.add_child(a, (2.0, -3.0), 3.0)
-    start_new_batch(ctx, problem, CountingWorld(demo_world), DEMO_PARAMS, RngStream(1))
+    start_new_batch(ctx, problem, DEMO_PARAMS, RngStream(1))
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
     assert len(ctx.x_ncon) == 101
@@ -367,10 +370,10 @@ def test_start_new_batch_refills_queues(demo_world):
 
 def test_start_new_batch_requires_empty_queues(demo_world):
     problem = make_demo_problem()
-    ctx = _context(problem)
+    ctx = _context(problem, world=demo_world)
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
     with pytest.raises(ValueError, match="empty"):
-        start_new_batch(ctx, problem, demo_world, DEMO_PARAMS, RngStream(1))
+        start_new_batch(ctx, problem, DEMO_PARAMS, RngStream(1))
 
 
 def test_expand_vertex_no_neighbors_in_range():
@@ -494,10 +497,10 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
 
     orig_batch = bitstar.start_new_batch
 
-    def batch(ctx, problem, world, params, rng):
+    def batch(ctx, problem, params, rng):
         nonlocal x_ncon, x_new
         c = ctx.c_sol
-        orig_batch(ctx, problem, world, params, rng)
+        orig_batch(ctx, problem, params, rng)
         if not math.isinf(c):
             informed = informed_test(problem, c)
             x_ncon = {x: None for x in x_ncon if informed(x)}
@@ -545,44 +548,46 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
 
 def test_expand_edge_blocked_by_obstacle(demo_world):
     problem = make_demo_problem()
-    ctx = _context(problem)
+    ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem, demo_world)
+    expand_edge(ctx, problem)
     assert len(ctx.tree) == 1
     assert (0.0, 8.0) in ctx.x_ncon
     assert ctx.c_sol == math.inf
+    assert ctx.path is None and ctx.records == []
 
 
 def test_expand_edge_connects_goal():
     problem = make_demo_problem()
-    world = World(DEMO_BOUNDS, [])
-    ctx = _context(problem)
+    ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem, world)
+    expand_edge(ctx, problem)
     assert ctx.c_sol == 16.0
     assert len(ctx.v_sol) == 1
+    # The new goal vertex is the incumbent: its path and one record.
+    assert ctx.path == [(0.0, -8.0), (0.0, 8.0)]
+    assert [(p.cost, p.batch, p.tree_vertices) for p in ctx.records] == [(16.0, 0, 2)]
     assert (0.0, 8.0) not in ctx.x_ncon
     assert len(ctx.qv) == 1  # the new vertex was queued
 
 
 def test_expand_edge_clears_queues_when_best_cannot_help(demo_world):
     problem = make_demo_problem()
-    ctx = _context(problem)
+    ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
     ctx.c_sol = 10.0
     ctx.qv.insert(0.0, 0.0, root)
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem, demo_world)
+    expand_edge(ctx, problem)
     assert len(ctx.qe) == 0
     assert len(ctx.qv) == 0
 
 
 def test_expand_edge_rewires_connected_vertex():
     problem = make_demo_problem()
-    world = World(DEMO_BOUNDS, [])
-    ctx = _context(problem)
+    ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
     mid = ctx.tree.add_child(root, (0.0, 0.0), 8.0)
     far = ctx.tree.add_child(root, (3.0, 0.0), 20.0)  # overpriced
@@ -590,7 +595,7 @@ def test_expand_edge_rewires_connected_vertex():
     edge = c_hat((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
     ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
-    expand_edge(ctx, problem, world)
+    expand_edge(ctx, problem)
     assert ctx.tree.parent(far) == mid
     assert ctx.tree.cost_to_come(far) == 11.0
     tree_audit(ctx.tree)

@@ -138,6 +138,20 @@ def test_pgm_size_mismatch(tmp_path):
         load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
 
 
+@pytest.mark.parametrize("bad, detail", [
+    ("1.5", "non-integer"),
+    ("0x1", "non-integer"),
+    ("256", "out of range 0..255"),
+    ("-1", "out of range 0..255"),
+    ("12345678901234567890", "out of range 0..255"),  # past int64
+])
+def test_pgm_p2_bad_pixel_value(tmp_path, bad, detail):
+    f = tmp_path / "g.pgm"
+    f.write_text(f"P2\n2 2\n255\n0 255 {bad} 0\n")
+    with pytest.raises(GridLoadError, match=f"pixels: .*{detail}"):
+        load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
+
+
 def test_pgm_bad_header(tmp_path):
     f = tmp_path / "g.pgm"
     f.write_text("P3\n2 2\n255\n0 0 0 0\n")
