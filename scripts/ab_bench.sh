@@ -8,11 +8,21 @@
 # a run-order effect lands on both sides equally and shows in the split
 # medians below. N is `run_seconds` from CHANGE_DIR/BENCHMARK.json.
 #
-# Prints one line per run, then for each end-to-end metric: each side's
-# median and quartiles, the change's wins and losses over the pairs (ties
-# count for neither), and each side's median over the pairs in which it ran
-# first and in which it ran second. The last line is all of that, with every
-# run's metrics, as one JSON object.
+# Prints one line per run, then for each end-to-end metric: a verdict, each
+# side's median and quartiles, the change's wins and losses over the pairs
+# (ties count for neither), and each side's median over the pairs in which it
+# ran first and in which it ran second. The last line is all of that, with
+# every run's metrics, as one JSON object.
+#
+# The verdict compares the medians, with `bound` from BENCHMARK.json taken
+# relative to the parent's median:
+#   gain          at least 10 pairs, the change won at least 9 in 10 of them,
+#                 and its median is better by more than the parent's IQR
+#   worse         the change's median is worse by more than the bound
+#   unresolved    a side has no value, or a side's IQR exceeds the bound
+#                 (the runs spread too widely to tell) and not every run of
+#                 the change reads better than every run of the parent
+#   within bound  otherwise
 # Usage: scripts/ab_bench.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS
 set -euo pipefail
 
@@ -79,14 +89,33 @@ def spread(xs):
     return {"q1": q1, "median": med, "q3": q3, "n": len(xs)}
 
 
+def verdict(s, pairs, parent_vals, change_vals):
+    # s is one metric's summary; *_vals are each side's values, pair order.
+    p, c = s["parent"]["all"], s["change"]["all"]
+    if p is None or c is None:
+        return "unresolved"
+    sign = 1 if s["better"] == "lower" else -1
+    gain = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    if pairs >= 10 and 10 * s["change_wins"] >= 9 * pairs and gain > p["q3"] - p["q1"]:
+        return "gain"
+    scale = abs(p["median"]) or 1.0
+    if -gain > s["bound"] * scale:
+        return "worse"
+    all_better = min(sign * v for v in parent_vals) > max(sign * v for v in change_vals)
+    if max(x["q3"] - x["q1"] for x in (p, c)) > s["bound"] * scale and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 summary = {}
 for m in spec:
     name, lower = m["name"], m["better"] == "lower"
-    sides = {}
+    sides, present = {}, {}
     for side in ("parent", "change"):
         vals = {p: value(by[side, p], name) for p in pairs if (side, p) in by}
+        present[side] = [v for v in vals.values() if v is not None]
         sides[side] = {
-            "all": spread([v for v in vals.values() if v is not None]),
+            "all": spread(present[side]),
             **{f"ran_{pos}": spread([v for p, v in vals.items() if v is not None
                                      and by[side, p]["position"] == pos])
                for pos in ("first", "second")},
@@ -102,6 +131,8 @@ for m in spec:
             losses += 1
     summary[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      **sides, "change_wins": wins, "change_losses": losses}
+    summary[name]["verdict"] = verdict(summary[name], len(pairs), present["parent"],
+                                       present["change"])
 
 
 def fmt(s):
@@ -110,7 +141,7 @@ def fmt(s):
 
 print(f"{workload}: {len(pairs)} pairs at --seconds {seconds}; median [q1, q3]")
 for name, s in summary.items():
-    print(f"{name} ({s['unit']}, {s['better']} is better): "
+    print(f"{name} ({s['unit']}, {s['better']} is better): {s['verdict']}; "
           f"change won {s['change_wins']}, lost {s['change_losses']}")
     for side in ("parent", "change"):
         print(f"  {side}: {fmt(s[side]['all'])}; ran first {fmt(s[side]['ran_first'])}; "

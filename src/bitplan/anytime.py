@@ -110,12 +110,12 @@ class AnytimeRun:
         achieved it, and the remaining ones must not push it back up. Ties on
         cost go to the lowest vertex id. Each improvement adds a record.
         """
-        tree = self.tree
+        costs = self.tree.costs
         # Costs first: the (cost, id) tie-break runs only on an improvement.
-        if min(map(tree.cost_to_come, self.v_sol), default=math.inf) < self.c_sol:
-            best = min(self.v_sol, key=lambda v: (tree.cost_to_come(v), v))
-            self.c_sol = tree.cost_to_come(best)
-            self.path = tree.solution(best)
+        if min(map(costs.__getitem__, self.v_sol), default=math.inf) < self.c_sol:
+            best = min(self.v_sol, key=lambda v: (costs[v], v))
+            self.c_sol = costs[best]
+            self.path = self.tree.solution(best)
             self.records.append(self._record())
 
     def _record(self) -> ConvergencePoint:

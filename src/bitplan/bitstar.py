@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
@@ -37,6 +38,8 @@ class PlannerParams:
     radius: float
 
     def __post_init__(self):
+        if not isinstance(self.batch_size, Integral):
+            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         # Negated comparisons, so that NaN fails them too.
         if not self.batch_size >= 1:
             raise ValueError("batch size must be at least 1")
@@ -86,7 +89,7 @@ class Samples:
     def candidates(self, new_only: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live rows in order (only this batch's new ones if new_only),
         with their (2, k) columns of the matrix and their h_hat values."""
-        rows = np.flatnonzero(self._live & self._new if new_only else self._live)
+        rows = (self._live & self._new if new_only else self._live).nonzero()[0]
         # take keeps each coordinate row contiguous; m[:, rows] would not.
         return rows, self._mat.take(rows, axis=1), self._h[rows]
 
@@ -135,11 +138,12 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
         samples.discard(x)
     x_reuse: list[State] = []
     tree = ctx.tree
+    states, costs = tree.states, tree.costs
     queue = deque([tree.root_id])
     while queue:
         vid = queue.popleft()
         for ch in tree.children(vid):
-            if tree.cost_to_come(ch) + h_hat(tree.state(ch), goals) > c:
+            if costs[ch] + h_hat(states[ch], goals) > c:
                 for rid, s in tree.remove_subtree(ch):
                     ctx.v_exp.discard(rid)
                     ctx.v_rewire.discard(rid)
@@ -171,9 +175,9 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
     x_new = [x for x in fresh if not ctx.tree.has_state(x)]  # keep tree and samples disjoint
     ctx.x_ncon = Samples([*ctx.x_ncon, *x_new, *x_reuse], goals, x_new)
     tree = ctx.tree
-    for vid, state in tree.items():
-        g = tree.cost_to_come(vid)
-        ctx.qv.insert(g + h_hat(state, goals), g, vid)
+    for vid, (state, g) in enumerate(zip(tree.states, tree.costs)):
+        if state is not None:
+            ctx.qv.insert(g + h_hat(state, goals), g, vid)
 
 
 def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParams) -> int:
@@ -193,16 +197,17 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     scanned = 0
     _, _, vid = ctx.qv.pop_best()
     tree = ctx.tree
-    vstate = tree.state(vid)
+    states, costs = tree.states, tree.costs
+    vstate = states[vid]
     gh_v = g_hat(vstate, problem)
-    gt_v = tree.cost_to_come(vid)
+    gt_v = costs[vid]
 
     def near(cols: np.ndarray, h: np.ndarray):
         # Columns within the radius whose edge could still beat the
         # incumbent, with their edge and cost-to-go heuristics. Only Python
         # floats leave: the queues compare them far faster than numpy scalars.
         d = np.sqrt(sq_dists(cols, vstate))
-        admit = np.flatnonzero((d <= params.radius) & (gh_v + d + h < ctx.c_sol))
+        admit = ((d <= params.radius) & (gh_v + d + h < ctx.c_sol)).nonzero()[0]
         return admit, d[admit].tolist(), h[admit].tolist()
 
     rows, cols, h = ctx.x_ncon.candidates(new_only=vid in ctx.v_exp)
@@ -210,9 +215,9 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     if len(rows):
         scanned += len(rows)
         admit, d, h = near(cols, h)
-        states = ctx.x_ncon.states
+        x_states = ctx.x_ncon.states
         for r, dx, hx in zip(rows[admit].tolist(), d, h):
-            x = states[r]
+            x = x_states[r]
             if x != vstate:
                 ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, x, dx, hx))
 
@@ -223,10 +228,10 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         admit, d, h = near(cols, h_hat_rows(cols, problem.goal_samples))
         for i, dw, hw in zip(admit.tolist(), d, h):
             wid = ids[i]
-            wstate = tree.state(wid)
-            if wstate == vstate or tree.parent(wid) == vid:
+            wstate = states[wid]
+            if wstate == vstate or tree.parents[wid] == vid:
                 continue
-            if gh_v + dw < tree.cost_to_come(wid):
+            if gh_v + dw < costs[wid]:
                 ctx.qe.insert(gt_v + dw + hw, gt_v + dw, (vid, wstate, dw, hw))
     return scanned
 
@@ -242,20 +247,21 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef) -> None:
     """
     _, _, (vid, x, edge, h_x) = ctx.qe.pop_best()
     tree = ctx.tree
-    gt_v = tree.cost_to_come(vid)
+    costs = tree.costs
+    gt_v = costs[vid]
 
     if gt_v + edge + h_x >= ctx.c_sol:
         ctx.qe.clear()
         ctx.qv.clear()
         return
 
-    vstate = tree.state(vid)
+    vstate = tree.states[vid]
     if x in ctx.x_ncon:
         cost = ctx.world.true_cost(vstate, x)
         if gt_v + cost + h_x < ctx.c_sol:
             ctx.x_ncon.discard(x)
             new_id = tree.add_child(vid, x, cost)
-            g_new = tree.cost_to_come(new_id)
+            g_new = costs[new_id]
             ctx.qv.insert(g_new + h_x, g_new, new_id)
             if problem.goal_region.contains(x):
                 ctx.v_sol.add(new_id)
@@ -264,10 +270,10 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef) -> None:
         xid = tree.id_of(x)
         if xid is None:
             raise AssertionError("edge target is neither unconnected nor in the tree")
-        if gt_v + edge < tree.cost_to_come(xid):
+        if gt_v + edge < costs[xid]:
             cost = ctx.world.true_cost(vstate, x)
             if gt_v + cost + h_x < ctx.c_sol:
-                if gt_v + cost < tree.cost_to_come(xid):
+                if gt_v + cost < costs[xid]:
                     tree.rewire(xid, vid, cost)
                     ctx.improve()
 

@@ -117,12 +117,8 @@ def _snapshot_hook(svg_dir: Path, scenario):
     problem = scenario.problem
 
     def hook(batch: int, ctx):
-        tree = ctx.tree
-        edges = [
-            (tree.state(tree.parent(vid)), state)
-            for vid, state in tree.items()
-            if tree.parent(vid) is not None
-        ]
+        states = ctx.tree.states
+        edges = [(states[p], s) for p, s in zip(ctx.tree.parents, states) if p is not None]
         # The informed set g_hat + h_hat < c_sol is the union of one ellipse
         # per goal sample, each with the root and that sample as foci.
         ellipses = []

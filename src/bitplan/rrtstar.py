@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .space import ProblemDef, RngStream, State, c_hat, sq_dists
@@ -33,6 +32,9 @@ class RrtParams:
     goal_period: int
 
     def __post_init__(self):
+        for name in ("alpha", "goal_period"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # Negated comparisons, so that NaN fails them too.
         if not self.eta > 0:
             raise ValueError("steering length eta must be positive")
@@ -65,6 +67,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
     """
     run = AnytimeRun(problem, world, stop)
     tree = run.tree
+    states, costs = tree.states, tree.costs
     goal_state = problem.goal_samples[0]
     eta2 = params.eta * params.eta
     while not run.should_stop() and not run.batch_limit_reached():
@@ -75,11 +78,11 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             sample = rng.point(world.bounds)
 
         # RRT* never removes vertices, so the tree only ever appends to this
-        # matrix and never rebuilds it.
+        # matrix and never rebuilds it: column i is vertex i.
         ids, cols = tree.states_matrix()
         run.world.tick(len(ids))
         d2 = sq_dists(cols, sample)
-        nearest_state = tree.state(ids[int(np.argmin(d2))])
+        nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
         if new_state == nearest_state or tree.has_state(new_state):
             continue
@@ -90,16 +93,16 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
         nd2 = d2 if new_state == sample else sq_dists(cols, new_state)
-        within = np.flatnonzero(nd2 <= eta2)
-        order = within[np.argsort(nd2[within], kind="stable")]
-        neighbors = [ids[i] for i in order[: params.alpha].tolist()]
+        within = (nd2 <= eta2).nonzero()[0]
+        order = within[nd2[within].argsort(kind="stable")]
         # (id, state, c_hat to new_state) per neighbor, nearest first.
-        near = [(v, s, math.dist(s, new_state)) for v, s in zip(neighbors, map(tree.state, neighbors))]
+        near = [(v, states[v], math.dist(states[v], new_state))
+                for v in order[: params.alpha].tolist()]
 
         # Choose the parent lazily in ascending cost order: the first
         # collision-free candidate is optimal among the neighbor set (equal
         # costs go to the lower id).
-        ranked = sorted([(tree.cost_to_come(v) + d, v, s) for v, s, d in near])
+        ranked = sorted([(costs[v] + d, v, s) for v, s, d in near])
         parent = None
         edge_cost = math.inf
         for _, v, s in ranked:
@@ -118,14 +121,14 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         # Costs are re-read: a rewire can lower other neighbors' costs.
         # math.dist takes fabs(p - q) per coordinate, so d is bitwise the
         # distance from new_state back to s.
-        g_new = tree.cost_to_come(new_id)
+        g_new = costs[new_id]
         for w, s, d in near:
             if w == parent:
                 continue
-            if g_new + d >= tree.cost_to_come(w):
+            if g_new + d >= costs[w]:
                 continue
             cost = run.world.true_cost(new_state, s)
-            if g_new + cost < tree.cost_to_come(w):
+            if g_new + cost < costs[w]:
                 tree.rewire(w, new_id, cost)
 
         # Last: the rewire checks above charge the clock, and the record

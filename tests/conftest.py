@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from bitplan import Box, Circle, GoalRegion, ProblemDef, World
@@ -20,33 +23,55 @@ def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
     return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), GoalRegion(DEMO_GOAL, goal_radius))
 
 
+def tree_lists_audit(tree) -> None:
+    """The per-id lists agree with each other: every live id's cached cost is
+    bitwise its parent's plus its edge's, every removed id reads state None,
+    parent None and cost inf, and states_matrix() is items() column for
+    column, bitwise."""
+    edge_costs = tree._edge_costs
+    for vid, (state, p, cost) in enumerate(zip(tree.states, tree.parents, tree.costs)):
+        if state is None:
+            assert p is None and cost == math.inf, f"removed id {vid} reads {p}, {cost}"
+        elif p is not None:
+            assert cost == tree.costs[p] + edge_costs[vid], (
+                f"cached cost {cost} of {vid} is not its parent's plus its edge's"
+            )
+    items = tree.items()
+    ids, mat = tree.states_matrix()
+    assert ids == [vid for vid, _ in items]
+    assert mat.T.tobytes() == np.array([s for _, s in items], dtype=float).tobytes()
+
+
 def tree_audit(tree, tol: float = 1e-9) -> None:
-    """Full structural audit: single root, mutual parent/child consistency,
-    acyclicity, and cached cost-to-come equal to the parent-walk sum."""
+    """Full structural audit: the lists agree (tree_lists_audit), a single
+    root, mutual parent/child consistency, acyclicity, and cached
+    cost-to-come equal to the parent-walk sum."""
+    tree_lists_audit(tree)
+    parents, costs = tree.parents, tree.costs
     ids = [vid for vid, _ in tree.items()]
-    roots = [v for v in ids if tree.parent(v) is None]
+    roots = [v for v in ids if parents[v] is None]
     assert roots == [tree.root_id], f"expected exactly one root, found {roots}"
     for vid in ids:
-        p = tree.parent(vid)
+        p = parents[vid]
         if p is not None:
             assert vid in tree.children(p), f"{vid} missing from children of {p}"
         for ch in tree.children(vid):
-            assert tree.parent(ch) == vid, f"child {ch} does not point back to {vid}"
+            assert parents[ch] == vid, f"child {ch} does not point back to {vid}"
     for vid in ids:
         seen = set()
         cur = vid
         walked = 0.0
-        while tree.parent(cur) is not None:
+        while parents[cur] is not None:
             assert cur not in seen, f"cycle through vertex {cur}"
             seen.add(cur)
-            walked += tree.edge_cost(cur)
-            assert tree.cost_to_come(cur) >= tree.cost_to_come(tree.parent(cur)), (
-                f"cost-to-come decreases from {tree.parent(cur)} to {cur}"
+            walked += tree._edge_costs[cur]
+            assert costs[cur] >= costs[parents[cur]], (
+                f"cost-to-come decreases from {parents[cur]} to {cur}"
             )
-            cur = tree.parent(cur)
+            cur = parents[cur]
         assert cur == tree.root_id
-        assert abs(walked - tree.cost_to_come(vid)) <= tol, (
-            f"cached cost {tree.cost_to_come(vid)} != walked {walked} for {vid}"
+        assert abs(walked - costs[vid]) <= tol, (
+            f"cached cost {costs[vid]} != walked {walked} for {vid}"
         )
 
 

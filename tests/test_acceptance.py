@@ -141,7 +141,7 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
         x_reuse = orig(ctx, prob)
         calls += 1
         for vid, state in ctx.tree.items():
-            key = ctx.tree.cost_to_come(vid) + h_hat(state, goals)
+            key = ctx.tree.costs[vid] + h_hat(state, goals)
             if key > ctx.c_sol:
                 violations.append(("vertex", vid, key, ctx.c_sol))
         for x in ctx.x_ncon:

@@ -73,7 +73,7 @@ def test_improve_breaks_cost_ties_by_the_lowest_id():
     # The set yields the higher id first, so a cost-only minimum would take it.
     assert next(iter(run.v_sol)) == high
     run.improve()
-    assert run.c_sol == 5.0 and run.path == [(0.0, -8.0), tree.state(low)]
+    assert run.c_sol == 5.0 and run.path == [(0.0, -8.0), tree.states[low]]
 
 
 def test_c_sol_never_rises_when_the_best_goal_vertex_leaves():

@@ -161,6 +161,12 @@ def test_plan_stops_at_target_cost(demo_world):
     assert result.convergence[-1].batch < 50
 
 
+@pytest.mark.parametrize("batch_size", [2.5, 100.0, "100"])
+def test_planner_params_reject_a_non_integer_batch_size(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        PlannerParams(batch_size, 8.0)
+
+
 def test_planner_params_reject_nan():
     for batch_size, radius in [(10, math.nan), (math.nan, 8.0)]:
         with pytest.raises(ValueError):
@@ -312,7 +318,7 @@ def test_prune_reuses_vertices_that_could_still_help():
     ctx.c_sol = 20.0
     reuse = prune(ctx, problem)
     assert reuse == [(0.0, 1.0)]
-    assert vid not in ctx.tree
+    assert ctx.tree.states[vid] is None
     assert vid not in ctx.v_exp and vid not in ctx.v_sol
 
 
@@ -325,7 +331,7 @@ def test_prune_removes_whole_subtrees_and_classifies_each():
     ctx.c_sol = 20.0
     reuse = prune(ctx, problem)
     assert reuse == [(0.0, 1.0)]
-    assert a not in ctx.tree and b not in ctx.tree
+    assert ctx.tree.states[a] is ctx.tree.states[b] is None
     tree_audit(ctx.tree)
 
 
@@ -340,14 +346,14 @@ def test_prune_soundness_postcondition():
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         if ctx.tree.has_state(state):
             continue
-        ids.append(ctx.tree.add_child(parent, state, c_hat(ctx.tree.state(parent), state)))
+        ids.append(ctx.tree.add_child(parent, state, c_hat(ctx.tree.states[parent], state)))
         samples.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
     ctx.x_ncon = Samples([*ctx.x_ncon, *samples], problem.goal_samples)
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
     for vid, state in ctx.tree.items():
-        assert ctx.tree.cost_to_come(vid) + h_hat(state, goals) <= ctx.c_sol
+        assert ctx.tree.costs[vid] + h_hat(state, goals) <= ctx.c_sol
     for x in ctx.x_ncon:
         assert g_hat(x, problem) + h_hat(x, goals) < ctx.c_sol
     tree_audit(ctx.tree)
@@ -413,7 +419,7 @@ def test_expand_vertex_rewiring_after_incumbent():
     assert len(ctx.qe) == 1
     _, _, (src, target, _, _) = ctx.qe.pop_best()
     assert src == root and target == (3.0, -6.0)
-    assert detour in ctx.tree
+    assert ctx.tree.states[detour] is not None
 
 
 def test_expand_vertex_second_expansion_sees_only_new_samples():
@@ -458,7 +464,7 @@ def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypa
             numbers = (key, tiebreak, edge, h, *x)
             not_float.extend(n for n in numbers if type(n) is not float)
             tree = ctx.tree
-            vertex_key = tree.cost_to_come(vid) + h_hat(tree.state(vid), goals)
+            vertex_key = tree.costs[vid] + h_hat(tree.states[vid], goals)
             worst = max(worst, vertex_key - key)
         return scanned
 
@@ -596,6 +602,6 @@ def test_expand_edge_rewires_connected_vertex():
     h = h_hat((3.0, 0.0), problem.goal_samples)
     ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
     expand_edge(ctx, problem)
-    assert ctx.tree.parent(far) == mid
-    assert ctx.tree.cost_to_come(far) == 11.0
+    assert ctx.tree.parents[far] == mid
+    assert ctx.tree.costs[far] == 11.0
     tree_audit(ctx.tree)

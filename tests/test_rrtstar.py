@@ -107,6 +107,13 @@ def test_rrt_param_validation():
         RrtParams(eta=1.0, alpha=5, goal_period=0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "goal_period"])
+def test_rrt_params_reject_non_integers(field):
+    args = {"eta": 1.0, "alpha": 5, "goal_period": 10, field: 2.5}
+    with pytest.raises(ValueError, match=field):
+        RrtParams(**args)
+
+
 def test_rrt_params_reject_nan():
     for args in [(math.nan, 5, 10), (1.0, math.nan, 10), (1.0, 5, math.nan)]:
         with pytest.raises(ValueError):

@@ -3,26 +3,25 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 
 from bitplan.tree import Tree
-from conftest import tree_audit
+from conftest import tree_audit, tree_lists_audit
 
 
 def test_add_child_costs():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (3.0, 4.0), 5.0)
-    assert t.cost_to_come(a) == 5.0
+    assert t.costs[a] == 5.0
     b = t.add_child(a, (3.0, 8.0), 4.0)
-    assert t.cost_to_come(b) == 9.0
+    assert t.costs[b] == 9.0
 
 
 def test_add_child_chain_additive():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 3.0)
     b = t.add_child(a, (2.0, 0.0), 4.0)
-    assert t.cost_to_come(b) == 7.0
+    assert t.costs[b] == 7.0
 
 
 def test_add_child_rejects_bad_edges():
@@ -41,8 +40,8 @@ def test_rewire_updates_costs():
     a = t.add_child(t.root_id, (1.0, 0.0), 10.0)
     b = t.add_child(t.root_id, (0.0, 1.0), 3.0)
     t.rewire(a, b, 2.0)
-    assert t.cost_to_come(a) == 5.0
-    assert t.parent(a) == b
+    assert t.costs[a] == 5.0
+    assert t.parents[a] == b
     assert a in t.children(b)
     assert a not in t.children(t.root_id)
     tree_audit(t)
@@ -54,11 +53,11 @@ def test_rewire_propagates_to_descendants():
     c = t.add_child(a, (2.0, 0.0), 1.0)
     d = t.add_child(c, (3.0, 0.0), 2.0)
     b = t.add_child(t.root_id, (0.0, 1.0), 3.0)
-    before_c, before_d = t.cost_to_come(c), t.cost_to_come(d)
+    before_c, before_d = t.costs[c], t.costs[d]
     t.rewire(a, b, 2.0)
     delta = 5.0 - 10.0
-    assert t.cost_to_come(c) == before_c + delta
-    assert t.cost_to_come(d) == before_d + delta
+    assert t.costs[c] == before_c + delta
+    assert t.costs[d] == before_d + delta
     tree_audit(t)
 
 
@@ -76,25 +75,30 @@ def test_rewire_guards():
 
 def test_cost_to_come_semantics():
     t = Tree((0.0, 0.0))
-    assert t.cost_to_come(t.root_id) == 0.0
-    assert t.cost_to_come(t.id_of((5.0, 5.0))) == math.inf  # unconnected sample
-    assert t.cost_to_come(12345) == math.inf
+    assert t.costs[t.root_id] == 0.0
+    assert t.id_of((5.0, 5.0)) is None  # unconnected sample
     a = t.add_child(t.root_id, (1.0, 0.0), 3.0)
     b = t.add_child(a, (2.0, 0.0), 4.0)
     c = t.add_child(b, (3.0, 0.0), 5.0)
-    assert t.cost_to_come(c) == 12.0
-    assert t.cost_to_come(t.id_of((3.0, 0.0))) == 12.0
+    assert t.costs[c] == 12.0
+    assert t.costs[t.id_of((3.0, 0.0))] == 12.0
+    # A removed id stays in the lists, unreachable.
+    t.remove_subtree(b)
+    assert (t.states[c], t.parents[c], t.costs[c]) == (None, None, math.inf)
+    assert t.id_of((3.0, 0.0)) is None
 
 
 def test_parent_children_examples():
     t = Tree((0.0, 0.0))
-    assert t.parent(t.root_id) is None
+    assert t.parents[t.root_id] is None
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
-    assert t.parent(a) == t.root_id
+    assert t.parents[a] == t.root_id
     assert t.children(a) == []
     assert t.children(t.root_id) == [a]
     with pytest.raises(ValueError):
-        t.parent(777)
+        t.children(777)
+    with pytest.raises(ValueError):
+        t.children(-1)
 
 
 def test_remove_subtree():
@@ -139,22 +143,19 @@ def test_solution_cost_matches_cost_to_come():
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         if t.has_state(state):
             continue
-        ids.append(t.add_child(parent, state, c_hat(t.state(parent), state)))
+        ids.append(t.add_child(parent, state, c_hat(t.states[parent], state)))
     for vid in ids:
         path = t.solution(vid)
         length = sum(c_hat(u, v) for u, v in zip(path, path[1:]))
-        assert abs(length - t.cost_to_come(vid)) < 1e-9
+        assert abs(length - t.costs[vid]) < 1e-9
 
 
 def _assert_matrix_is_the_tree(t):
     # (d, n), one contiguous row per coordinate, column i bitwise the state
     # of vertex ids[i], in creation order.
-    ids, mat = t.states_matrix()
-    items = t.items()
-    assert ids == [vid for vid, _ in items]
-    assert mat.shape == (2, len(items)) and mat.strides[1] == mat.itemsize
-    want = np.array([s for _, s in items], dtype=float)
-    assert mat.T.tobytes() == want.tobytes()
+    tree_lists_audit(t)
+    _, mat = t.states_matrix()
+    assert mat.shape == (2, len(t)) and mat.strides[1] == mat.itemsize
 
 
 def test_states_matrix_tracks_mutations():
@@ -216,6 +217,7 @@ def test_operation_fuzz_preserves_invariants():
             victim = rng.choice(ids[1:])
             removed = {vid for vid, _ in t.remove_subtree(victim)}
             ids = [v for v in ids if v not in removed]
+        tree_lists_audit(t)
         if step % 200 == 0:
             tree_audit(t)
     tree_audit(t)
