@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 from .space import ProblemDef, State
@@ -44,6 +45,8 @@ class StopCondition:
         # Negated comparisons, so that NaN fails them too.
         if self.time_budget_s is not None and not self.time_budget_s >= 0:
             raise ValueError("time budget must be non-negative")
+        if self.max_batches is not None and not isinstance(self.max_batches, Integral):
+            raise ValueError(f"max_batches must be an integer, got {self.max_batches!r}")
         if self.max_batches is not None and not self.max_batches >= 0:
             raise ValueError("max batches must be non-negative")
         if self.target_cost is not None and math.isnan(self.target_cost):
@@ -71,8 +74,9 @@ class AnytimeRun:
     """One planner run: the tree, the goal vertices, the incumbent and the clock.
 
     `world` is the metered world the planner must check edges against.
-    `v_sol` holds the tree's vertices in the goal region; `c_sol` is the
-    incumbent cost and `path` its path, copied out of the tree when it
+    `v_sol` holds the tree's vertices in the goal region; a pruned id stays
+    in it and reads cost inf, so it never becomes the incumbent. `c_sol` is
+    the incumbent cost and `path` its path, copied out of the tree when it
     improves, so a later prune of its endpoint cannot lose it. `batch` counts
     batches (RRT*: iterations) and `samples_drawn` the samples they drew.
     A root inside the goal region is the incumbent from the start.

@@ -344,8 +344,8 @@ def aggregate(series_list, grid_step: float, horizon: float) -> AggregateTable:
     return AggregateTable(tuple(times), tuple(n_solved), tuple(medians), tuple(means))
 
 
-def write_convergence_csv(obj, path) -> None:
-    """Write a per-trial trace or an aggregate table as CSV.
+def write_convergence_csv(obj: ConvergenceSeries | AggregateTable, path) -> None:
+    """Write a per-trial trace (ConvergenceSeries) or an AggregateTable as CSV.
 
     Fixed 6-decimal float formatting makes output bytes a pure function of
     the data.
@@ -355,9 +355,8 @@ def write_convergence_csv(obj, path) -> None:
         for t, n, med, mean in zip(obj.times, obj.n_solved, obj.median_cost, obj.mean_cost):
             lines.append(f"{t:.6f},{n},{med:.6f},{mean:.6f}")
     else:
-        points = obj.points if isinstance(obj, ConvergenceSeries) else obj
         lines = ["elapsed_s,cost,batch,tree_vertices,samples_drawn"]
-        for p in points:
+        for p in obj.points:
             lines.append(
                 f"{p.elapsed_s:.6f},{p.cost:.6f},{p.batch},{p.tree_vertices},{p.samples_drawn}"
             )

@@ -103,8 +103,10 @@ class PlannerContext(AnytimeRun):
     only discard from it. Its iteration order is insertion order, so every
     iteration order in the planner is deterministic. v_exp holds the vertices
     already expanded (a repeat expansion scans only the batch's new samples)
-    and v_rewire those whose rewiring edges were queued. c_sol, the incumbent
-    cost, doubles as the pruning threshold; it never increases.
+    and v_rewire those whose rewiring edges were queued. Neither forgets a
+    pruned id: ids are never reused and only live ids are requeued, so a
+    removed id in them is never read again. c_sol, the incumbent cost,
+    doubles as the pruning threshold; it never increases.
     """
 
     def __init__(self, problem: ProblemDef, world: World, stop: StopCondition):
@@ -144,12 +146,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
         vid = queue.popleft()
         for ch in tree.children(vid):
             if costs[ch] + h_hat(states[ch], goals) > c:
-                for rid, s in tree.remove_subtree(ch):
-                    ctx.v_exp.discard(rid)
-                    ctx.v_rewire.discard(rid)
-                    ctx.v_sol.discard(rid)
-                    if informed(s):
-                        x_reuse.append(s)
+                x_reuse += [s for _, s in tree.remove_subtree(ch) if informed(s)]
             else:
                 queue.append(ch)
     return x_reuse
@@ -223,11 +220,11 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
-        ids, cols = tree.states_matrix()
-        scanned += len(ids)
+        # Column w is vertex w; a removed w's column is inf and never admitted.
+        cols = tree.states_matrix()
+        scanned += len(tree)
         admit, d, h = near(cols, h_hat_rows(cols, problem.goal_samples))
-        for i, dw, hw in zip(admit.tolist(), d, h):
-            wid = ids[i]
+        for wid, dw, hw in zip(admit.tolist(), d, h):
             wstate = states[wid]
             if wstate == vstate or tree.parents[wid] == vid:
                 continue

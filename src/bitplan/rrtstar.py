@@ -77,10 +77,8 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         else:
             sample = rng.point(world.bounds)
 
-        # RRT* never removes vertices, so the tree only ever appends to this
-        # matrix and never rebuilds it: column i is vertex i.
-        ids, cols = tree.states_matrix()
-        run.world.tick(len(ids))
+        cols = tree.states_matrix()
+        run.world.tick(len(tree))
         d2 = sq_dists(cols, sample)
         nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
@@ -89,7 +87,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         # The near query is charged even when it reuses the nearest scan (an
         # unsteered sample is its own new state): the clock counts two scans.
-        run.world.tick(len(ids))
+        run.world.tick(len(tree))
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
         nd2 = d2 if new_state == sample else sq_dists(cols, new_state)

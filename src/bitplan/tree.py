@@ -5,10 +5,13 @@ and the tree is one list per field that the planners index directly:
 `states[v]`, `parents[v]` (None for the root) and `costs[v]`, the cached
 cost-to-come. Edges live on the child (parent id + edge cost). A removed id
 reads state None, parent None and cost inf, so a stale id is an unreachable
-vertex. Cost-to-come is updated by subtree traversal on rewire, because
-queue keys read it far more often than rewires write it. Only `add_child`,
-`rewire` and `remove_subtree` write the lists, and they check their
-arguments.
+vertex. `states_matrix()` is the same rule for the neighbour scans: an
+append-only (d, n) array whose column v is vertex v's state, and a removed
+id's column is all inf, so its squared distance to any state is inf and no
+radius query admits it. Cost-to-come is updated by subtree traversal on
+rewire, because queue keys read it far more often than rewires write it.
+Only `add_child`, `rewire` and `remove_subtree` write the lists, and they
+check their arguments.
 """
 
 from __future__ import annotations
@@ -29,20 +32,13 @@ class Tree:
         self._edge_costs: list[float] = [0.0]  # cost of the edge from the parent
         self._children: list[dict[int, None] | None] = [{}]  # insertion-ordered id sets
         self._by_state: dict[State, int] = {root_state: 0}
-        # Lazily rebuilt (ids, states) matrix for vectorized radius queries,
-        # column-major (d, capacity) as space.sq_dists reads it; additions
-        # append a column, removals invalidate.
-        self._mat_ids: list[int] = [0]
+        # The states_matrix() store, column-major (d, capacity) as
+        # space.sq_dists reads it: column v is vertex v's state.
         self._mat = np.empty((len(root_state), 64))
         self._mat[:, 0] = root_state
-        self._mat_dirty = False
 
     def __len__(self) -> int:
         return len(self._by_state)
-
-    def items(self):
-        """(id, state) pairs of the live vertices in creation order."""
-        return [(vid, s) for vid, s in enumerate(self.states) if s is not None]
 
     def children(self, vid: int) -> list[int]:
         self._check(vid)
@@ -68,12 +64,9 @@ class Tree:
         self._children.append({})
         self._children[parent][vid] = None
         self._by_state[state] = vid
-        if not self._mat_dirty:
-            n = len(self._mat_ids)
-            if n == self._mat.shape[1]:
-                self._mat = np.hstack((self._mat, np.empty_like(self._mat)))
-            self._mat[:, n] = state
-            self._mat_ids.append(vid)
+        if vid == self._mat.shape[1]:
+            self._mat = np.hstack((self._mat, np.empty_like(self._mat)))
+        self._mat[:, vid] = state
         return vid
 
     def rewire(self, child: int, new_parent: int, new_edge_cost: float) -> None:
@@ -118,7 +111,7 @@ class Tree:
             stack.extend(reversed(self._children[cur]))
             self.states[cur] = self.parents[cur] = self._children[cur] = None
             self.costs[cur] = math.inf
-        self._mat_dirty = True
+            self._mat[:, cur] = math.inf
         return removed
 
     def solution(self, vid: int) -> list[State]:
@@ -131,16 +124,10 @@ class Tree:
         path.reverse()
         return path
 
-    def states_matrix(self) -> tuple[list[int], np.ndarray]:
-        """Aligned (vertex ids, (d, n) state array) in creation order: column
-        i is the state of vertex ids[i], and each row is one contiguous
-        coordinate."""
-        if self._mat_dirty:
-            items = self.items()
-            self._mat_ids = [vid for vid, _ in items]
-            self._mat = np.array([s for _, s in items], dtype=float).T.copy()
-            self._mat_dirty = False
-        return self._mat_ids, self._mat[:, : len(self._mat_ids)]
+    def states_matrix(self) -> np.ndarray:
+        """The (d, len(states)) state array: column v is vertex v's state, inf
+        for a removed v, and each row is one contiguous coordinate."""
+        return self._mat[:, : len(self.states)]
 
     def _check(self, vid: int) -> None:
         if not 0 <= vid < len(self.states) or self.states[vid] is None:

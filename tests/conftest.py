@@ -25,9 +25,10 @@ def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
 
 def tree_lists_audit(tree) -> None:
     """The per-id lists agree with each other: every live id's cached cost is
-    bitwise its parent's plus its edge's, every removed id reads state None,
-    parent None and cost inf, and states_matrix() is items() column for
-    column, bitwise."""
+    bitwise its parent's plus its edge's, and every removed id reads state
+    None, parent None and cost inf. states_matrix() is (2, len(states)) with
+    contiguous rows; column v is bitwise states[v] for a live v and all inf
+    for a removed v."""
     edge_costs = tree._edge_costs
     for vid, (state, p, cost) in enumerate(zip(tree.states, tree.parents, tree.costs)):
         if state is None:
@@ -36,10 +37,10 @@ def tree_lists_audit(tree) -> None:
             assert cost == tree.costs[p] + edge_costs[vid], (
                 f"cached cost {cost} of {vid} is not its parent's plus its edge's"
             )
-    items = tree.items()
-    ids, mat = tree.states_matrix()
-    assert ids == [vid for vid, _ in items]
-    assert mat.T.tobytes() == np.array([s for _, s in items], dtype=float).tobytes()
+    mat = tree.states_matrix()
+    assert mat.shape == (2, len(tree.states)) and mat.strides[1] == mat.itemsize
+    cols = [(math.inf, math.inf) if s is None else s for s in tree.states]
+    assert mat.T.tobytes() == np.array(cols, dtype=float).tobytes()
 
 
 def tree_audit(tree, tol: float = 1e-9) -> None:
@@ -48,7 +49,7 @@ def tree_audit(tree, tol: float = 1e-9) -> None:
     cost-to-come equal to the parent-walk sum."""
     tree_lists_audit(tree)
     parents, costs = tree.parents, tree.costs
-    ids = [vid for vid, _ in tree.items()]
+    ids = [vid for vid, state in enumerate(tree.states) if state is not None]
     roots = [v for v in ids if parents[v] is None]
     assert roots == [tree.root_id], f"expected exactly one root, found {roots}"
     for vid in ids:

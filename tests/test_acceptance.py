@@ -140,7 +140,9 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
         nonlocal calls
         x_reuse = orig(ctx, prob)
         calls += 1
-        for vid, state in ctx.tree.items():
+        for vid, state in enumerate(ctx.tree.states):
+            if state is None:
+                continue
             key = ctx.tree.costs[vid] + h_hat(state, goals)
             if key > ctx.c_sol:
                 violations.append(("vertex", vid, key, ctx.c_sol))

@@ -83,8 +83,7 @@ def test_c_sol_never_rises_when_the_best_goal_vertex_leaves():
     b = tree.add_child(tree.root_id, (2.0, 0.0), 6.0)
     run.v_sol.update((a, b))
     run.improve()
-    tree.remove_subtree(a)
-    run.v_sol.discard(a)
+    tree.remove_subtree(a)  # a stays in v_sol and reads cost inf
     run.improve()
     assert run.c_sol == 3.0 and run.path == [(0.0, -8.0), (1.0, 0.0)]
     assert len(run.records) == 1
@@ -114,3 +113,9 @@ def test_rrtstar_stops_at_target_cost(demo_world):
     # The run ends on the iteration that reached the target.
     assert last.batch < 20000 and last.cost == result.cost
     assert all(p.cost > 17.0 for p in result.convergence[:-1])
+
+
+@pytest.mark.parametrize("max_batches", [2.5, 3.0, "3"])
+def test_stop_condition_rejects_a_non_integer_max_batches(max_batches):
+    with pytest.raises(ValueError, match="max_batches"):
+        StopCondition(max_batches=max_batches)

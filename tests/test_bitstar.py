@@ -232,7 +232,7 @@ def test_no_state_in_both_tree_and_samples(demo_world):
     seen = []
 
     def hook(batch, ctx):
-        tree_states = {state for _, state in ctx.tree.items()}
+        tree_states = set(ctx.tree.states) - {None}
         seen.append(tree_states & set(ctx.x_ncon))
 
     params = PlannerParams(batch_size=50, radius=8.0)
@@ -256,11 +256,13 @@ def test_v_sol_matches_goal_region_membership(demo_world):
     checked = []
 
     def hook(batch, ctx):
+        states = ctx.tree.states
         in_region = {
-            vid for vid, state in ctx.tree.items()
-            if problem.goal_region.contains(state)
+            vid for vid, state in enumerate(states)
+            if state is not None and problem.goal_region.contains(state)
         }
-        checked.append(ctx.v_sol == in_region)
+        # A pruned id stays in v_sol; compare the live members.
+        checked.append({v for v in ctx.v_sol if states[v] is not None} == in_region)
 
     params = PlannerParams(batch_size=50, radius=8.0)
     stop = StopCondition(max_batches=4)
@@ -318,8 +320,12 @@ def test_prune_reuses_vertices_that_could_still_help():
     ctx.c_sol = 20.0
     reuse = prune(ctx, problem)
     assert reuse == [(0.0, 1.0)]
-    assert ctx.tree.states[vid] is None
-    assert vid not in ctx.v_exp and vid not in ctx.v_sol
+    assert ctx.tree.states[vid] is None and vid in ctx.v_exp and vid in ctx.v_sol
+    # The pruned id stays in v_sol but reads cost inf: it never becomes the
+    # incumbent, even with no incumbent to beat.
+    ctx.c_sol = math.inf
+    ctx.improve()
+    assert ctx.c_sol == math.inf and ctx.path is None and ctx.records == []
 
 
 def test_prune_removes_whole_subtrees_and_classifies_each():
@@ -352,8 +358,9 @@ def test_prune_soundness_postcondition():
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
-    for vid, state in ctx.tree.items():
-        assert ctx.tree.costs[vid] + h_hat(state, goals) <= ctx.c_sol
+    for vid, state in enumerate(ctx.tree.states):
+        if state is not None:
+            assert ctx.tree.costs[vid] + h_hat(state, goals) <= ctx.c_sol
     for x in ctx.x_ncon:
         assert g_hat(x, problem) + h_hat(x, goals) < ctx.c_sol
     tree_audit(ctx.tree)
@@ -420,6 +427,27 @@ def test_expand_vertex_rewiring_after_incumbent():
     _, _, (src, target, _, _) = ctx.qe.pop_best()
     assert src == root and target == (3.0, -6.0)
     assert ctx.tree.states[detour] is not None
+
+
+def test_expand_vertex_never_queues_a_removed_vertex():
+    problem = make_demo_problem()
+    ctx = _context(problem)
+    root = ctx.tree.root_id
+    mid = ctx.tree.add_child(root, (0.0, -4.0), 4.0)
+    # Both overpriced, so the root could rewire either; gone is removed.
+    kept = ctx.tree.add_child(mid, (1.0, -7.0), 20.0)
+    gone = ctx.tree.add_child(mid, (-1.0, -7.0), 20.0)
+    ctx.tree.add_child(gone, (-1.0, -6.0), 1.0)
+    ctx.tree.remove_subtree(gone)
+    ctx.c_sol = 40.0
+    ctx.qv.insert(0.0, 0.0, root)
+    scanned = expand_vertex(ctx, problem, DEMO_PARAMS)
+    # The goal sample is out of range; the scan is charged the live count.
+    assert scanned == len(ctx.x_ncon) + len(ctx.tree) == 4
+    targets = []
+    while ctx.qe:
+        targets.append(ctx.qe.pop_best()[2][1])
+    assert targets == [ctx.tree.states[kept]]
 
 
 def test_expand_vertex_second_expansion_sees_only_new_samples():

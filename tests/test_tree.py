@@ -150,26 +150,17 @@ def test_solution_cost_matches_cost_to_come():
         assert abs(length - t.costs[vid]) < 1e-9
 
 
-def _assert_matrix_is_the_tree(t):
-    # (d, n), one contiguous row per coordinate, column i bitwise the state
-    # of vertex ids[i], in creation order.
-    tree_lists_audit(t)
-    _, mat = t.states_matrix()
-    assert mat.shape == (2, len(t)) and mat.strides[1] == mat.itemsize
-
-
 def test_states_matrix_tracks_mutations():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
     b = t.add_child(t.root_id, (2.0, 0.0), 2.0)
-    ids, mat = t.states_matrix()
-    assert ids == [t.root_id, a, b]
-    assert mat.shape == (2, 3)
+    assert t.states_matrix().tolist() == [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]]
     t.remove_subtree(a)
-    ids, mat = t.states_matrix()
-    assert ids == [t.root_id, b]
-    assert tuple(mat[:, 1]) == (2.0, 0.0)
-    _assert_matrix_is_the_tree(t)
+    # Column v stays vertex v: a's column reads inf and b's is unmoved.
+    assert t.states_matrix().tolist() == [[0.0, math.inf, 2.0], [0.0, math.inf, 0.0]]
+    c = t.add_child(b, (3.0, 0.0), 1.0)
+    assert t.states_matrix()[:, c].tolist() == [3.0, 0.0]
+    tree_lists_audit(t)
 
 
 def test_states_matrix_across_growth_removal_and_rewire():
@@ -181,17 +172,18 @@ def test_states_matrix_across_growth_removal_and_rewire():
         parent = rng.choice(ids)
         ids.append(t.add_child(parent, (rng.uniform(-1e3, 1e3), -rng.random()), 1.0))
         if len(t) in (2, 63, 64, 65, 128, 129, 256, 257, 300):
-            _assert_matrix_is_the_tree(t)
+            tree_lists_audit(t)
     # A rewire moves no state.
     t.rewire(ids[200], t.root_id, 1.0)
-    _assert_matrix_is_the_tree(t)
-    # A removal rebuilds the matrix; later appends grow the rebuilt one.
+    tree_lists_audit(t)
+    # A removal writes inf over its columns in place; later appends grow the
+    # same matrix.
     removed = {vid for vid, _ in t.remove_subtree(ids[100])}
-    _assert_matrix_is_the_tree(t)
+    tree_lists_audit(t)
     ids = [vid for vid in ids if vid not in removed]
     for _ in range(200):
         ids.append(t.add_child(rng.choice(ids), (rng.uniform(-1e3, 1e3), rng.random()), 1.0))
-    _assert_matrix_is_the_tree(t)
+    tree_lists_audit(t)
 
 
 def test_operation_fuzz_preserves_invariants():
