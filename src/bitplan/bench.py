@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -55,6 +56,7 @@ from .space import Box, GoalRegion, ProblemDef, RngStream
 from .world import Circle, GridLoadError, Rect, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
+MAX_GRID_STEPS = 1_000_000  # an aggregate grid holds one entry per step
 
 
 class ScenarioError(ValueError):
@@ -71,15 +73,6 @@ class Scenario:
     stop: StopCondition
     trials: int
     base_seed: int
-
-
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """One trial's improvement trace; elapsed strictly increasing, cost non-increasing."""
-
-    planner: str
-    seed: int
-    points: tuple[ConvergencePoint, ...]
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,9 @@ def load_scenario(path) -> Scenario:
     except OSError as e:
         raise ScenarioError(f"{path}: {e}") from e
 
-    top: dict[str, tuple[int, str]] = {}
-    sections: dict[str, dict[str, tuple[int, str]]] = {}
+    # Each section's keys as (line, text); None is the top level. Reading a
+    # key pops it, so whatever is left at the end was never read.
+    stores: dict[str | None, dict[str, tuple[int, str]]] = {None: {}}
     obstacle_lines: list[tuple[int, str]] = []
     goal_sample_lines: list[tuple[int, str]] = []
     section = None
@@ -132,7 +126,7 @@ def load_scenario(path) -> Scenario:
             section = line[1:-1].strip()
             if section not in ("world", "obstacles", "grid", "problem", "bitstar", "rrtstar", "stop", "bench"):
                 err(line_no, f"unknown section [{section}]")
-            sections.setdefault(section, {})
+            stores.setdefault(section, {})
             continue
         if section == "obstacles":
             obstacle_lines.append((line_no, line))
@@ -145,24 +139,19 @@ def load_scenario(path) -> Scenario:
         if section == "problem" and key == "goal_sample":
             goal_sample_lines.append((line_no, value))
             continue
-        store = top if section is None else sections[section]
-        if key in store:
+        if key in stores[section]:
             err(line_no, f"duplicate key {key!r}")
-        store[key] = (line_no, value)
+        stores[section][key] = (line_no, value)
 
     def where(section_name):
         return f"[{section_name}]" if section_name else "top level"
 
-    read: set[tuple[str | None, str]] = set()  # every (section, key) looked up
-
-    def get(section_name, key, required=True, default=None):
-        read.add((section_name, key))
-        store = top if section_name is None else sections.get(section_name, {})
-        if key not in store:
-            if required:
-                raise ScenarioError(f"{path}: missing required key {key!r} in {where(section_name)}")
-            return None, default
-        return store[key]
+    def entry(section_name, key, required=True):
+        """A key's (line, text), or None when it is absent and not required."""
+        found = stores.get(section_name, {}).pop(key, None)
+        if found is None and required:
+            raise ScenarioError(f"{path}: missing required key {key!r} in {where(section_name)}")
+        return found
 
     def numbers(line_no, field, parts, n, conv=float):
         # The one parser for every number in the file: exactly n finite values.
@@ -176,46 +165,37 @@ def load_scenario(path) -> Scenario:
             err(line_no, f"{field}: numbers must be finite, got {' '.join(parts)!r}")
         return values
 
-    def floats(section_name, key, n, required=True, default=None):
-        line_no, value = get(section_name, key, required, None)
-        if value is None:
+    def read(section_name, key, n=1, conv=float, low=None, required=True, default=None):
+        """n numbers as a tuple, or one bare; low is "positive" or "non-negative"."""
+        found = entry(section_name, key, required)
+        if found is None:
             return default
-        return numbers(line_no, key, value.split(), n)
+        line_no, value = found
+        values = numbers(line_no, key, value.split(), n, conv)
+        if (low == "positive" and values[0] <= 0) or (low == "non-negative" and values[0] < 0):
+            err(line_no, f"{key}: must be {low}")
+        return values if n > 1 else values[0]
 
-    def scalar(section_name, key, conv, required=True, default=None):
-        line_no, value = get(section_name, key, required, None)
-        if value is None:
-            return default
-        return numbers(line_no, key, value.split(), 1, conv)[0]
+    found = entry(None, "name", required=False)
+    name = found[1] if found else path.stem
 
-    def positive(section_name, key, conv, required=True, default=None):
-        v = scalar(section_name, key, conv, required, default)
-        if v is not None and v <= 0:
-            line_no, _ = get(section_name, key)
-            err(line_no, f"{key}: must be positive")
-        return v
-
-    _, name = get(None, "name", required=False, default=path.stem)
-
-    b = floats("world", "bounds", 4)
+    b = read("world", "bounds", 4)
     try:
         bounds = Box((b[0], b[1]), (b[2], b[3]))
     except ValueError as e:
         raise ScenarioError(f"{path}: bounds: {e}") from e
-    cpm = positive("world", "checks_per_meter", float, required=False, default=4.0)
+    cpm = read("world", "checks_per_meter", low="positive", required=False, default=4.0)
 
-    has_obstacles = "obstacles" in sections
-    has_grid = "grid" in sections
-    if has_obstacles and has_grid:
+    if "obstacles" in stores and "grid" in stores:
         raise ScenarioError(f"{path}: give either [obstacles] or [grid], not both")
-    if has_grid:
-        line_no, grid_file = get("grid", "file")
+    if "grid" in stores:
+        line_no, grid_file = entry("grid", "file")
         grid_path = path.parent / grid_file
         if not grid_path.is_file():
             err(line_no, f"file: {grid_path} does not exist or is not a file")
-        mpc = positive("grid", "meters_per_cell", float)
-        origin = floats("grid", "origin", 2)
-        threshold = scalar("grid", "threshold", int)
+        mpc = read("grid", "meters_per_cell", low="positive")
+        origin = read("grid", "origin", 2)
+        threshold = read("grid", "threshold", conv=int)
         try:
             grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
         except (GridLoadError, OSError) as e:
@@ -237,9 +217,9 @@ def load_scenario(path) -> Scenario:
                 err(line_no, f"bad obstacle: {e}")
         world = World(bounds, obstacles, checks_per_meter=cpm)
 
-    root = floats("problem", "root", 2)
-    goal_center = floats("problem", "goal_center", 2)
-    goal_radius = positive("problem", "goal_radius", float)
+    root = read("problem", "root", 2)
+    goal_center = read("problem", "goal_center", 2)
+    goal_radius = read("problem", "goal_radius", low="positive")
     goal_samples = tuple(
         numbers(line_no, "goal_sample", value.split(), 2) for line_no, value in goal_sample_lines
     ) or (goal_center,)
@@ -249,43 +229,31 @@ def load_scenario(path) -> Scenario:
     except ValueError as e:
         raise ScenarioError(f"{path}: problem: {e}") from e
 
-    time_budget = positive("stop", "time_budget_s", float, required=False)
-    max_batches = scalar("stop", "max_batches", int, required=False)
-    if max_batches is not None and max_batches < 0:
-        line_no, _ = get("stop", "max_batches")
-        err(line_no, "max_batches: must be non-negative")
-    target_cost = positive("stop", "target_cost", float, required=False)
+    time_budget = read("stop", "time_budget_s", low="positive", required=False)
+    max_batches = read("stop", "max_batches", conv=int, low="non-negative", required=False)
+    target_cost = read("stop", "target_cost", low="positive", required=False)
     try:
         stop = StopCondition(time_budget, max_batches, target_cost)
     except ValueError as e:
         raise ScenarioError(f"{path}: [stop]: {e}") from e
 
-    try:
-        bit = PlannerParams(
-            batch_size=positive("bitstar", "batch_size", int),
-            radius=positive("bitstar", "rho", float),
-        )
-        rrt = RrtParams(
-            eta=positive("rrtstar", "eta", float),
-            alpha=positive("rrtstar", "alpha", int),
-            goal_period=positive("rrtstar", "goal_period", int),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"{path}: planner params: {e}") from e
+    # The reads enforce every rule of both parameter types.
+    bit = PlannerParams(batch_size=read("bitstar", "batch_size", conv=int, low="positive"),
+                        radius=read("bitstar", "rho", low="positive"))
+    rrt = RrtParams(eta=read("rrtstar", "eta", low="positive"),
+                    alpha=read("rrtstar", "alpha", conv=int, low="positive"),
+                    goal_period=read("rrtstar", "goal_period", conv=int, low="positive"))
 
-    trials = positive("bench", "trials", int, required=False, default=20)
-    base_seed = scalar("bench", "base_seed", int, required=False, default=1)
-    if base_seed < 0:
-        line_no, _ = get("bench", "base_seed")
-        err(line_no, "base_seed: must be non-negative")
+    trials = read("bench", "trials", conv=int, low="positive", required=False, default=20)
+    base_seed = read("bench", "base_seed", conv=int, low="non-negative", required=False, default=1)
 
     # A key nothing read is a typo or misplaced: running without it would
     # silently use a default.
-    first = min(((line_no, key, name) for name, store in [(None, top), *sections.items()]
-                 for key, (line_no, _) in store.items() if (name, key) not in read), default=None)
+    first = min(((line_no, key, section_name) for section_name, store in stores.items()
+                 for key, (line_no, _) in store.items()), default=None)
     if first is not None:
-        line_no, key, name = first
-        err(line_no, f"unknown key {key!r} in {where(name)}")
+        line_no, key, section_name = first
+        err(line_no, f"unknown key {key!r} in {where(section_name)}")
 
     return Scenario(name, world, problem, bit, rrt, stop, trials, base_seed)
 
@@ -300,31 +268,30 @@ def run_single(scenario: Scenario, planner: str, seed: int, **hooks):
     raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
 
 
-def run_trials(scenario: Scenario, planner: str, n: int) -> list[ConvergenceSeries]:
-    """n independent trials with seeds base_seed .. base_seed + n - 1."""
+def run_trials(scenario: Scenario, planner: str, n: int) -> list[list[ConvergencePoint]]:
+    """The improvement traces of n independent trials, with seeds base_seed ..
+    base_seed + n - 1; in each, elapsed strictly increases and cost never rises."""
     if n < 1:
         raise ValueError("trial count must be at least 1")
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-    out = []
+    traces = []
     for k in range(n):
         seed = scenario.base_seed + k
         try:
-            result = run_single(scenario, planner, seed)
+            traces.append(run_single(scenario, planner, seed).convergence)
         except Exception as e:
             raise RuntimeError(f"trial with seed {seed} failed: {e}") from e
-        out.append(ConvergenceSeries(planner, seed, tuple(result.convergence)))
-    return out
+    return traces
 
 
-def cost_at(series: ConvergenceSeries, t: float) -> float:
+def cost_at(trace: Sequence[ConvergencePoint], t: float) -> float:
     """Staircase interpolation: last recorded cost at or before t, else +inf."""
-    times = [p.elapsed_s for p in series.points]
-    i = bisect_right(times, t)
-    return series.points[i - 1].cost if i else math.inf
+    i = bisect_right([p.elapsed_s for p in trace], t)
+    return trace[i - 1].cost if i else math.inf
 
 
-def aggregate(series_list, grid_step: float, horizon: float) -> AggregateTable:
+def aggregate(traces, grid_step: float, horizon: float) -> AggregateTable:
     """Median/mean cost on a uniform time grid over trials solved by each time.
 
     A trial contributes at grid time t only once it has a finite cost at t
@@ -334,18 +301,22 @@ def aggregate(series_list, grid_step: float, horizon: float) -> AggregateTable:
         raise ValueError("grid step must be positive")
     # Round the step count down, except when the horizon is a whole number of
     # steps up to rounding: 0.3 / 0.1 is 2.9999999999999996 in floats.
-    times = [i * grid_step for i in range(math.floor(horizon / grid_step * (1 + 1e-9)) + 1)]
+    steps = horizon / grid_step * (1 + 1e-9)
+    if not steps < MAX_GRID_STEPS + 1:  # also an infinite or NaN horizon
+        raise ValueError(f"grid step {grid_step:g} s over a horizon of {horizon:g} s gives "
+                         f"{steps:.0f} grid steps; at most {MAX_GRID_STEPS} are allowed")
+    times = [i * grid_step for i in range(math.floor(steps) + 1)]
     n_solved, medians, means = [], [], []
     for t in times:
-        costs = [c for s in series_list if math.isfinite(c := cost_at(s, t))]
+        costs = [c for trace in traces if math.isfinite(c := cost_at(trace, t))]
         n_solved.append(len(costs))
         medians.append(statistics.median(costs) if costs else math.nan)
         means.append(statistics.fmean(costs) if costs else math.nan)
     return AggregateTable(tuple(times), tuple(n_solved), tuple(medians), tuple(means))
 
 
-def write_convergence_csv(obj: ConvergenceSeries | AggregateTable, path) -> None:
-    """Write a per-trial trace (ConvergenceSeries) or an AggregateTable as CSV.
+def write_convergence_csv(obj: Sequence[ConvergencePoint] | AggregateTable, path) -> None:
+    """Write one trial's trace or an AggregateTable as CSV.
 
     Fixed 6-decimal float formatting makes output bytes a pure function of
     the data.
@@ -356,7 +327,7 @@ def write_convergence_csv(obj: ConvergenceSeries | AggregateTable, path) -> None
             lines.append(f"{t:.6f},{n},{med:.6f},{mean:.6f}")
     else:
         lines = ["elapsed_s,cost,batch,tree_vertices,samples_drawn"]
-        for p in obj.points:
+        for p in obj:
             lines.append(
                 f"{p.elapsed_s:.6f},{p.cost:.6f},{p.batch},{p.tree_vertices},{p.samples_drawn}"
             )

@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .bench import (
     PLANNERS,
-    ConvergenceSeries,
-    ScenarioError,
     aggregate,
     resolve_scenario,
     run_single,
@@ -25,9 +23,7 @@ from .bench import (
     write_convergence_csv,
 )
 from .anytime import StopCondition
-from .space import SamplerStarvedError
 from .svg import render_svg
-from .world import GridLoadError
 
 
 class _UsageError(Exception):
@@ -144,8 +140,7 @@ def _cmd_plan(args) -> int:
                   file=sys.stderr)
     result = run_single(scenario, args.planner, seed, **hooks)
     if args.out is not None:
-        write_convergence_csv(ConvergenceSeries(args.planner, seed, tuple(result.convergence)),
-                              args.out)
+        write_convergence_csv(result.convergence, args.out)
     if args.command == "demo":
         print(f"demo seed={seed} cost={result.cost:.6f} snapshots in {args.svg_dir}")
     else:
@@ -161,16 +156,16 @@ def _cmd_bench(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, base_seed=args.seed)
     trials = args.trials if args.trials is not None else scenario.trials
-    series = run_trials(scenario, args.planner, trials)
+    traces = run_trials(scenario, args.planner, trials)
     horizon = scenario.stop.time_budget_s
     if horizon is None:
         # Cover the slowest trial: round its end time up to the grid.
-        last = max((s.points[-1].elapsed_s for s in series if s.points), default=0.0)
+        last = max(trace[-1].elapsed_s for trace in traces)
         horizon = math.ceil(last / args.grid_step) * args.grid_step
-    table = aggregate(series, args.grid_step, horizon)
+    table = aggregate(traces, args.grid_step, horizon)
     if args.out is not None:
         write_convergence_csv(table, args.out)
-    final = [s.points[-1].cost for s in series]
+    final = [trace[-1].cost for trace in traces]
     solved = [c for c in final if math.isfinite(c)]
     med = statistics.median(solved) if solved else math.nan
     print(f"{args.planner} trials={trials} solved={len(solved)} median_final_cost={med:.6f}")
@@ -190,7 +185,7 @@ def cli_main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_plan(args)
-    except (ScenarioError, GridLoadError, SamplerStarvedError, OSError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

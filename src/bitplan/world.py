@@ -233,8 +233,6 @@ def segment_cost(world, x: State, y: State) -> float:
     endpoints are always checked and the point set is symmetric under swap.
     """
     d = c_hat(x, y)
-    if d == 0.0:
-        return 0.0 if world.is_free(x) else math.inf
     n = math.ceil(d * world.checks_per_meter) + 1
     return d if world.all_free(segment_points(x, y, n)) else math.inf
 

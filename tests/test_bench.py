@@ -9,13 +9,13 @@ import pytest
 
 from bitplan.bench import (
     AggregateTable,
-    ConvergenceSeries,
     ScenarioError,
     aggregate,
     builtin_scenario_path,
     cost_at,
     load_scenario,
     resolve_scenario,
+    run_single,
     run_trials,
     write_convergence_csv,
 )
@@ -98,6 +98,43 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[surprise]\n"))
     with pytest.raises(ScenarioError, match="duplicate"):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[bench]\ntrials = 3\ntrials = 4\n"))
+
+
+# Each case edits the built-in demo (rho is on line 21) and pins the whole
+# message, so a loader rewrite cannot drop a line number or wrap a message.
+@pytest.mark.parametrize("old, new, message", [
+    ("rho = 8", "rho 8", ":21: expected 'key = value'"),
+    ("rho = 8", "= 8", ":21: empty key"),
+    ("root = 0 -8", "", ": missing required key 'root' in [problem]"),
+    ("bounds = -10 -10 10 10", "bounds = -10 -10 10", ":6: bounds: expected 4 numbers, got 3"),
+    ("bounds = -10 -10 10 10", "bounds = 10 -10 -10 10",
+     ": bounds: box needs 2-D corners with lo < hi componentwise"),
+    ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive"),
+    ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative"),
+    ("base_seed = 1", "base_seed = -1", ":33: base_seed: must be non-negative"),
+    ("circle 0 0 1.5", "circle 0 0",
+     ":10: expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got 'circle 0 0'"),
+    ("circle 0 0 1.5", "circle 0 0 -1.5",
+     ":10: bad obstacle: circle needs a finite 2-D center and a positive finite radius"),
+    ("root = 0 -8", "root = 0 0", ": problem: root lies inside an obstacle"),
+    ("max_batches = 10", "", ": [stop]: at least one stop bound must be set"),
+    ("[problem]", "[grid]\nfile = map.pgm\n[problem]", ": give either [obstacles] or [grid], not both"),
+    ("rho = 8", "rho = abc", ":21: rho: invalid value 'abc'"),
+    ("batch_size = 100", "batch_size = 0", ":20: batch_size: must be positive"),
+    ("eta = 2", "eta = -2", ":24: eta: must be positive"),
+    ("alpha = 20", "alpha = 2.5", ":25: alpha: invalid value '2.5'"),
+    ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive"),
+], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box",
+        "time-budget", "max-batches", "base-seed", "obstacle-shape", "bad-obstacle",
+        "blocked-root", "no-stop", "obstacles-and-grid",
+        "rho", "batch-size", "eta", "alpha", "goal-period"])
+def test_scenario_error_messages(tmp_path, old, new, message):
+    text = builtin_scenario_path("demo").read_text()
+    assert text.count(old) == 1
+    path = _write(tmp_path, text.replace(old, new))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}{message}"
 
 
 # A misspelt or misplaced key would otherwise load and run on a default
@@ -254,7 +291,7 @@ def test_run_trials_deterministic_and_seeded(tmp_path):
     a = run_trials(scn, "bitstar", 2)
     b = run_trials(scn, "bitstar", 2)
     assert a == b
-    assert [s.seed for s in a] == [5, 6]
+    assert a == [run_single(scn, "bitstar", seed).convergence for seed in (5, 6)]
     with pytest.raises(ValueError):
         run_trials(scn, "bitstar", 0)
     with pytest.raises(ValueError, match="unknown planner"):
@@ -278,13 +315,13 @@ def test_demo_two_second_budget_solves_almost_every_trial():
     # Frozen after measuring: at a 2 planner-second budget every demo trial
     # reaches a finite cost; the contract requires at least 19 of 20.
     scn = replace(resolve_scenario("demo"), stop=StopCondition(time_budget_s=2.0))
-    series = run_trials(scn, "bitstar", 20)
-    solved = sum(1 for s in series if math.isfinite(s.points[-1].cost))
+    traces = run_trials(scn, "bitstar", 20)
+    solved = sum(1 for trace in traces if math.isfinite(trace[-1].cost))
     assert solved >= 19
 
 
 def test_cost_at_staircase():
-    s = ConvergenceSeries("bitstar", 1, _pts([(1.0, 10.0), (3.0, 8.0)]))
+    s = _pts([(1.0, 10.0), (3.0, 8.0)])
     assert cost_at(s, 0.0) == math.inf
     assert cost_at(s, 1.0) == 10.0
     assert cost_at(s, 2.0) == 10.0
@@ -293,7 +330,7 @@ def test_cost_at_staircase():
 
 
 def test_aggregate_staircase_example():
-    s = ConvergenceSeries("bitstar", 1, _pts([(1.0, 10.0), (3.0, 8.0)]))
+    s = _pts([(1.0, 10.0), (3.0, 8.0)])
     table = aggregate([s], 1.0, 4.0)
     assert table.times == (0.0, 1.0, 2.0, 3.0, 4.0)
     assert table.n_solved == (0, 1, 1, 1, 1)
@@ -302,8 +339,8 @@ def test_aggregate_staircase_example():
 
 
 def test_aggregate_median_of_two():
-    a = ConvergenceSeries("p", 1, _pts([(0.5, 10.0)]))
-    b = ConvergenceSeries("p", 2, _pts([(0.5, 20.0)]))
+    a = _pts([(0.5, 10.0)])
+    b = _pts([(0.5, 20.0)])
     table = aggregate([a, b], 1.0, 1.0)
     assert table.median_cost[1] == 15.0
     assert table.mean_cost[1] == 15.0
@@ -312,17 +349,17 @@ def test_aggregate_median_of_two():
 
 def test_aggregate_medians_monotone_once_all_defined():
     rng = random.Random(12)
-    series = []
-    for seed in range(6):
+    traces = []
+    for _ in range(6):
         t, c = 0.0, rng.uniform(50, 60)
         pts = []
         for _ in range(10):
             t += rng.uniform(0.05, 0.5)
             c -= rng.uniform(0.0, 5.0)
             pts.append((t, c))
-        series.append(ConvergenceSeries("p", seed, _pts(pts)))
-    first_defined = max(s.points[0].elapsed_s for s in series)
-    table = aggregate(series, 0.1, 6.0)
+        traces.append(_pts(pts))
+    first_defined = max(trace[0].elapsed_s for trace in traces)
+    table = aggregate(traces, 0.1, 6.0)
     meds = [m for t, m in zip(table.times, table.median_cost) if t >= first_defined]
     assert all(x >= y for x, y in zip(meds, meds[1:]))
 
@@ -331,7 +368,7 @@ def test_aggregate_medians_monotone_once_all_defined():
 def test_aggregate_ends_at_a_horizon_of_whole_steps(horizon):
     # horizon / 0.1 falls just below a whole number in floats; the grid must
     # still reach the horizon, where the last improvement is on the table.
-    s = ConvergenceSeries("p", 1, _pts([(0.05, 20.0), (horizon - 0.01, 19.0)]))
+    s = _pts([(0.05, 20.0), (horizon - 0.01, 19.0)])
     table = aggregate([s], 0.1, horizon)
     steps = round(horizon * 10)
     assert [f"{t:.6f}" for t in table.times] == [f"{i / 10:.6f}" for i in range(steps + 1)]
@@ -343,15 +380,24 @@ def test_aggregate_rejects_bad_grid():
         aggregate([], 0.0, 1.0)
 
 
+def test_aggregate_rejects_a_grid_of_over_a_million_steps():
+    # Unbounded, 1e-9 s steps over 1 s would build a billion-entry grid.
+    with pytest.raises(ValueError, match=r"^grid step 1e-09 s over a horizon of 1 s gives "
+                                         r"1000000001 grid steps; at most 1000000 are allowed$"):
+        aggregate([], 1e-9, 1.0)
+    with pytest.raises(ValueError, match="inf grid steps"):
+        aggregate([], 0.1, math.inf)
+
+
 def test_csv_empty_series_header_only(tmp_path):
     out = tmp_path / "c.csv"
-    write_convergence_csv(ConvergenceSeries("bitstar", 1, ()), out)
+    write_convergence_csv((), out)
     assert out.read_text() == "elapsed_s,cost,batch,tree_vertices,samples_drawn\n"
 
 
 def test_csv_fixed_decimal_formatting(tmp_path):
     out = tmp_path / "c.csv"
-    write_convergence_csv(ConvergenceSeries("bitstar", 1, (ConvergencePoint(1.5, 12.25, 2, 7, 100),)), out)
+    write_convergence_csv([ConvergencePoint(1.5, 12.25, 2, 7, 100)], out)
     lines = out.read_text().splitlines()
     assert lines[1] == "1.500000,12.250000,2,7,100"
 
@@ -359,8 +405,8 @@ def test_csv_fixed_decimal_formatting(tmp_path):
 def test_csv_bytes_reproducible(tmp_path):
     pts = _pts([(0.1234567, 19.0), (2.0, 17.5)])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_convergence_csv(ConvergenceSeries("p", 1, pts), a)
-    write_convergence_csv(ConvergenceSeries("p", 1, pts), b)
+    write_convergence_csv(pts, a)
+    write_convergence_csv(pts, b)
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -85,6 +85,14 @@ def test_out_of_range_float_flags_are_usage_errors(capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_a_bench_grid_of_over_a_million_steps_is_runtime_error(capsys):
+    rc = cli_main(["bench", "--scenario", "demo", "--planner", "bitstar", "--trials", "1",
+                   "--time-budget", "1", "--grid-step", "1e-9"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: grid step 1e-09 s over a horizon of 1 s gives "
+                                       "1000000001 grid steps; at most 1000000 are allowed\n")
+
+
 def test_bench_reproducible_bytes(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -203,6 +203,9 @@ def test_counting_world_tracks_work(demo_world):
     cw.tick(10)
     assert cw.units == 28
     assert cw.elapsed_s() == 28 / 250_000.0
+    # A zero-length edge checks its one point, x itself, at one unit.
+    assert cw.true_cost((0.0, -8.0), (0.0, -8.0)) == 0.0
+    assert cw.units == 29
 
 
 def _agreement_worlds():
