@@ -5,12 +5,14 @@ vertices v_sol, the incumbent (its cost c_sol and a copy of its path), the
 batch and sample counts and the convergence records. The incumbent rule lives
 only in `AnytimeRun.improve`: the cheapest goal vertex, ties to the lowest id,
 replaces the incumbent only when it is strictly cheaper. A run meters time on
-the deterministic work clock of CountingWorld (one unit per BIT* sample draw,
-edge-check point or neighbor-scan candidate), so identical seeds replay
-identical runs byte for byte. It stops on the same bounds for both planners
-and records one convergence point per strict cost improvement plus one at
-termination, which is what makes the two planners' convergence curves
-directly comparable.
+the deterministic work clock of its CountingWorld, one unit per piece of work,
+charged where that work is done: per BIT* sample draw in `sample_batch`, per
+edge-check point in `CountingWorld.all_free`, and per neighbor-scan candidate
+in `bitstar.plan` and `rrt_plan`. The clock counts work, not wall time, so
+identical seeds replay identical runs byte for byte. It stops on the same
+bounds for both planners and records one convergence point per strict cost
+improvement plus one at termination, which is what makes the two planners'
+convergence curves directly comparable.
 """
 
 from __future__ import annotations

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .anytime import ConvergencePoint, StopCondition
@@ -285,20 +285,17 @@ def run_trials(scenario: Scenario, planner: str, n: int) -> list[list[Convergenc
     return traces
 
 
-def cost_at(trace: Sequence[ConvergencePoint], t: float) -> float:
-    """Staircase interpolation: last recorded cost at or before t, else +inf."""
-    i = bisect_right([p.elapsed_s for p in trace], t)
-    return trace[i - 1].cost if i else math.inf
-
-
 def aggregate(traces, grid_step: float, horizon: float) -> AggregateTable:
     """Median/mean cost on a uniform time grid over trials solved by each time.
 
-    A trial contributes at grid time t only once it has a finite cost at t
-    (staircase interpolation of its improvement trace).
+    A trial contributes at grid time t only once it has a finite cost at t:
+    the cost of its last record at or before t (staircase interpolation of
+    its improvement trace). One walk over all traces' records in time order
+    updates each trial's cost; the statistics are recomputed only at a grid
+    time that some record reaches, and repeat the previous row otherwise.
     """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+    if not 0 < grid_step < math.inf:  # an infinite step would put a NaN time on the grid
+        raise ValueError("grid step must be positive and finite")
     # Round the step count down, except when the horizon is a whole number of
     # steps up to rounding: 0.3 / 0.1 is 2.9999999999999996 in floats.
     steps = horizon / grid_step * (1 + 1e-9)
@@ -306,12 +303,23 @@ def aggregate(traces, grid_step: float, horizon: float) -> AggregateTable:
         raise ValueError(f"grid step {grid_step:g} s over a horizon of {horizon:g} s gives "
                          f"{steps:.0f} grid steps; at most {MAX_GRID_STEPS} are allowed")
     times = [i * grid_step for i in range(math.floor(steps) + 1)]
+    # A stable sort: of one trial's records at the same time, the last wins.
+    records = sorted(((p.elapsed_s, k, p.cost) for k, trace in enumerate(traces) for p in trace),
+                     key=itemgetter(0))
+    current = [math.inf] * len(traces)
     n_solved, medians, means = [], [], []
+    i, row = 0, (0, math.nan, math.nan)
     for t in times:
-        costs = [c for trace in traces if math.isfinite(c := cost_at(trace, t))]
-        n_solved.append(len(costs))
-        medians.append(statistics.median(costs) if costs else math.nan)
-        means.append(statistics.fmean(costs) if costs else math.nan)
+        if i < len(records) and records[i][0] <= t:
+            while i < len(records) and records[i][0] <= t:
+                _, k, current[k] = records[i]
+                i += 1
+            costs = [c for c in current if math.isfinite(c)]
+            row = ((len(costs), statistics.median(costs), statistics.fmean(costs)) if costs
+                   else (0, math.nan, math.nan))
+        n_solved.append(row[0])
+        medians.append(row[1])
+        means.append(row[2])
     return AggregateTable(tuple(times), tuple(n_solved), tuple(medians), tuple(means))
 
 

@@ -211,12 +211,11 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
     Each draw is one rng.point(world.bounds) call, and the only Python call
     most draws make: a draw outside informed_box is rejected inline, one
     inside it meets the exact informed_test, and only a draw that passes
-    both reaches world.is_free. `world` is the metered CountingWorld: every
-    draw costs one work unit whichever test rejects it; world.is_free charges
-    its own, and the draws the box or the informed test rejects are charged
-    with one world.tick per batch. Raises SamplerStarvedError if one sample
-    exhausts the rejection budget (REJECTION_BUDGET, read when the batch
-    starts).
+    both reaches world.is_free. `world` is the run's CountingWorld, and every
+    draw costs one work unit whichever test ends it: the batch charges all
+    its draws with one world.tick, also when it starves. Raises
+    SamplerStarvedError if one sample exhausts the rejection budget
+    (REJECTION_BUDGET, read when the batch starts).
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
@@ -226,23 +225,20 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
     budget = REJECTION_BUDGET
     out: list[State] = []
     attempts = 0
-    checked = 0  # draws that reached is_free, which charges them itself
     for _ in range(m):
         for k in range(budget):
             x = point(bounds)
-            if lo0 <= x[0] <= hi0 and lo1 <= x[1] <= hi1 and informed(x):
-                checked += 1
-                if is_free(x):
-                    out.append(x)
-                    attempts += k + 1
-                    break
+            if lo0 <= x[0] <= hi0 and lo1 <= x[1] <= hi1 and informed(x) and is_free(x):
+                out.append(x)
+                attempts += k + 1
+                break
         else:
             attempts += budget
-            world.tick(attempts - checked)
+            world.tick(attempts)
             raise SamplerStarvedError(
                 f"no acceptable sample in {budget} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.tick(attempts - checked)
+    world.tick(attempts)
     return out

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .space import State, c_hat
 from .world import Circle, World
 
@@ -53,15 +55,14 @@ def render_svg(world: World, edges, path, ellipses, samples, out_path) -> None:
     if world.grid is not None:
         g = world.grid
         mpc = g.meters_per_cell
-        for row in range(g.height):
-            for col in range(g.width):
-                if g.blocked[row, col]:
-                    x = g.origin[0] + col * mpc
-                    y = g.origin[1] + (row + 1) * mpc
-                    parts.append(
-                        f'<rect x="{_f(x)}" y="{_f(-y)}" width="{_f(mpc)}" height="{_f(mpc)}" '
-                        f'fill="#555555"/>'
-                    )
+        # argwhere lists the blocked cells in row-major order, which the bytes rest on.
+        for row, col in np.argwhere(g.blocked).tolist():
+            x = g.origin[0] + col * mpc
+            y = g.origin[1] + (row + 1) * mpc
+            parts.append(
+                f'<rect x="{_f(x)}" y="{_f(-y)}" width="{_f(mpc)}" height="{_f(mpc)}" '
+                f'fill="#555555"/>'
+            )
     else:
         for ob in world.obstacles:
             if isinstance(ob, Circle):

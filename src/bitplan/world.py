@@ -237,22 +237,21 @@ def segment_cost(world, x: State, y: State) -> float:
     return d if world.all_free(segment_points(x, y, n)) else math.inf
 
 
-class CountingWorld:
-    """Wraps a world and tallies elementary planner work.
+class CountingWorld(World):
+    """The world a planner run checks against, metering its edge points.
 
-    One unit per BIT* sample draw, per edge-check point and per scanned
-    candidate. Point collision checks tick automatically (`all_free` charges
-    every point, also those its early exit never examines); planners tick
-    their neighbor-scan sizes, and the sampler the draws it rejects without
-    a collision check, explicitly. The tally doubles as a deterministic
-    monotonic clock (see WORK_UNITS_PER_SECOND) used for time budgets and
-    convergence timestamps, so equal seeds give byte-identical results.
+    It shares the fields of the world it is built from and charges one work
+    unit per point of every `all_free` call (also the points its early exit
+    never examines), so each edge check pays `segment_cost`'s point count. A
+    point test (`is_free`) is not metered. The sampler ticks its draws and
+    the planners their scanned candidates, each where the work is done. The
+    tally doubles as a deterministic monotonic clock (see
+    WORK_UNITS_PER_SECOND) used for time budgets and convergence timestamps,
+    so equal seeds give byte-identical results.
     """
 
-    def __init__(self, inner: World):
-        self.inner = inner
-        self.bounds = inner.bounds
-        self.checks_per_meter = inner.checks_per_meter
+    def __init__(self, world: World):
+        vars(self).update(vars(world))
         self.units = 0
 
     def tick(self, n: int) -> None:
@@ -261,16 +260,9 @@ class CountingWorld:
     def elapsed_s(self) -> float:
         return self.units / WORK_UNITS_PER_SECOND
 
-    def is_free(self, x: State) -> bool:
-        self.units += 1
-        return self.inner.is_free(x)
-
     def all_free(self, points: Sequence[State]) -> bool:
         self.units += len(points)
-        return self.inner.all_free(points)
-
-    def true_cost(self, x: State, y: State) -> float:
-        return segment_cost(self, x, y)
+        return super().all_free(points)
 
 
 def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: int) -> World:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import random
 import re
+import statistics
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -12,7 +14,6 @@ from bitplan.bench import (
     ScenarioError,
     aggregate,
     builtin_scenario_path,
-    cost_at,
     load_scenario,
     resolve_scenario,
     run_single,
@@ -320,6 +321,12 @@ def test_demo_two_second_budget_solves_almost_every_trial():
     assert solved >= 19
 
 
+def cost_at(trace, t):
+    """The staircase reference: the last recorded cost at or before t, else +inf."""
+    i = bisect_right([p.elapsed_s for p in trace], t)
+    return trace[i - 1].cost if i else math.inf
+
+
 def test_cost_at_staircase():
     s = _pts([(1.0, 10.0), (3.0, 8.0)])
     assert cost_at(s, 0.0) == math.inf
@@ -327,6 +334,37 @@ def test_cost_at_staircase():
     assert cost_at(s, 2.0) == 10.0
     assert cost_at(s, 3.0) == 8.0
     assert cost_at(s, 4.0) == 8.0
+
+
+def _random_traces(rng, grid_step):
+    """Traces with strictly increasing times, some on grid times exactly, and
+    costs that may stay infinite."""
+    traces = []
+    for _ in range(rng.randrange(8)):
+        t, c, pts = 0.0, rng.choice([math.inf, rng.uniform(20, 30)]), []
+        for _ in range(rng.randrange(6)):
+            on_grid = math.ceil(t / grid_step + 1e-9) * grid_step
+            t = on_grid if rng.random() < 0.4 and on_grid > t else t + rng.uniform(0.0, 0.7)
+            c = rng.choice([c, c - rng.uniform(0.0, 3.0)])
+            pts.append((t, c))
+        traces.append(_pts(pts))
+    return traces
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_aggregate_is_bitwise_the_staircase_at_every_grid_time(seed):
+    rng = random.Random(seed)
+    grid_step = rng.choice([0.1, 0.25, 0.3])
+    traces = _random_traces(rng, grid_step)
+    table = aggregate(traces, grid_step, rng.choice([0.0, 0.3, 2.0, 4.5]))
+    want = []
+    for t in table.times:
+        costs = [c for trace in traces if math.isfinite(c := cost_at(trace, t))]
+        want.append((len(costs), statistics.median(costs) if costs else math.nan,
+                     statistics.fmean(costs) if costs else math.nan))
+    got = list(zip(table.n_solved, table.median_cost, table.mean_cost))
+    assert [(n, med.hex(), mean.hex()) for n, med, mean in got] == \
+        [(n, med.hex(), mean.hex()) for n, med, mean in want]
 
 
 def test_aggregate_staircase_example():
@@ -376,8 +414,9 @@ def test_aggregate_ends_at_a_horizon_of_whole_steps(horizon):
 
 
 def test_aggregate_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        aggregate([], 0.0, 1.0)
+    for grid_step in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid step must be positive and finite"):
+            aggregate([], grid_step, 1.0)
 
 
 def test_aggregate_rejects_a_grid_of_over_a_million_steps():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bitplan import (
     informed_test,
 )
 from bitplan.anytime import StopCondition
+from bitplan.bench import resolve_scenario, run_single
 from bitplan.bitstar import (
     PlannerContext,
     PlannerParams,
@@ -633,3 +635,35 @@ def test_expand_edge_rewires_connected_vertex():
     assert ctx.tree.parents[far] == mid
     assert ctx.tree.costs[far] == 11.0
     tree_audit(ctx.tree)
+
+
+def test_the_clock_is_draws_plus_edge_points_plus_scanned_candidates(monkeypatch):
+    # Count each kind of work at its source, with pass-through wrappers: the
+    # run's clock must charge exactly one unit per draw, per edge-check point
+    # and per scanned candidate, and nothing else.
+    scenario = replace(resolve_scenario("demo"), stop=StopCondition(max_batches=3))
+    work = {"draws": 0, "points": 0, "scanned": 0}
+    point, all_free, expand = RngStream.point, World.all_free, bitstar.expand_vertex
+
+    def counted_point(self, bounds):
+        work["draws"] += 1
+        return point(self, bounds)
+
+    def counted_all_free(self, points):
+        work["points"] += len(points)
+        return all_free(self, points)
+
+    def counted_expand(*args):
+        scanned = expand(*args)
+        work["scanned"] += scanned
+        return scanned
+
+    monkeypatch.setattr(RngStream, "point", counted_point)
+    monkeypatch.setattr(World, "all_free", counted_all_free)
+    monkeypatch.setattr(bitstar, "expand_vertex", counted_expand)
+    runs = []
+    result = run_single(scenario, "bitstar", 1, batch_hook=lambda batch, ctx: runs.append(ctx))
+    ctx = runs[-1]
+    assert ctx.batch == 3 and math.isfinite(result.cost)
+    assert all(work.values()), work
+    assert ctx.world.units == work["draws"] + work["points"] + work["scanned"]

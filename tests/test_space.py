@@ -230,10 +230,11 @@ def test_sample_batch_uniform_in_bounds_without_rejection():
 
 def test_sample_batch_respects_world_and_acceptance_rate():
     p = make_demo_problem()
-    cw = CountingWorld(make_demo_world())
+    w = make_demo_world()
+    cw = CountingWorld(w)
     out = sample_batch(1000, p, cw, math.inf, RngStream(42))
     assert len(out) == 1000
-    assert all(cw.inner.is_free(x) for x in out)
+    assert all(w.is_free(x) for x in out)
     # Free-area fraction of the demo box: 1 - 3*pi*1.5^2 / 400 ~= 0.947.
     rate = 1000 / cw.units
     assert abs(rate - 0.947) < 0.03
@@ -308,29 +309,28 @@ def test_sample_batch_rejects_bad_count():
 
 def _reference_sample_batch(m, problem, world, c_sol, rng):
     """sample_batch before informed_test: a generator-expression draw and
-    c_hat + h_hat < c_sol per draw."""
+    c_hat + h_hat < c_sol per draw; every draw costs one unit."""
     bounds = world.bounds
     r = rng._rng.random
     out = []
-    attempts = uninformed = 0
+    attempts = 0
     for _ in range(m):
         for _ in range(space.REJECTION_BUDGET):
             attempts += 1
             x = tuple(l + (h - l) * r() for l, h in zip(bounds.lo, bounds.hi))
-            if not (math.isinf(c_sol)
-                    or c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol):
-                uninformed += 1
-            elif world.is_free(x):
+            if ((math.isinf(c_sol)
+                 or c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol)
+                    and world.is_free(x)):
                 out.append(x)
                 break
         else:
-            world.tick(uninformed)
+            world.tick(attempts)
             raise SamplerStarvedError(
                 f"no acceptable sample in {space.REJECTION_BUDGET} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.tick(uninformed)
+    world.tick(attempts)
     return out
 
 

@@ -4,7 +4,9 @@ import math
 import xml.etree.ElementTree as ET
 from collections import Counter
 
-from bitplan import Box, Rect, World
+import numpy as np
+
+from bitplan import Box, OccupancyGrid, Rect, World
 from bitplan.svg import render_svg
 from conftest import make_demo_world
 
@@ -85,3 +87,28 @@ def test_svg_bytes_reproducible(tmp_path):
     render_svg(*args, a)
     render_svg(*args, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _per_cell_grid_rects(grid):
+    """The grid's <rect> lines as a loop over every cell writes them."""
+    lines, mpc = [], grid.meters_per_cell
+    for row in range(grid.height):
+        for col in range(grid.width):
+            if grid.blocked[row, col]:
+                x = grid.origin[0] + col * mpc
+                y = grid.origin[1] + (row + 1) * mpc
+                lines.append(f'<rect x="{x:.6f}" y="{-y:.6f}" width="{mpc:.6f}" '
+                             f'height="{mpc:.6f}" fill="#555555"/>')
+    return lines
+
+
+def test_grid_cells_render_as_the_per_cell_loop_writes_them(tmp_path):
+    # A column-major array, so row-major order must not come from memory order.
+    blocked = (np.random.default_rng(5).random((37, 23)) < 0.3).T
+    grid = OccupancyGrid(37, 23, 0.3, (-2.5, 1.25), blocked)
+    render_svg(World(grid=grid), [], None, [], [], tmp_path / "grid.svg")
+    free = OccupancyGrid(37, 23, 0.3, (-2.5, 1.25), np.zeros_like(blocked))
+    render_svg(World(grid=free), [], None, [], [], tmp_path / "free.svg")
+    head, frame, *tail = (tmp_path / "free.svg").read_text().split("\n")
+    want = "\n".join([head, frame, *_per_cell_grid_rects(grid), *tail])
+    assert (tmp_path / "grid.svg").read_text() == want

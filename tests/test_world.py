@@ -195,17 +195,18 @@ def test_counting_world_tracks_work(demo_world):
     from bitplan import CountingWorld
 
     cw = CountingWorld(demo_world)
-    cw.is_free((0.0, -8.0))
-    assert cw.units == 1
+    # A point test is not metered: the sampler charges its draws itself.
+    assert cw.is_free((0.0, -8.0))
+    assert cw.units == 0
     cost = cw.true_cost((0.0, -8.0), (0.0, -4.0))
     assert cost == 4.0
-    assert cw.units == 1 + (math.ceil(4.0 * 4.0) + 1)
+    assert cw.units == math.ceil(4.0 * 4.0) + 1
     cw.tick(10)
-    assert cw.units == 28
-    assert cw.elapsed_s() == 28 / 250_000.0
+    assert cw.units == 27
+    assert cw.elapsed_s() == 27 / 250_000.0
     # A zero-length edge checks its one point, x itself, at one unit.
     assert cw.true_cost((0.0, -8.0), (0.0, -8.0)) == 0.0
-    assert cw.units == 29
+    assert cw.units == 28
 
 
 def _agreement_worlds():
