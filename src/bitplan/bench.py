@@ -14,7 +14,7 @@ every number must be finite; an unknown section or key is an error):
     file = map.pgm              # relative to the scenario file
     meters_per_cell = 0.1
     origin = X Y
-    threshold = 127
+    threshold = 127             # 0..255; gray value <= threshold is blocked
     [problem]
     root = X Y
     goal_center = X Y
@@ -165,8 +165,10 @@ def load_scenario(path) -> Scenario:
             err(line_no, f"{field}: numbers must be finite, got {' '.join(parts)!r}")
         return values
 
-    def read(section_name, key, n=1, conv=float, low=None, required=True, default=None):
-        """n numbers as a tuple, or one bare; low is "positive" or "non-negative"."""
+    def read(section_name, key, n=1, conv=float, low=None, within=None, required=True,
+             default=None):
+        """n numbers as a tuple, or one bare; low is "positive" or "non-negative",
+        within an inclusive (lo, hi) range."""
         found = entry(section_name, key, required)
         if found is None:
             return default
@@ -174,6 +176,8 @@ def load_scenario(path) -> Scenario:
         values = numbers(line_no, key, value.split(), n, conv)
         if (low == "positive" and values[0] <= 0) or (low == "non-negative" and values[0] < 0):
             err(line_no, f"{key}: must be {low}")
+        if within and not within[0] <= values[0] <= within[1]:
+            err(line_no, f"{key}: must be in {within[0]}..{within[1]}, got {values[0]}")
         return values if n > 1 else values[0]
 
     found = entry(None, "name", required=False)
@@ -195,7 +199,7 @@ def load_scenario(path) -> Scenario:
             err(line_no, f"file: {grid_path} does not exist or is not a file")
         mpc = read("grid", "meters_per_cell", low="positive")
         origin = read("grid", "origin", 2)
-        threshold = read("grid", "threshold", conv=int)
+        threshold = read("grid", "threshold", conv=int, within=(0, 255))
         try:
             grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
         except (GridLoadError, OSError) as e:

@@ -268,11 +268,16 @@ class CountingWorld(World):
 def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: int) -> World:
     """Load a PGM (P2 ASCII or P5 binary) image as an occupancy-grid world.
 
-    Gray values <= threshold are blocked. The grid's world extent is derived
-    from its size, `meters_per_cell`, and `origin`.
+    Gray values <= threshold are blocked, for a threshold in 0..255. The
+    grid's world extent is derived from its size, `meters_per_cell`, and
+    `origin`. A P2 raster is tokens of the form [+-]?[0-9]+ separated by
+    ASCII whitespace (no digit-group underscores); it is checked and
+    converted as one byte array, without a Python object per pixel.
     """
     if not 0 < meters_per_cell < math.inf:
         raise GridLoadError("meters_per_cell must be positive and finite")
+    if not 0 <= threshold <= 255:
+        raise GridLoadError(f"threshold: must be in 0..255, got {threshold}")
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -291,16 +296,7 @@ def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: 
 
     n = width * height
     if magic == "P2":
-        body = data[pos:].split()
-        if len(body) != n:
-            raise GridLoadError(f"size: expected {n} pixel values, got {len(body)}")
-        # numpy calls int() on each token, in C.
-        try:
-            values = np.array(body, dtype=np.int64)
-        except ValueError:
-            raise GridLoadError("pixels: non-integer pixel value") from None
-        except OverflowError:
-            raise GridLoadError("pixels: value out of range 0..255") from None
+        values = _p2_values(np.frombuffer(data, np.uint8, offset=pos), n)
     else:
         raw = data[pos:]
         if len(raw) != n:
@@ -317,17 +313,51 @@ def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: 
 def save_occupancy_grid(grid: OccupancyGrid, path, binary: bool = False) -> None:
     """Write the grid as a PGM image (0 = blocked, 255 = free).
 
-    Loading the file back with threshold 127 reproduces the blocked array.
+    A P2 raster has one text line per grid row, its values separated by
+    single spaces. Loading the file back with threshold 127 reproduces the
+    blocked array.
     """
-    values = np.where(grid.blocked, 0, 255).astype(np.uint8)
+    values = np.where(grid.blocked, np.uint8(0), np.uint8(255))
     header = f"{'P5' if binary else 'P2'}\n{grid.width} {grid.height}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
             fh.write(values.tobytes())
         else:
-            lines = [" ".join(str(v) for v in row) for row in values]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            np.savetxt(fh, values, fmt="%d")
+
+
+# A P2 raster byte's class: whitespace as bytes.split() sees it, digit,
+# sign, or anything else.
+_SPACE, _DIGIT, _SIGN, _OTHER = range(4)
+_P2_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_P2_CLASS[list(b" \t\n\r\v\f")] = _SPACE
+_P2_CLASS[list(b"0123456789")] = _DIGIT
+_P2_CLASS[list(b"+-")] = _SIGN
+
+
+def _p2_values(raster: np.ndarray, n: int) -> np.ndarray:
+    """The n values of a P2 raster's bytes, as int64, read without splitting.
+
+    Raises GridLoadError unless the raster holds exactly n tokens, each
+    matching [+-]?[0-9]+. A value past int64 saturates, so the caller's range
+    check still reports it.
+    """
+    cls = _P2_CLASS[raster]
+    space = cls == _SPACE
+    start = ~space  # a token starts at a non-space byte after a space
+    start[1:] &= space[:-1]
+    count = int(np.count_nonzero(start))
+    if count != n:
+        raise GridLoadError(f"size: expected {n} pixel values, got {count}")
+    # A sign must open its token and be followed by a digit; a sign that
+    # ends the raster reads itself as its successor.
+    signs = np.flatnonzero(cls == _SIGN)
+    after = cls[np.minimum(signs + 1, cls.size - 1)]
+    if cls.max() == _OTHER or not start[signs].all() or (after != _DIGIT).any():
+        raise GridLoadError("pixels: non-integer pixel value")
+    del cls, space, start  # three bytes per raster byte, freed before the int64 array
+    return np.fromstring(raster, dtype=np.int64, sep=" ")
 
 
 def _header_tokens(data: bytes, count: int):

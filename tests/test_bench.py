@@ -230,6 +230,26 @@ def test_scenario_with_grid_world(tmp_path):
     assert scn.world.bounds.hi == (4.0, 4.0)
 
 
+# At 300 the loader blocked every cell and the error blamed the root; at -1
+# it silently freed every cell.
+@pytest.mark.parametrize("threshold", ["300", "-1"])
+def test_a_grid_threshold_outside_0_255_names_its_own_line(tmp_path, threshold):
+    _write_grid_map(tmp_path)
+    text = GRID_SCN.replace("threshold = 127", f"threshold = {threshold}")
+    with pytest.raises(ScenarioError,
+                       match=rf"s\.scn:8: threshold: must be in 0\.\.255, got {threshold}$"):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_a_grid_threshold_of_0_or_255_is_accepted(tmp_path):
+    _write_grid_map(tmp_path)
+    scn = load_scenario(_write(tmp_path, GRID_SCN.replace("threshold = 127", "threshold = 0")))
+    assert not scn.world.grid.blocked.any()
+    # 255 blocks every cell, so what fails is the root, not the threshold.
+    with pytest.raises(ScenarioError, match="problem: root lies inside an obstacle"):
+        load_scenario(_write(tmp_path, GRID_SCN.replace("threshold = 127", "threshold = 255")))
+
+
 def test_grid_scenario_bounds_may_round_the_map_extent(tmp_path):
     # 7 cells of 0.1 m span 0.7000000000000001 m in floating point.
     (tmp_path / "map.pgm").write_text("P2\n7 7\n255\n" + " ".join(["255"] * 49) + "\n")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from bitplan import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from bitplan.world import _bisection_order, segment_points
+from bitplan.world import _bisection_order, _p2_values, segment_points
 from conftest import make_demo_world
 
 
@@ -150,6 +152,136 @@ def test_pgm_p2_bad_pixel_value(tmp_path, bad, detail):
     f.write_text(f"P2\n2 2\n255\n0 255 {bad} 0\n")
     with pytest.raises(GridLoadError, match=f"pixels: .*{detail}"):
         load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
+
+
+def _reference_p2_values(raster: bytes, n: int) -> np.ndarray:
+    """The split() + int() parser the byte-array one replaced, range check included."""
+    body = raster.split()
+    if len(body) != n:
+        raise GridLoadError(f"size: expected {n} pixel values, got {len(body)}")
+    try:
+        values = np.array(body, dtype=np.int64)
+    except ValueError:
+        raise GridLoadError("pixels: non-integer pixel value") from None
+    except OverflowError:
+        raise GridLoadError("pixels: value out of range 0..255") from None
+    if values.min() < 0 or values.max() > 255:
+        raise GridLoadError("pixels: value out of range 0..255")
+    return values
+
+
+def _load_p2_raster(path, raster: bytes, n: int) -> World:
+    path.write_bytes(b"P2\n%d 1\n255\n" % n + raster)
+    return load_occupancy_grid(path, 1.0, (0.0, 0.0), 127)
+
+
+_NON_INT = "pixels: non-integer pixel value"
+_RANGE = "pixels: value out of range 0..255"
+
+
+@pytest.mark.parametrize("raster, expected", [
+    *((b"0%c255%c" % (sep, sep), [0, 255]) for sep in b" \t\n\r\v\f"),
+    (b"+5 00255", [5, 255]),
+    (b"-0\n255", [0, 255]),
+    (b" \t\n\r\v\f ", "size: expected 2 pixel values, got 0"),
+    (b"+ 255", _NON_INT),
+    (b"0 -", _NON_INT),
+    (b"5-3 0", _NON_INT),
+    (b"0 2\x0055", _NON_INT),
+    (b"0 #255", _NON_INT),
+    (b"1_0 0", _NON_INT),  # int() took it; PGM has no digit-group underscores
+    (b"0 99999999999999999999", _RANGE),
+    (b"-99999999999999999999 0", _RANGE),
+    (b"+99999999999999999999 0", _RANGE),
+])
+def test_p2_raster_grammar(tmp_path, raster, expected):
+    f = tmp_path / "g.pgm"
+    if isinstance(expected, str):
+        with pytest.raises(GridLoadError, match=f"^{re.escape(expected)}$"):
+            _load_p2_raster(f, raster, 2)
+    else:
+        w = _load_p2_raster(f, raster, 2)
+        assert w.grid.blocked.tolist() == [[v <= 127 for v in expected]]
+
+
+def test_p2_crlf_header(tmp_path):
+    f = tmp_path / "g.pgm"
+    f.write_bytes(b"P2\r\n2 1\r\n255\r\n0 255\r\n")
+    w = load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
+    assert w.grid.blocked.tolist() == [[True, False]]
+
+
+def test_p2_parser_agrees_with_split_and_int(tmp_path):
+    # Short random rasters over a small alphabet. A verdict may differ only
+    # where the raster holds a "_", which int() took between digits: past the
+    # token count, such a raster is now non-integer whatever the reference said.
+    alphabet = [*b"0123456789" * 3, *b"+-" * 2, *b" \t\n\r\v\f" * 2, *b"_.x\x00", 0x85, 0xA0, 0xE9]
+    rng = random.Random(20)
+    f = tmp_path / "g.pgm"
+    verdicts = dict.fromkeys(["same values", "same error", "underscore", "underscore, was accepted"], 0)
+    for _ in range(3000):
+        raster = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        n = max(1, len(raster.split())) + (rng.random() < 0.1)
+        try:
+            want, want_err = _reference_p2_values(raster, n), None
+        except GridLoadError as e:
+            want, want_err = None, str(e)
+        try:
+            _load_p2_raster(f, raster, n)
+            got_err = None
+        except GridLoadError as e:
+            got_err = str(e)
+        if b"_" in raster and not (want_err or "").startswith("size"):
+            assert got_err == _NON_INT, raster
+            verdicts["underscore, was accepted" if want_err is None else "underscore"] += 1
+        elif want_err is not None:
+            assert got_err == want_err, raster
+            verdicts["same error"] += 1
+        else:
+            assert got_err is None, raster
+            assert np.array_equal(_p2_values(np.frombuffer(raster, np.uint8), n), want), raster
+            verdicts["same values"] += 1
+    assert min(verdicts.values()) >= 5, verdicts
+
+
+def test_p2_load_builds_no_object_per_pixel(tmp_path):
+    # A 400 x 400 map, the size of the benchmark's grid. The split() parser
+    # peaked above 8 MB on it, one bytes object per pixel; the byte-array
+    # parser stays near 3 MB.
+    rng = np.random.default_rng(4)
+    f = tmp_path / "g.pgm"
+    save_occupancy_grid(OccupancyGrid(400, 400, 0.1, (0.0, 0.0), rng.random((400, 400)) < 0.15), f)
+    tracemalloc.start()
+    try:
+        load_occupancy_grid(f, 0.1, (0.0, 0.0), 127)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("threshold", [300, -1])
+def test_pgm_load_rejects_a_threshold_outside_0_255(tmp_path, threshold):
+    # At 300 every cell was blocked, at -1 every cell was free.
+    f = tmp_path / "g.pgm"
+    f.write_text("P2\n3 1\n255\n0 1 255\n")
+    with pytest.raises(GridLoadError, match=f"^threshold: must be in 0..255, got {threshold}$"):
+        load_occupancy_grid(f, 1.0, (0.0, 0.0), threshold)
+
+
+@pytest.mark.parametrize("threshold, blocked", [(0, [True, False, False]), (255, [True, True, True])])
+def test_pgm_load_threshold_ends(tmp_path, threshold, blocked):
+    f = tmp_path / "g.pgm"
+    f.write_text("P2\n3 1\n255\n0 1 255\n")
+    assert load_occupancy_grid(f, 1.0, (0.0, 0.0), threshold).grid.blocked.tolist() == [blocked]
+
+
+def test_p2_writer_writes_one_line_per_row(tmp_path):
+    blocked = np.random.default_rng(8).random((3, 4)) < 0.5
+    f = tmp_path / "g.pgm"
+    save_occupancy_grid(OccupancyGrid(4, 3, 1.0, (0.0, 0.0), blocked), f)
+    rows = [" ".join("0" if b else "255" for b in row) for row in blocked]
+    assert f.read_bytes() == ("P2\n4 3\n255\n" + "\n".join(rows) + "\n").encode("ascii")
 
 
 def test_pgm_bad_header(tmp_path):
