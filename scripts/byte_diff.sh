@@ -34,11 +34,17 @@ run() {
     run plan --scenario demo --planner bitstar --seed 3 --time-budget 0.5 \
         --out "$out/bitstar_s3_budget.csv"
 
-    scn="$(PYTHONPATH="$repo/src:$repo/perfbench" python -c \
-        'import sys; from pathlib import Path; from gridworld import GridWorld
-print(GridWorld(1).write(Path(sys.argv[1])))' "$out/grid")"
-    for planner in bitstar rrtstar; do
-        run plan --scenario "$scn" --planner "$planner" --seed 1 --max-batches 10 \
-            --out "$out/grid_$planner.csv"
+    # Two generated maps, so that grid edge checks run on more than one map;
+    # map 1 keeps the file names it had when it was the only one.
+    for map in 1 2; do
+        name=grid
+        [ "$map" = 1 ] || name="grid$map"
+        scn="$(PYTHONPATH="$repo/src:$repo/perfbench" python -c \
+            'import sys; from pathlib import Path; from gridworld import GridWorld
+print(GridWorld(int(sys.argv[1])).write(Path(sys.argv[2])))' "$map" "$out/$name")"
+        for planner in bitstar rrtstar; do
+            run plan --scenario "$scn" --planner "$planner" --seed 1 --max-batches 10 \
+                --out "$out/${name}_$planner.csv"
+        done
     done
 } | sed "s|$out|OUT_DIR|g" > "$out/stdout.txt"

@@ -78,7 +78,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             sample = rng.point(world.bounds)
 
         cols = tree.states_matrix()
-        run.world.tick(len(tree))
+        run.world.tick(len(states))  # len(tree): RRT* never removes a vertex
         d2 = sq_dists(cols, sample)
         nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
@@ -87,7 +87,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         # The near query is charged even when it reuses the nearest scan (an
         # unsteered sample is its own new state): the clock counts two scans.
-        run.world.tick(len(tree))
+        run.world.tick(len(states))
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
         nd2 = d2 if new_state == sample else sq_dists(cols, new_state)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from bitplan import (
     Box,
     Circle,
+    CountingWorld,
     GridLoadError,
     OccupancyGrid,
     Rect,
@@ -19,8 +22,17 @@ from bitplan import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from bitplan.world import _bisection_order, _p2_values, segment_points
+from bitplan.anytime import StopCondition
+from bitplan.bench import resolve_scenario, run_single
+from bitplan.space import GoalRegion, ProblemDef
+from bitplan.world import _bisection_order, _p2_values, _t_weights, segment_points
 from conftest import make_demo_world
+
+
+def _rows(points):
+    """The points of a `segment_points` in its order, as the kernel computes them."""
+    (x0, x1), (y0, y1) = points.x, points.y
+    return [(o * x0 + t * y0, o * x1 + t * y1) for o, t in points.weights]
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -341,6 +353,85 @@ def test_counting_world_tracks_work(demo_world):
     assert cw.units == 28
 
 
+
+def _walled_grid_world(seed):
+    """A 40 x 30 grid of 0.25 m cells with one-cell walls, each with a gap."""
+    rng = np.random.default_rng(seed)
+    blocked = np.zeros((30, 40), dtype=bool)
+    for col in rng.choice(np.arange(2, 38), 5, replace=False):
+        blocked[:, col] = True
+        blocked[rng.integers(0, 30), col] = False
+    for row in rng.choice(np.arange(2, 28), 3, replace=False):
+        blocked[row, :] = True
+        blocked[row, rng.integers(0, 40)] = False
+    return World(grid=OccupancyGrid(40, 30, 0.25, (-1.0, 2.0), blocked))
+
+
+def test_probe_order_never_changes_a_verdict():
+    world = _walled_grid_world(5)
+    (x0, y0), (x1, y1) = world.bounds.lo, world.bounds.hi
+    rng = random.Random(23)
+
+    def point():
+        return (rng.uniform(x0 - 0.5, x1 + 0.5), rng.uniform(y0 - 0.5, y1 + 0.5))
+
+    segments = [(point(), point(), None) for _ in range(600)]
+    segments += [(p, p, None) for p in (point() for _ in range(20))]  # zero-length
+    segments += [(point(), point(), n) for n in (1, 2) for _ in range(20)]
+    segments += [((x1, rng.uniform(y0, y1)), point(), None) for _ in range(10)]  # max edge
+    segments += [(point(), (rng.uniform(x0, x1), y1), None) for _ in range(10)]
+    bad = (math.nan, math.inf, -math.inf)
+    segments += [((v, rng.uniform(y0, y1)), point(), n) for v in bad for n in (1, 2, 9)]
+    segments += [(point(), (rng.uniform(x0, x1), v), n) for v in bad for n in (1, 2, 9)]
+    # Finite, but the projection's dot product is inf - inf = NaN.
+    far = ((1e169, -1e169), (1e169 + 7e153, -1e169 + 7e153))
+    segments += [(*far, n) for n in (1, 2, 9)]
+    rng.shuffle(segments)
+    nan_segment = ((math.nan, 3.0), (2.0, 4.0), 9)
+    cw = CountingWorld(world)
+    verdicts = set()
+    for a, b, n in segments + [nan_segment, segments[0]]:
+        if n is None:
+            n = math.ceil(math.dist(a, b) * world.checks_per_meter) + 1
+        points = segment_points(a, b, n)
+        units = cw.units
+        verdict = cw.all_free(points)
+        assert cw.units == units + len(points) == units + n
+        assert verdict == world.all_free(points) == _reference_all_free(world, a, b, n), (a, b, n)
+        verdicts.add(verdict)
+        # The probe is the last blocked point found inside the bounds.
+        probe = cw._probe
+        assert probe == [] or (x0 <= probe[0] <= x1 and y0 <= probe[1] <= y1
+                                and not world.is_free(tuple(probe))), probe
+    assert verdicts == {True, False} and cw._probe
+
+
+def _fields(world):
+    """Each field of a World with its object id and its pickled value."""
+    return {k: (id(v), pickle.dumps(v)) for k, v in vars(world).items()}
+
+
+@pytest.mark.parametrize("which", ["demo", "grid"])
+def test_planning_never_writes_the_scenario_world(which):
+    scenario = resolve_scenario("demo")
+    if which == "grid":
+        world = _walled_grid_world(7)
+        problem = ProblemDef((-0.875, 2.125), ((8.875, 9.375),), GoalRegion((8.875, 9.375), 0.3))
+        problem.validate(world)
+        scenario = replace(scenario, world=world, problem=problem)
+    before = _fields(scenario.world)
+    for planner, batches in (("bitstar", 3), ("rrtstar", 400)):
+        run_single(replace(scenario, stop=StopCondition(max_batches=batches)), planner, 1)
+        assert _fields(scenario.world) == before, planner
+    a, b = CountingWorld(scenario.world), CountingWorld(scenario.world)
+    if which == "grid":
+        assert a._probe == b._probe == [] and a._probe is not b._probe
+        a.all_free(segment_points(problem.root, problem.goal_samples[0], 50))
+        assert a._probe and b._probe == []
+    else:
+        assert a._probe is b._probe is None  # a geometric world keeps no probe
+    assert "_probe" not in vars(scenario.world)
+
 def _agreement_worlds():
     circles = make_demo_world()
     rects = World(Box((0.0, 0.0), (10.0, 10.0)), [Rect((2.0, 2.0), (4.0, 5.0)),
@@ -368,12 +459,14 @@ def test_is_free_agrees_with_all_free(which):
     randoms = [(rng.uniform(lo[0] - 1, hi[0] + 1), rng.uniform(lo[1] - 1, hi[1] + 1))
                for _ in range(1000)]
     nans = [(math.nan, ys[2]), (xs[2], math.nan), (math.nan, math.nan)]
-    points = boundary + [(x, y) for x in xs for y in ys] + randoms + nans
+    infs = [(v, ys[2]) for v in (math.inf, -math.inf)] + [(xs[2], v) for v in (math.inf, -math.inf)]
+    zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    points = boundary + [(x, y) for x in xs for y in ys] + randoms + nans + infs + zeros
     verdicts = {world.is_free(p) for p in boundary}
     assert verdicts == {True, False}  # the boundary set straddles free and blocked
-    assert not any(world.is_free(p) for p in nans)
+    assert not any(world.is_free(p) for p in nans + infs)
     for p in points:
-        assert world.is_free(p) == world.all_free(np.asarray([p])), p
+        assert world.is_free(p) == world.all_free(segment_points(p, p, 1)), p
 
 
 def _cells_as(layout, cells):
@@ -407,7 +500,8 @@ def test_grid_cells_read_the_same_from_any_blocked_dtype_or_layout(layout):
     for a, b in points:
         col, row = math.floor((a - ox) / mpc), math.floor((b - oy) / mpc)
         want = 0 <= col < width and 0 <= row < height and not cells[row, col]
-        assert world.is_free((a, b)) == world.all_free([(a, b)]) == want, (a, b)
+        p = (a, b)
+        assert world.is_free(p) == world.all_free(segment_points(p, p, 1)) == want, p
 
 
 def _reference_points(a, b, n):
@@ -418,8 +512,12 @@ def _reference_points(a, b, n):
 
 def _reference_all_free(world, a, b, n):
     """The numpy edge test `World.all_free` ran before the per-point kernel,
-    on the reference array of the segment a..b at n points."""
-    points = _reference_points(a, b, n)
+    on the reference array of the segment a..b at n points. A NaN or
+    infinite point is blocked (NaN passes the bounds comparisons below)."""
+    with np.errstate(invalid="ignore"):  # 0 * inf at an infinite endpoint
+        points = _reference_points(a, b, n)
+    if not np.isfinite(points).all():
+        return False
     lo, hi = np.asarray(world.bounds.lo, dtype=float), np.asarray(world.bounds.hi, dtype=float)
     if ((points < lo) | (points > hi)).any():
         return False
@@ -483,34 +581,28 @@ def test_all_free_matches_the_numpy_reference_on_segments(which):
     for n in (1, 2, 3, 26, 200):
         for a, b in segments:
             points = segment_points(a, b, n)
-            rows = np.array(list(points), dtype=float)
-            assert [points[i] for i in range(n)] == list(points)
+            rows = _rows(points)
             want = _reference_points(a, b, n)[list(_bisection_order(n))]
-            assert rows.tobytes() == want.tobytes(), (a, b, n)  # bitwise, in bisection order
+            assert np.array(rows).tobytes() == want.tobytes(), (a, b, n)  # bitwise, in bisection order
             verdict = world.all_free(points)
             assert verdict == _reference_all_free(world, a, b, n), (a, b, n)
-            assert verdict == world.all_free(rows), (a, b, n)
+            assert verdict == all(map(world.is_free, rows)), (a, b, n)
             verdicts.add(verdict)
     assert verdicts == {True, False}
     grazing = {_reference_all_free(world, a, b, 3) for a, b in _boundary_segments(world)}
     assert False in grazing  # midpoints on a tangent, face or cell edge are blocked
 
 
-def test_segment_points_is_a_read_only_sequence():
+def test_segment_points_holds_its_endpoints_and_bisection_weights():
     a, b = (1.0, -2.0), (-3.5, 4.25)
     points = segment_points(a, b, 5)
-    assert len(points) == 5
+    assert len(points) == 5 and (points.x, points.y) == (a, b)
+    assert points.weights is _t_weights(5)
+    rows = _rows(points)
     # Bisection order (2, 1, 3, 0, 4): the midpoint first, the endpoints last.
-    assert points[0] == (-1.25, 1.125) and points[3] == a and points[-1] == b
-    assert [points[i] for i in range(-5, 0)] == [points[i] for i in range(5)] == list(points)
-    assert set(points) == set(map(tuple, _reference_points(a, b, 5).tolist()))
-    assert list(reversed(points)) == list(points)[::-1]
-    for i in (5, -6):
-        with pytest.raises(IndexError):
-            points[i]
-    with pytest.raises(TypeError):
-        points[0] = a
-    assert len(segment_points(a, b, 1)) == 1 and segment_points(a, b, 1)[0] == a
+    assert rows[0] == (-1.25, 1.125) and rows[3] == a and rows[-1] == b
+    assert set(rows) == set(map(tuple, _reference_points(a, b, 5).tolist()))
+    assert _rows(segment_points(a, b, 1)) == [a]
 
 
 def test_bisection_order_is_a_permutation():
