@@ -47,4 +47,43 @@ print(GridWorld(int(sys.argv[1])).write(Path(sys.argv[2])))' "$map" "$out/$name"
                 --out "$out/${name}_$planner.csv"
         done
     done
+
+    # Rectangles beside a circle, and two goal samples: the obstacle kinds
+    # and the multi-goal heuristics that the scenarios above never reach.
+    mkdir -p "$out/rects"
+    cat > "$out/rects/rects.scn" <<'SCN'
+name = rects
+
+[world]
+bounds = -10 -10 10 10
+checks_per_meter = 4
+
+[obstacles]
+rect -6 -2 -0.5 0
+rect 0.5 1 6 3
+circle 0 4.5 1
+
+[problem]
+root = 0 -8
+goal_center = 0 8
+goal_radius = 1
+goal_sample = -0.5 8
+goal_sample = 0.5 8.5
+
+[bitstar]
+batch_size = 50
+rho = 6
+
+[rrtstar]
+eta = 2
+alpha = 10
+goal_period = 25
+
+[stop]
+max_batches = 5
+SCN
+    run plan --scenario "$out/rects/rects.scn" --planner bitstar --seed 1 \
+        --svg-dir "$out/rects/bitstar_svg" --out "$out/rects/bitstar.csv"
+    run plan --scenario "$out/rects/rects.scn" --planner rrtstar --seed 1 --max-batches 3000 \
+        --out "$out/rects/rrtstar.csv"
 } | sed "s|$out|OUT_DIR|g" > "$out/stdout.txt"

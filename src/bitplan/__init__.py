@@ -22,7 +22,6 @@ from .world import (
     CountingWorld,
     GridLoadError,
     OccupancyGrid,
-    Rect,
     World,
     load_occupancy_grid,
     save_occupancy_grid,
@@ -41,7 +40,6 @@ __all__ = [
     "PlannerContext",
     "PlannerParams",
     "ProblemDef",
-    "Rect",
     "RngStream",
     "RrtParams",
     "SamplerStarvedError",

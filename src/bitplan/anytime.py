@@ -76,12 +76,14 @@ class AnytimeRun:
     """One planner run: the tree, the goal vertices, the incumbent and the clock.
 
     `world` is the metered world the planner must check edges against.
-    `v_sol` holds the tree's vertices in the goal region; a pruned id stays
-    in it and reads cost inf, so it never becomes the incumbent. `c_sol` is
-    the incumbent cost and `path` its path, copied out of the tree when it
+    `is_solution` is the one rule that makes a state a solution (it lies in
+    the goal region), and only `add_vertex` and the root check apply it.
+    `v_sol` holds the tree's solution vertices; a pruned id stays in it and
+    reads cost inf, so it never becomes the incumbent. `c_sol` is the
+    incumbent cost and `path` its path, copied out of the tree when it
     improves, so a later prune of its endpoint cannot lose it. `batch` counts
     batches (RRT*: iterations) and `samples_drawn` the samples they drew.
-    A root inside the goal region is the incumbent from the start.
+    A root that is a solution is the incumbent from the start.
     """
 
     def __init__(self, problem: ProblemDef, world: World, stop: StopCondition):
@@ -94,9 +96,17 @@ class AnytimeRun:
         self.records: list[ConvergencePoint] = []
         self.batch = 0
         self.samples_drawn = 0
-        if problem.goal_region.contains(problem.root):
+        self.is_solution = problem.goal_region.contains
+        if self.is_solution(problem.root):
             self.v_sol.add(self.tree.root_id)
             self.improve()
+
+    def add_vertex(self, parent: int, state: State, edge_cost: float) -> int:
+        """Add state to the tree under parent; a solution joins v_sol. Returns its id."""
+        vid = self.tree.add_child(parent, state, edge_cost)
+        if self.is_solution(state):
+            self.v_sol.add(vid)
+        return vid
 
     def should_stop(self) -> bool:
         """True once the time budget is spent or the target cost is reached."""

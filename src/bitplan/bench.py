@@ -53,7 +53,7 @@ from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
 from .space import Box, GoalRegion, ProblemDef, RngStream
-from .world import Circle, GridLoadError, Rect, World, load_occupancy_grid
+from .world import Circle, GridLoadError, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
 MAX_GRID_STEPS = 1_000_000  # an aggregate grid holds one entry per step
@@ -216,7 +216,7 @@ def load_scenario(path) -> Scenario:
                 err(line_no, f"expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got {line!r}")
             v = numbers(line_no, kind, parts, len(parts))
             try:
-                obstacles.append(Circle(v[:2], v[2]) if kind == "circle" else Rect(v[:2], v[2:]))
+                obstacles.append(Circle(v[:2], v[2]) if kind == "circle" else Box(v[:2], v[2:]))
             except ValueError as e:
                 err(line_no, f"bad obstacle: {e}")
         world = World(bounds, obstacles, checks_per_meter=cpm)

@@ -12,7 +12,9 @@ uniform samples is drawn from the informed set.
 The run state is `PlannerContext`, an `anytime.AnytimeRun` (the tree, the goal
 vertices, the incumbent, the stop bounds, the work clock and the convergence
 records, shared with RRT*) with the two queues and the sample sets added.
-`expand_edge` hands every possible improvement to `AnytimeRun.improve`.
+`expand_edge` adds vertices through `AnytimeRun.add_vertex`, which decides
+which are solutions, and hands every possible improvement to
+`AnytimeRun.improve`.
 """
 
 from __future__ import annotations
@@ -233,13 +235,13 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     return scanned
 
 
-def expand_edge(ctx: PlannerContext, problem: ProblemDef) -> None:
+def expand_edge(ctx: PlannerContext) -> None:
     """Pop the best edge and evaluate it against the tree with true costs.
 
     All admission conditions are re-checked with fresh cost-to-come values,
     which is what makes lazily keyed (possibly stale) queue entries safe. If
     even the best edge cannot beat the incumbent, nothing in either queue
-    can, and both are cleared to end the batch. A new goal vertex or a
+    can, and both are cleared to end the batch. A new solution vertex or a
     rewire may improve the incumbent, so both end with `ctx.improve()`.
     """
     _, _, (vid, x, edge, h_x) = ctx.qe.pop_best()
@@ -257,11 +259,10 @@ def expand_edge(ctx: PlannerContext, problem: ProblemDef) -> None:
         cost = ctx.world.true_cost(vstate, x)
         if gt_v + cost + h_x < ctx.c_sol:
             ctx.x_ncon.discard(x)
-            new_id = tree.add_child(vid, x, cost)
+            new_id = ctx.add_vertex(vid, x, cost)
             g_new = costs[new_id]
             ctx.qv.insert(g_new + h_x, g_new, new_id)
-            if problem.goal_region.contains(x):
-                ctx.v_sol.add(new_id)
+            if new_id in ctx.v_sol:
                 ctx.improve()
     else:
         xid = tree.id_of(x)
@@ -308,5 +309,5 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
         elif kv <= ke:
             ctx.world.tick(expand_vertex(ctx, problem, params))
         else:
-            expand_edge(ctx, problem)
+            expand_edge(ctx)
     return ctx.result()

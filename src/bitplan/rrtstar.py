@@ -112,9 +112,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         if parent is None:
             continue
 
-        new_id = tree.add_child(parent, new_state, edge_cost)
-        if problem.goal_region.contains(new_state):
-            run.v_sol.add(new_id)
+        new_id = run.add_vertex(parent, new_state, edge_cost)
 
         # Costs are re-read: a rewire can lower other neighbors' costs.
         # math.dist takes fabs(p - q) per coordinate, so d is bitwise the

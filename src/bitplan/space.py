@@ -100,7 +100,6 @@ class RngStream:
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self.seed = seed
         self._rng = random.Random(seed)
         self._random = self._rng.random
 

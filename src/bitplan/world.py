@@ -41,16 +41,6 @@ class Circle:
             raise ValueError("circle needs a finite 2-D center and a positive finite radius")
 
 
-@dataclass(frozen=True)
-class Rect:
-    lo: State
-    hi: State
-
-    def __post_init__(self):
-        if not (len(self.lo) == len(self.hi) == 2 and all(l < h for l, h in zip(self.lo, self.hi))):
-            raise ValueError("rectangle needs 2-D corners with lo < hi componentwise")
-
-
 @dataclass(eq=False)
 class OccupancyGrid:
     """Row-major boolean grid; cell (row 0, col 0) has its corner at `origin`."""
@@ -79,8 +69,8 @@ class OccupancyGrid:
 class World:
     """Immutable planar obstacle model over a 2-D axis-aligned bounding box.
 
-    Exactly one obstacle representation is active: a list of 2-D circles and
-    rectangles (possibly empty) or one occupancy grid. `is_free` and
+    Exactly one obstacle representation is active: a list of 2-D Circles and
+    Boxes (possibly empty) or one occupancy grid. `is_free` and
     `all_free` share one kernel, `_free_run`, which computes and tests the
     points of a segment in one loop, so a point costs no Python call or
     object of its own. Nothing writes a World after construction; per-run
@@ -111,16 +101,19 @@ class World:
         self.obstacles = obstacles
         self.grid = grid
         self.checks_per_meter = checks_per_meter
+        # No edge between two points of the bounds is longer than their
+        # diagonal, however math.dist rounds; segment_cost refuses longer ones.
+        self._max_edge = 2.0 * math.dist(bounds.lo, bounds.hi)
         # Plain floats, so that `_free_run` compares IEEE doubles as float64 arrays did.
         self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
         self._circles, self._rects = [], []
         for ob in obstacles or []:
             if isinstance(ob, Circle):
                 self._circles.append((float(ob.center[0]), float(ob.center[1]), float(ob.radius ** 2)))
-            elif isinstance(ob, Rect):
+            elif isinstance(ob, Box):
                 self._rects.append(tuple(float(v) for v in ob.lo + ob.hi))
             else:
-                raise ValueError(f"obstacles must be 2-D circles or rectangles, got {ob!r}")
+                raise ValueError(f"obstacles must be Circles or Boxes, got {ob!r}")
         # The grid as plain numbers and one flat C-order byte per cell (1 =
         # blocked), read once, whatever dtype and memory order grid.blocked
         # has: indexing bytes is cheaper than indexing a numpy array, and a
@@ -254,8 +247,12 @@ def segment_cost(world, x: State, y: State) -> float:
 
     The edge is sampled at ceil(length * checks_per_meter) + 1 points so both
     endpoints are always checked and the point set is symmetric under swap.
+    A length that is NaN, infinite or over twice the bounds' diagonal is
+    +inf at once: no points are built and no work is charged.
     """
     d = math.dist(x, y)  # c_hat, without the call
+    if not d <= world._max_edge:  # NaN fails too
+        return math.inf
     n = math.ceil(d * world.checks_per_meter) + 1
     return d if world.all_free(segment_points(x, y, n)) else math.inf
 
@@ -344,21 +341,17 @@ def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: 
     return World(grid=grid)
 
 
-def save_occupancy_grid(grid: OccupancyGrid, path, binary: bool = False) -> None:
-    """Write the grid as a PGM image (0 = blocked, 255 = free).
+def save_occupancy_grid(grid: OccupancyGrid, path) -> None:
+    """Write the grid as a P2 (ASCII) PGM image (0 = blocked, 255 = free).
 
-    A P2 raster has one text line per grid row, its values separated by
+    The raster has one text line per grid row, its values separated by
     single spaces. Loading the file back with threshold 127 reproduces the
     blocked array.
     """
     values = np.where(grid.blocked, np.uint8(0), np.uint8(255))
-    header = f"{'P5' if binary else 'P2'}\n{grid.width} {grid.height}\n255\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(values.tobytes())
-        else:
-            np.savetxt(fh, values, fmt="%d")
+        fh.write(f"P2\n{grid.width} {grid.height}\n255\n".encode("ascii"))
+        np.savetxt(fh, values, fmt="%d")
 
 
 # A P2 raster byte's class: whitespace as bytes.split() sees it, digit,

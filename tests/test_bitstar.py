@@ -14,7 +14,6 @@ from bitplan import (
     Circle,
     GoalRegion,
     ProblemDef,
-    Rect,
     RngStream,
     SamplerStarvedError,
     World,
@@ -23,7 +22,7 @@ from bitplan import (
     h_hat,
     informed_test,
 )
-from bitplan.anytime import StopCondition
+from bitplan.anytime import AnytimeRun, StopCondition
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.bitstar import (
     PlannerContext,
@@ -36,6 +35,7 @@ from bitplan.bitstar import (
     start_new_batch,
 )
 from bitplan.queues import CostQueue
+from bitplan.rrtstar import RrtParams, rrt_plan
 from bitplan.space import h_hat_rows
 from bitplan.tree import Tree
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, tree_audit
@@ -207,7 +207,7 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
     assert last.cost == result.cost
     assert last.batch < 20
     # With no solution to return, starvation is still an error.
-    walled = World(bounds, [Rect((-29.99, -31.0), (29.99, 31.0))])
+    walled = World(bounds, [Box((-29.99, -31.0), (29.99, 31.0))])
     problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), GoalRegion((29.995, 0.0), 0.1))
     with pytest.raises(SamplerStarvedError):
         plan(problem, walled, params, stop, RngStream(1))
@@ -253,23 +253,33 @@ def test_plan_with_multiple_goal_samples(demo_world):
     assert again.convergence == result.convergence
 
 
-def test_v_sol_matches_goal_region_membership(demo_world):
+def test_v_sol_matches_goal_region_membership(demo_world, monkeypatch):
+    """The live ids in v_sol are exactly the live vertices in the goal
+    region: for BIT* at every batch boundary, and for RRT*, whose goal
+    check is in rrt_plan, once its run ends."""
     problem = make_demo_problem()
     checked = []
 
-    def hook(batch, ctx):
-        states = ctx.tree.states
+    def hook(batch, run):
+        states = run.tree.states
         in_region = {
             vid for vid, state in enumerate(states)
             if state is not None and problem.goal_region.contains(state)
         }
         # A pruned id stays in v_sol; compare the live members.
-        checked.append({v for v in ctx.v_sol if states[v] is not None} == in_region)
+        checked.append(({v for v in run.v_sol if states[v] is not None}, in_region))
 
     params = PlannerParams(batch_size=50, radius=8.0)
     stop = StopCondition(max_batches=4)
     plan(problem, demo_world, params, stop, RngStream(13), batch_hook=hook)
-    assert checked and all(checked)
+    bitstar_checks = len(checked)
+    finish = AnytimeRun.result
+    monkeypatch.setattr(AnytimeRun, "result", lambda run: hook(None, run) or finish(run))
+    rrt_plan(problem, demo_world, RrtParams(eta=2.0, alpha=20, goal_period=50),
+             StopCondition(max_batches=2000), RngStream(13))
+    assert bitstar_checks and len(checked) == bitstar_checks + 1
+    assert checked[bitstar_checks - 1][1] and checked[-1][1]  # both reached the region
+    assert all(live == in_region for live, in_region in checked)
 
 
 def test_plan_through_occupancy_grid_gap():
@@ -587,7 +597,7 @@ def test_expand_edge_blocked_by_obstacle(demo_world):
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem)
+    expand_edge(ctx)
     assert len(ctx.tree) == 1
     assert (0.0, 8.0) in ctx.x_ncon
     assert ctx.c_sol == math.inf
@@ -599,7 +609,7 @@ def test_expand_edge_connects_goal():
     ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem)
+    expand_edge(ctx)
     assert ctx.c_sol == 16.0
     assert len(ctx.v_sol) == 1
     # The new goal vertex is the incumbent: its path and one record.
@@ -616,7 +626,7 @@ def test_expand_edge_clears_queues_when_best_cannot_help(demo_world):
     ctx.c_sol = 10.0
     ctx.qv.insert(0.0, 0.0, root)
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
-    expand_edge(ctx, problem)
+    expand_edge(ctx)
     assert len(ctx.qe) == 0
     assert len(ctx.qv) == 0
 
@@ -631,7 +641,7 @@ def test_expand_edge_rewires_connected_vertex():
     edge = c_hat((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
     ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
-    expand_edge(ctx, problem)
+    expand_edge(ctx)
     assert ctx.tree.parents[far] == mid
     assert ctx.tree.costs[far] == 11.0
     tree_audit(ctx.tree)

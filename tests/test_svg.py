@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 
-from bitplan import Box, OccupancyGrid, Rect, World
+from bitplan import Box, OccupancyGrid, World
 from bitplan.svg import render_svg
 from conftest import make_demo_world
 
@@ -62,7 +62,7 @@ def test_one_path_element_per_tree_edge(tmp_path):
 
 
 def test_rect_obstacles_and_grid_rendering(tmp_path):
-    w = World(Box((0.0, 0.0), (4.0, 4.0)), [Rect((1.0, 1.0), (2.0, 3.0))])
+    w = World(Box((0.0, 0.0), (4.0, 4.0)), [Box((1.0, 1.0), (2.0, 3.0))])
     out = tmp_path / "r.svg"
     render_svg(w, [], None, [], [], out)
     _, tags = _tags(out)

@@ -16,7 +16,6 @@ from bitplan import (
     CountingWorld,
     GridLoadError,
     OccupancyGrid,
-    Rect,
     World,
     c_hat,
     load_occupancy_grid,
@@ -54,7 +53,7 @@ def test_is_free_examples(demo_world):
 def test_obstacle_boundaries_are_blocked(demo_world):
     assert not demo_world.is_free((1.5, 0.0))  # exactly on the circle
     assert demo_world.is_free((1.5000001, 0.0))
-    w = World(Box((-10.0, -10.0), (10.0, 10.0)), [Rect((0.0, 0.0), (1.0, 1.0))])
+    w = World(Box((-10.0, -10.0), (10.0, 10.0)), [Box((0.0, 0.0), (1.0, 1.0))])
     assert not w.is_free((1.0, 1.0))
     assert w.is_free((1.0001, 1.0))
 
@@ -90,6 +89,20 @@ def test_true_cost_is_length_or_inf(demo_world):
         b = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         cost = demo_world.true_cost(a, b)
         assert cost == c_hat(a, b) or cost == math.inf
+
+
+def test_true_cost_refuses_an_edge_longer_than_any_in_bounds(demo_world):
+    """A NaN, infinite, or longer than twice the bounds' diagonal edge costs
+    inf at once: no exception, no point charged, no weights cached for it."""
+    cw = CountingWorld(demo_world)
+    cached = _t_weights.cache_info().currsize
+    # Non-finite endpoints first: before the check they raised at once.
+    for a, b in [((math.inf, 0.0), (0.0, -8.0)), ((math.nan, 0.0), (0.0, -8.0)),
+                 ((0.0, -8.0), (-math.inf, math.inf)), ((0.0, -8.0), (1e5, -8.0))]:
+        assert demo_world.true_cost(a, b) == math.inf
+        assert cw.true_cost(b, a) == math.inf
+    assert cw.units == 0
+    assert _t_weights.cache_info().currsize == cached
 
 
 def test_nested_refinement(demo_world):
@@ -318,11 +331,14 @@ def test_pgm_p5_binary(tmp_path):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_grid_round_trip(tmp_path, binary):
+    """The writer's P2 file, or the same raster as P5 bytes, loads back."""
     rng = np.random.default_rng(21)
     blocked = rng.random((7, 5)) < 0.4
-    grid = OccupancyGrid(5, 7, 0.25, (1.0, -2.0), blocked)
     f = tmp_path / "g.pgm"
-    save_occupancy_grid(grid, f, binary=binary)
+    if binary:
+        f.write_bytes(b"P5\n5 7\n255\n" + np.where(blocked, 0, 255).astype(np.uint8).tobytes())
+    else:
+        save_occupancy_grid(OccupancyGrid(5, 7, 0.25, (1.0, -2.0), blocked), f)
     w = load_occupancy_grid(f, 0.25, (1.0, -2.0), 127)
     assert np.array_equal(w.grid.blocked, blocked)
 
@@ -434,8 +450,8 @@ def test_planning_never_writes_the_scenario_world(which):
 
 def _agreement_worlds():
     circles = make_demo_world()
-    rects = World(Box((0.0, 0.0), (10.0, 10.0)), [Rect((2.0, 2.0), (4.0, 5.0)),
-                                                  Rect((6.0, 1.0), (8.0, 3.0))])
+    rects = World(Box((0.0, 0.0), (10.0, 10.0)), [Box((2.0, 2.0), (4.0, 5.0)),
+                                                  Box((6.0, 1.0), (8.0, 3.0))])
     blocked = np.zeros((6, 8), dtype=bool)
     blocked[1, 2] = blocked[3, 3:6] = blocked[5, 7] = True
     grid = World(grid=OccupancyGrid(8, 6, 0.5, (1.0, -2.0), blocked))
@@ -537,7 +553,7 @@ def _reference_all_free(world, a, b, n):
         if (dx * dx + dy * dy <= r2).any():
             return False
     for ob in world.obstacles:
-        if isinstance(ob, Rect) and np.all((points >= np.asarray(ob.lo)) & (points <= np.asarray(ob.hi)),
+        if isinstance(ob, Box) and np.all((points >= np.asarray(ob.lo)) & (points <= np.asarray(ob.hi)),
                                            axis=1).any():
             return False
     return True
@@ -616,7 +632,7 @@ def test_bisection_order_is_a_permutation():
     lambda: World(Box((0.0, 0.0, 0.0), (10.0, 10.0, 10.0)), []),
     lambda: World(Box((0.0,), (10.0,)), []),
     lambda: World(Box((0.0, 0.0), (10.0, 10.0)), [Circle((5.0, 5.0, 5.0), 1.0)]),
-    lambda: World(Box((0.0, 0.0), (10.0, 10.0)), [Rect((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]),
+    lambda: World(Box((0.0, 0.0), (10.0, 10.0)), [Box((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]),
 ], ids=["3-D bounds", "1-D bounds", "3-D circle", "3-D rect"])
 def test_world_is_planar(make):
     with pytest.raises(ValueError, match="2-D"):
