@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Count the Python calls of one benchmark query per workload, under cProfile.
+
+For each workload in REPO_ROOT/perfbench/workloads.py, this prepares the
+inputs of workload seed 1 in a temporary directory, runs the workload's
+first query (planner seed 1000) once as a warm-up, then once more under
+cProfile through `bitplan.cli.cli_main`, and prints `workload total_calls`.
+The count is exact for one commit under a fixed PYTHONHASHSEED, so running
+this script on two trees shows the calls a change adds or removes per query,
+free of timing noise. It imports REPO_ROOT's `src/` and `perfbench/` and
+writes nothing into them.
+
+Usage: PYTHONHASHSEED=0 scripts/calls_per_query.py [REPO_ROOT]
+(default REPO_ROOT: the repository that holds this script)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import cProfile
+import io
+import pstats
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOAD_SEED = 1
+
+
+def main(argv: list[str]) -> int:
+    root = (Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent).resolve()
+    sys.dont_write_bytecode = True  # no __pycache__ inside the tree measured
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from bitplan.cli import cli_main
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            scenario, _ = workload.prepare(WORKLOAD_SEED, workdir)
+            query_seed = workload.query_seeds(WORKLOAD_SEED, 1.0)[0]
+            query = workload.argv(scenario, query_seed, workdir)
+            profile = cProfile.Profile()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = (cli_main(query), profile.runcall(cli_main, query))
+            if codes != (0, 0):
+                print(f"{name}: query {query} exited {codes}", file=sys.stderr)
+                return 1
+            print(name, pstats.Stats(profile).total_calls)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -53,7 +53,7 @@ from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
 from .space import Box, GoalRegion, ProblemDef, RngStream
-from .world import Circle, GridLoadError, World, load_occupancy_grid
+from .world import Circle, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
 MAX_GRID_STEPS = 1_000_000  # an aggregate grid holds one entry per step
@@ -202,14 +202,11 @@ def load_scenario(path) -> Scenario:
         threshold = read("grid", "threshold", conv=int, within=(0, 255))
         try:
             grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
-        except (GridLoadError, OSError) as e:
+        except (ValueError, OSError) as e:  # GridLoadError, or an extent World refuses
             raise ScenarioError(f"{path}:{line_no}: file: {grid_path}: {e}") from e
-        try:
-            world = World(bounds, grid=grid, checks_per_meter=cpm)
-        except ValueError as e:
-            raise ScenarioError(f"{path}: [world] {e}") from e
+        obstacles = None
     else:
-        obstacles = []
+        grid, obstacles = None, []
         for line_no, line in obstacle_lines:
             kind, *parts = line.split()
             if (kind, len(parts)) not in (("circle", 3), ("rect", 4)):
@@ -219,7 +216,10 @@ def load_scenario(path) -> Scenario:
                 obstacles.append(Circle(v[:2], v[2]) if kind == "circle" else Box(v[:2], v[2:]))
             except ValueError as e:
                 err(line_no, f"bad obstacle: {e}")
-        world = World(bounds, obstacles, checks_per_meter=cpm)
+    try:
+        world = World(bounds, obstacles, grid, checks_per_meter=cpm)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: [world] {e}") from e
 
     root = read("problem", "root", 2)
     goal_center = read("problem", "goal_center", 2)

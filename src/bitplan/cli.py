@@ -101,13 +101,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_stop_overrides(scenario, time_budget, max_batches):
-    """Replace the scenario's whole stop condition when either flag is given."""
-    if time_budget is None and max_batches is None:
-        return scenario
-    return replace(scenario, stop=StopCondition(time_budget, max_batches))
-
-
 def _snapshot_hook(svg_dir: Path, scenario):
     svg_dir.mkdir(parents=True, exist_ok=True)
     problem = scenario.problem
@@ -126,10 +119,7 @@ def _snapshot_hook(svg_dir: Path, scenario):
     return hook
 
 
-def _cmd_plan(args) -> int:
-    scenario = _apply_stop_overrides(
-        resolve_scenario(args.scenario), args.time_budget, args.max_batches
-    )
+def _cmd_plan(args, scenario) -> int:
     seed = args.seed if args.seed is not None else scenario.base_seed
     hooks = {}
     if args.svg_dir is not None:
@@ -149,10 +139,7 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    scenario = _apply_stop_overrides(
-        resolve_scenario(args.scenario), args.time_budget, args.max_batches
-    )
+def _cmd_bench(args, scenario) -> int:
     if args.seed is not None:
         scenario = replace(scenario, base_seed=args.seed)
     trials = args.trials if args.trials is not None else scenario.trials
@@ -182,9 +169,13 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
+        scenario = resolve_scenario(args.scenario)
+        if args.time_budget is not None or args.max_batches is not None:
+            # Either flag replaces the scenario's whole stop condition.
+            scenario = replace(scenario, stop=StopCondition(args.time_budget, args.max_batches))
         if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_plan(args)
+            return _cmd_bench(args, scenario)
+        return _cmd_plan(args, scenario)
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

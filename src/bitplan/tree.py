@@ -51,12 +51,18 @@ class Tree:
         return state in self._by_state
 
     def add_child(self, parent: int, state: State, edge_cost: float) -> int:
-        if not math.isfinite(edge_cost) or edge_cost < 0:
+        if not 0 <= edge_cost < math.inf:  # NaN fails too
             raise ValueError(f"edge cost must be finite and non-negative, got {edge_cost}")
         self._check(parent)
         if state in self._by_state:
             raise ValueError("state is already a tree vertex")
+        if len(state) != self._mat.shape[0]:
+            raise ValueError(f"state needs {self._mat.shape[0]} coordinates, got {len(state)}")
         vid = len(self.states)
+        if vid == self._mat.shape[1]:
+            self._mat = np.hstack((self._mat, np.empty_like(self._mat)))
+        # The column first: a state it cannot hold leaves the lists unchanged.
+        self._mat[:, vid] = state
         self.states.append(state)
         self.parents.append(parent)
         self.costs.append(self.costs[parent] + edge_cost)
@@ -64,16 +70,13 @@ class Tree:
         self._children.append({})
         self._children[parent][vid] = None
         self._by_state[state] = vid
-        if vid == self._mat.shape[1]:
-            self._mat = np.hstack((self._mat, np.empty_like(self._mat)))
-        self._mat[:, vid] = state
         return vid
 
     def rewire(self, child: int, new_parent: int, new_edge_cost: float) -> None:
         """Re-parent `child` and refresh cost-to-come across its subtree."""
         if child == self.root_id:
             raise ValueError("cannot rewire the root")
-        if not math.isfinite(new_edge_cost) or new_edge_cost < 0:
+        if not 0 <= new_edge_cost < math.inf:
             raise ValueError(f"edge cost must be finite and non-negative, got {new_edge_cost}")
         self._check(child)
         self._check(new_parent)

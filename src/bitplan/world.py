@@ -102,8 +102,11 @@ class World:
         self.grid = grid
         self.checks_per_meter = checks_per_meter
         # No edge between two points of the bounds is longer than their
-        # diagonal, however math.dist rounds; segment_cost refuses longer ones.
+        # diagonal, however math.dist rounds; segment_cost refuses longer ones
+        # and counts the points of the rest, so that count must be finite.
         self._max_edge = 2.0 * math.dist(bounds.lo, bounds.hi)
+        if not math.isfinite(self._max_edge * checks_per_meter):
+            raise ValueError("the bounds' diagonal times checks_per_meter must be finite")
         # Plain floats, so that `_free_run` compares IEEE doubles as float64 arrays did.
         self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
         self._circles, self._rects = [], []
@@ -186,20 +189,20 @@ class World:
         # 1.0 * a + 0.0 * a is a itself when finite, and NaN (blocked) when not.
         return len(x) == 2 and self._free_run(x, x, ((1.0, 0.0),))
 
-    def all_free(self, points: segment_points) -> bool:
-        """True iff every point of an edge's `segment_points` is free.
+    def all_free(self, weights, x: State, y: State) -> bool:
+        """True iff every point o * x + t * y of the edge x..y is free, for
+        the weight pairs (o, t) of `_t_weights(n)`.
 
         The points are tested in bisection order up to the first blocked
         one (on a CountingWorld's grid, the one nearest its last blocked
         point first); any order gives the same verdict.
         """
-        return self._free_run(points.x, points.y, points.weights, self._probe)
+        return self._free_run(x, y, weights, self._probe)
 
     def true_cost(self, x: State, y: State) -> float:
         return segment_cost(self, x, y)
 
 
-@cache
 def _bisection_order(n: int) -> tuple[int, ...]:
     """range(n) as bisection visits it: the midpoint, then the quarter points,
     and so on, level by level; the two endpoints, usually a tree vertex and a
@@ -222,24 +225,11 @@ def _plain_weights(n: int) -> tuple[tuple[float, float], ...]:
 
 @cache
 def _t_weights(n: int) -> tuple[tuple[float, float], ...]:
-    """`_plain_weights(n)` in `_bisection_order`."""
+    """The n points spaced evenly along a segment x..y, endpoints included,
+    as weight pairs: point (o, t) is o * x + t * y, the IEEE operations of
+    numpy's (1 - ts) * x + ts * y. `_plain_weights(n)` in `_bisection_order`."""
     plain = _plain_weights(n)
     return tuple(plain[i] for i in _bisection_order(n))
-
-
-class segment_points:
-    """The n points spaced evenly along the segment x..y, endpoints included,
-    as its endpoints and `_t_weights(n)`: point (o, t) is o * x + t * y, the
-    IEEE operations of numpy's (1 - ts) * x + ts * y. Only its length is
-    read outside the kernel, which computes each point it tests."""
-
-    __slots__ = ("x", "y", "weights")
-
-    def __init__(self, x: State, y: State, n: int):
-        self.x, self.y, self.weights = x, y, _t_weights(n)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 def segment_cost(world, x: State, y: State) -> float:
@@ -254,7 +244,7 @@ def segment_cost(world, x: State, y: State) -> float:
     if not d <= world._max_edge:  # NaN fails too
         return math.inf
     n = math.ceil(d * world.checks_per_meter) + 1
-    return d if world.all_free(segment_points(x, y, n)) else math.inf
+    return d if world.all_free(_t_weights(n), x, y) else math.inf
 
 
 class CountingWorld(World):
@@ -289,11 +279,11 @@ class CountingWorld(World):
     def elapsed_s(self) -> float:
         return self.units / WORK_UNITS_PER_SECOND
 
-    def all_free(self, points: segment_points) -> bool:
-        self.units += len(points)
+    def all_free(self, weights, x: State, y: State) -> bool:
+        self.units += len(weights)
         # Looked up at call time, without a super() object: a patch of
         # World.all_free on the class sees every edge check.
-        return World.all_free(self, points)
+        return World.all_free(self, weights, x, y)
 
 
 def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: int) -> World:

@@ -110,6 +110,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("bounds = -10 -10 10 10", "bounds = -10 -10 10", ":6: bounds: expected 4 numbers, got 3"),
     ("bounds = -10 -10 10 10", "bounds = 10 -10 -10 10",
      ": bounds: box needs 2-D corners with lo < hi componentwise"),
+    ("bounds = -10 -10 10 10", "bounds = -1e308 -1e308 1e308 1e308",
+     ": [world] the bounds' diagonal times checks_per_meter must be finite"),
     ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive"),
     ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative"),
     ("base_seed = 1", "base_seed = -1", ":33: base_seed: must be non-negative"),
@@ -125,7 +127,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("eta = 2", "eta = -2", ":24: eta: must be positive"),
     ("alpha = 20", "alpha = 2.5", ":25: alpha: invalid value '2.5'"),
     ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive"),
-], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box",
+], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box", "bounds-overflow",
         "time-budget", "max-batches", "base-seed", "obstacle-shape", "bad-obstacle",
         "blocked-root", "no-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
@@ -270,6 +272,16 @@ def test_grid_scenario_bounds_must_match_map_extent(tmp_path):
     with pytest.raises(ScenarioError, match="bounds") as excinfo:
         load_scenario(path)
     assert str(path) in str(excinfo.value)
+
+
+def test_a_grid_map_whose_extent_overflows_names_the_scenario_line_and_the_map(tmp_path):
+    # 400 cells of 1e306 m span 4e308 m, past the largest float.
+    (tmp_path / "map.pgm").write_text("P2\n400 1\n255\n" + " ".join(["255"] * 400) + "\n")
+    path = _write(tmp_path, GRID_SCN.replace("meters_per_cell = 1", "meters_per_cell = 1e306"))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    msg = str(excinfo.value)
+    assert msg.startswith(f"{path}:5: file: {tmp_path / 'map.pgm'}: ") and "diagonal" in msg, msg
 
 
 def test_scenario_missing_grid_file(tmp_path):

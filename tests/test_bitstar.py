@@ -659,9 +659,9 @@ def test_the_clock_is_draws_plus_edge_points_plus_scanned_candidates(monkeypatch
         work["draws"] += 1
         return point(self, bounds)
 
-    def counted_all_free(self, points):
-        work["points"] += len(points)
-        return all_free(self, points)
+    def counted_all_free(self, weights, x, y):
+        work["points"] += len(weights)
+        return all_free(self, weights, x, y)
 
     def counted_expand(*args):
         scanned = expand(*args)

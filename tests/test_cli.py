@@ -110,6 +110,45 @@ def test_bench_reproducible_bytes(tmp_path):
     assert outs[0].decode().splitlines()[-1].split(",")[1] == "2"
 
 
+def test_a_stop_flag_replaces_the_scenario_files_whole_stop(tmp_path):
+    # Every bound of this [stop] ends a run at once: at batch 1, at 0.001
+    # planner-seconds, or at the first solution.
+    scn = tmp_path / "s.scn"
+    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+        "[stop]\nmax_batches = 10",
+        "[stop]\ntime_budget_s = 0.001\nmax_batches = 1\ntarget_cost = 1000"))
+    out = tmp_path / "run.csv"
+
+    def run(*argv):
+        assert cli_main([*argv, "--scenario", str(scn), "--planner", "bitstar",
+                         "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1:]
+
+    assert [r.split(",")[1:3] for r in run("plan")] == [["inf", "1"]]
+    # Batch 3 is reached past the budget, and after a solution under the target.
+    rows = [r.split(",") for r in run("plan", "--max-batches", "3")]
+    assert [r[2] for r in rows] == ["1", "2", "3"] and float(rows[0][1]) < 1000
+    assert float(rows[-1][0]) > 0.001
+    # A budget alone lifts the batch cap.
+    rows = [r.split(",") for r in run("plan", "--time-budget", "0.3")]
+    assert rows[-1][2] == "3" and float(rows[-1][0]) >= 0.3
+    # bench: with no budget left, the aggregate's horizon covers the slowest
+    # trial, whose last batch ends past 0.3 s, and both trials solve.
+    rows = [r.split(",") for r in run("bench", "--trials", "2", "--max-batches", "3")]
+    assert float(rows[-1][0]) > 0.3 and rows[-1][1] == "2"
+    rows = [r.split(",") for r in run("bench", "--trials", "2", "--time-budget", "0.3")]
+    assert rows[-1][:2] == ["0.300000", "2"]
+
+
+def test_demo_max_batches_stops_at_that_batch(tmp_path):
+    svg_dir, out = tmp_path / "snaps", tmp_path / "run.csv"
+    assert cli_main(["demo", "--max-batches", "2", "--svg-dir", str(svg_dir),
+                     "--out", str(out)]) == 0
+    # The built-in demo's [stop] caps it at 10 batches.
+    assert out.read_text().splitlines()[-1].split(",")[2] == "2"
+    assert sorted(p.name for p in svg_dir.iterdir()) == [f"batch_00{b}.svg" for b in range(3)]
+
+
 def test_bench_seed_override_changes_results(tmp_path):
     texts = []
     for seed in ("1", "2"):

@@ -35,6 +35,21 @@ def test_add_child_rejects_bad_edges():
         t.add_child(t.root_id, (1.0, 1.0), 2.0)  # duplicate state
 
 
+@pytest.mark.parametrize("state", [(1.0, 2.0, 3.0), (1.0,), ("a", "b")],
+                         ids=["3-D", "1-D", "not numbers"])
+def test_a_refused_add_child_changes_nothing(state):
+    # A wrong-length state used to be appended to every list before the
+    # matrix write raised (or, at length 1, was broadcast into both rows).
+    t = Tree((0.0, 0.0))
+    t.add_child(t.root_id, (1.0, 1.0), 1.0)
+    lists = (t.states, t.parents, t.costs, t._edge_costs, t._children, t._by_state)
+    before = [list(x) for x in lists], len(t), t.children(0), t.states_matrix().tobytes()
+    with pytest.raises(ValueError):
+        t.add_child(t.root_id, state, 1.0)
+    tree_audit(t)
+    assert ([list(x) for x in lists], len(t), t.children(0), t.states_matrix().tobytes()) == before
+
+
 def test_rewire_updates_costs():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 10.0)

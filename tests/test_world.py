@@ -24,14 +24,14 @@ from bitplan import (
 from bitplan.anytime import StopCondition
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.space import GoalRegion, ProblemDef
-from bitplan.world import _bisection_order, _p2_values, _t_weights, segment_points
+from bitplan.world import _bisection_order, _p2_values, _t_weights
 from conftest import make_demo_world
 
 
-def _rows(points):
-    """The points of a `segment_points` in its order, as the kernel computes them."""
-    (x0, x1), (y0, y1) = points.x, points.y
-    return [(o * x0 + t * y0, o * x1 + t * y1) for o, t in points.weights]
+def _rows(a, b, n):
+    """The n points of the edge a..b in `_t_weights(n)` order, as the kernel computes them."""
+    (x0, x1), (y0, y1) = a, b
+    return [(o * x0 + t * y0, o * x1 + t * y1) for o, t in _t_weights(n)]
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -115,8 +115,8 @@ def test_nested_refinement(demo_world):
         n = math.ceil(c_hat(a, b) * 4.0) + 1
         if n < 2:
             continue
-        if demo_world.all_free(segment_points(a, b, 2 * n - 1)):
-            assert demo_world.all_free(segment_points(a, b, n))
+        if demo_world.all_free(_t_weights(2 * n - 1), a, b):
+            assert demo_world.all_free(_t_weights(n), a, b)
 
 
 def test_world_requires_exactly_one_representation():
@@ -409,11 +409,11 @@ def test_probe_order_never_changes_a_verdict():
     for a, b, n in segments + [nan_segment, segments[0]]:
         if n is None:
             n = math.ceil(math.dist(a, b) * world.checks_per_meter) + 1
-        points = segment_points(a, b, n)
+        weights = _t_weights(n)
         units = cw.units
-        verdict = cw.all_free(points)
-        assert cw.units == units + len(points) == units + n
-        assert verdict == world.all_free(points) == _reference_all_free(world, a, b, n), (a, b, n)
+        verdict = cw.all_free(weights, a, b)
+        assert cw.units == units + len(weights) == units + n
+        assert verdict == world.all_free(weights, a, b) == _reference_all_free(world, a, b, n), (a, b, n)
         verdicts.add(verdict)
         # The probe is the last blocked point found inside the bounds.
         probe = cw._probe
@@ -442,7 +442,7 @@ def test_planning_never_writes_the_scenario_world(which):
     a, b = CountingWorld(scenario.world), CountingWorld(scenario.world)
     if which == "grid":
         assert a._probe == b._probe == [] and a._probe is not b._probe
-        a.all_free(segment_points(problem.root, problem.goal_samples[0], 50))
+        a.all_free(_t_weights(50), problem.root, problem.goal_samples[0])
         assert a._probe and b._probe == []
     else:
         assert a._probe is b._probe is None  # a geometric world keeps no probe
@@ -482,7 +482,7 @@ def test_is_free_agrees_with_all_free(which):
     assert verdicts == {True, False}  # the boundary set straddles free and blocked
     assert not any(world.is_free(p) for p in nans + infs)
     for p in points:
-        assert world.is_free(p) == world.all_free(segment_points(p, p, 1)), p
+        assert world.is_free(p) == world.all_free(_t_weights(1), p, p), p
 
 
 def _cells_as(layout, cells):
@@ -517,11 +517,12 @@ def test_grid_cells_read_the_same_from_any_blocked_dtype_or_layout(layout):
         col, row = math.floor((a - ox) / mpc), math.floor((b - oy) / mpc)
         want = 0 <= col < width and 0 <= row < height and not cells[row, col]
         p = (a, b)
-        assert world.is_free(p) == world.all_free(segment_points(p, p, 1)) == want, p
+        assert world.is_free(p) == world.all_free(_t_weights(1), p, p) == want, p
 
 
 def _reference_points(a, b, n):
-    """The float64 array `segment_points` built before its points were lazy."""
+    """The float64 array of an edge's n points, as edge checks built it before
+    their points were lazy."""
     ts = np.linspace(0.0, 1.0, n)
     return (1 - ts)[:, None] * np.asarray(a, dtype=float) + ts[:, None] * np.asarray(b, dtype=float)
 
@@ -596,11 +597,10 @@ def test_all_free_matches_the_numpy_reference_on_segments(which):
     verdicts = set()
     for n in (1, 2, 3, 26, 200):
         for a, b in segments:
-            points = segment_points(a, b, n)
-            rows = _rows(points)
+            rows = _rows(a, b, n)
             want = _reference_points(a, b, n)[list(_bisection_order(n))]
             assert np.array(rows).tobytes() == want.tobytes(), (a, b, n)  # bitwise, in bisection order
-            verdict = world.all_free(points)
+            verdict = world.all_free(_t_weights(n), a, b)
             assert verdict == _reference_all_free(world, a, b, n), (a, b, n)
             assert verdict == all(map(world.is_free, rows)), (a, b, n)
             verdicts.add(verdict)
@@ -609,16 +609,14 @@ def test_all_free_matches_the_numpy_reference_on_segments(which):
     assert False in grazing  # midpoints on a tangent, face or cell edge are blocked
 
 
-def test_segment_points_holds_its_endpoints_and_bisection_weights():
+def test_t_weights_give_the_midpoint_first_and_the_endpoints_last():
     a, b = (1.0, -2.0), (-3.5, 4.25)
-    points = segment_points(a, b, 5)
-    assert len(points) == 5 and (points.x, points.y) == (a, b)
-    assert points.weights is _t_weights(5)
-    rows = _rows(points)
+    assert len(_t_weights(5)) == 5 and _t_weights(5) is _t_weights(5)  # built once
+    rows = _rows(a, b, 5)
     # Bisection order (2, 1, 3, 0, 4): the midpoint first, the endpoints last.
     assert rows[0] == (-1.25, 1.125) and rows[3] == a and rows[-1] == b
     assert set(rows) == set(map(tuple, _reference_points(a, b, 5).tolist()))
-    assert _rows(segment_points(a, b, 1)) == [a]
+    assert _rows(a, b, 1) == [a]  # a one-point edge is its start
 
 
 def test_bisection_order_is_a_permutation():
@@ -626,6 +624,19 @@ def test_bisection_order_is_a_permutation():
         order = _bisection_order(n)
         assert sorted(order) == list(range(n)), n
     assert _bisection_order(9) == (4, 2, 6, 1, 3, 5, 7, 0, 8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: World(Box((-math.inf, -math.inf), (math.inf, math.inf)), []),
+    lambda: World(Box((-1e308, -1e308), (1e308, 1e308)), []),
+    lambda: World(Box((0.0, 0.0), (1e300, 1e300)), [], checks_per_meter=1e10),
+    lambda: World(grid=OccupancyGrid(400, 1, 1e306, (0.0, 0.0), np.zeros((1, 400), dtype=bool))),
+], ids=["infinite bounds", "huge bounds", "dense checks", "overflowing grid"])
+def test_world_refuses_bounds_whose_edge_point_count_is_not_finite(make):
+    # Such a world used to build, and an edge check as long as its diagonal
+    # raised OverflowError from math.ceil in segment_cost.
+    with pytest.raises(ValueError, match="diagonal times checks_per_meter must be finite"):
+        make()
 
 
 @pytest.mark.parametrize("make", [
