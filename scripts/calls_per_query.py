@@ -4,11 +4,17 @@
 For each workload in REPO_ROOT/perfbench/workloads.py, this prepares the
 inputs of workload seed 1 in a temporary directory, runs the workload's
 first query (planner seed 1000) once as a warm-up, then once more under
-cProfile through `bitplan.cli.cli_main`, and prints `workload total_calls`.
+cProfile through `bitplan.cli.cli_main`. It prints one
+`workload file:function calls` row per function, where file is the base
+name of the function's source file (`~` for a builtin) and same-named
+functions of one file are summed, so a row does not move when its function
+moves to another line, and then `workload total total_calls`, the rows' sum.
+An object address in a builtin's name (`... at 0x7f...`) is dropped: it
+differs from one process to the next.
 The count is exact for one commit under a fixed PYTHONHASHSEED, so running
 this script on two trees shows the calls a change adds or removes per query,
-free of timing noise. It imports REPO_ROOT's `src/` and `perfbench/` and
-writes nothing into them.
+and which functions they are, free of timing noise. It imports REPO_ROOT's
+`src/` and `perfbench/` and writes nothing into them.
 
 Usage: PYTHONHASHSEED=0 scripts/calls_per_query.py [REPO_ROOT]
 (default REPO_ROOT: the repository that holds this script)
@@ -20,11 +26,21 @@ import contextlib
 import cProfile
 import io
 import pstats
+import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 WORKLOAD_SEED = 1
+
+
+def calls_by_function(stats: pstats.Stats) -> Counter:
+    """Calls per `file:function`, same-named functions of one file summed."""
+    calls: Counter = Counter()
+    for (path, _, function), (_, ncalls, *_) in stats.stats.items():
+        calls[f"{Path(path).name}:{re.sub(r' at 0x[0-9a-f]+', '', function)}"] += ncalls
+    return calls
 
 
 def main(argv: list[str]) -> int:
@@ -46,7 +62,10 @@ def main(argv: list[str]) -> int:
             if codes != (0, 0):
                 print(f"{name}: query {query} exited {codes}", file=sys.stderr)
                 return 1
-            print(name, pstats.Stats(profile).total_calls)
+            stats = pstats.Stats(profile)
+            for function, calls in sorted(calls_by_function(stats).items()):
+                print(name, function, calls)
+            print(name, "total", stats.total_calls)
     return 0
 
 

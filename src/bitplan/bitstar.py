@@ -59,14 +59,15 @@ class Samples:
     once per batch. Between builds the only change is `discard`, which clears
     a row's live flag when `prune` drops the sample or `expand_edge` connects
     it.
-    Membership, iteration and length see the live rows only, so a reader can
-    never see a removed sample.
+    `rows` maps each live sample to its row, in row order, so readers ask it
+    for membership (`x in samples.rows`) and iterate it for the live samples
+    and never see a removed one.
     """
 
     def __init__(self, states: Iterable[State], goal_samples: tuple[State, ...],
                  new: Iterable[State] = ()):
         self.states = list(dict.fromkeys(states))  # every row's state, live or not
-        self._row = {x: i for i, x in enumerate(self.states)}  # live samples only
+        self.rows = {x: i for i, x in enumerate(self.states)}  # live samples only
         self._mat = np.array(self.states, dtype=float).reshape(-1, 2).T.copy()
         # h_hat_rows works column by column, so any subset of h is bitwise
         # the h_hat_rows of that subset of columns.
@@ -75,18 +76,9 @@ class Samples:
         new = set(new)
         self._new = np.array([x in new for x in self.states], dtype=bool)
 
-    def __contains__(self, x: State) -> bool:
-        return x in self._row
-
-    def __iter__(self):
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
-
     def discard(self, x: State) -> None:
         """Remove the live sample x."""
-        self._live[self._row.pop(x)] = False
+        self._live[self.rows.pop(x)] = False
 
     def candidates(self, new_only: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live rows in order (only this batch's new ones if new_only),
@@ -102,7 +94,7 @@ class PlannerContext(AnytimeRun):
     x_ncon owns the unconnected samples (see Samples): it starts as the goal
     samples other than the root, and `start_new_batch` rebuilds it, matrix
     and h_hat included, once per batch; in between, `prune` and `expand_edge`
-    only discard from it. Its iteration order is insertion order, so every
+    only discard from it. Its rows keep insertion order, so every
     iteration order in the planner is deterministic. v_exp holds the vertices
     already expanded (a repeat expansion scans only the batch's new samples)
     and v_rewire those whose rewiring edges were queued. Neither forgets a
@@ -138,7 +130,7 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     goals = problem.goal_samples
     informed = informed_test(problem, c)
     samples = ctx.x_ncon
-    for x in [x for x in samples if not informed(x)]:
+    for x in [x for x in samples.rows if not informed(x)]:
         samples.discard(x)
     x_reuse: list[State] = []
     tree = ctx.tree
@@ -171,8 +163,8 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
     x_reuse = prune(ctx, problem)
     fresh = sample_batch(params.batch_size, problem, ctx.world, ctx.c_sol, rng)
     goals = problem.goal_samples
-    x_new = [x for x in fresh if not ctx.tree.has_state(x)]  # keep tree and samples disjoint
-    ctx.x_ncon = Samples([*ctx.x_ncon, *x_new, *x_reuse], goals, x_new)
+    x_new = [x for x in fresh if x not in ctx.tree.by_state]  # keep tree and samples disjoint
+    ctx.x_ncon = Samples([*ctx.x_ncon.rows, *x_new, *x_reuse], goals, x_new)
     tree = ctx.tree
     for vid, (state, g) in enumerate(zip(tree.states, tree.costs)):
         if state is not None:
@@ -255,7 +247,7 @@ def expand_edge(ctx: PlannerContext) -> None:
         return
 
     vstate = tree.states[vid]
-    if x in ctx.x_ncon:
+    if x in ctx.x_ncon.rows:
         cost = ctx.world.true_cost(vstate, x)
         if gt_v + cost + h_x < ctx.c_sol:
             ctx.x_ncon.discard(x)
@@ -265,7 +257,7 @@ def expand_edge(ctx: PlannerContext) -> None:
             if new_id in ctx.v_sol:
                 ctx.improve()
     else:
-        xid = tree.id_of(x)
+        xid = tree.by_state.get(x)
         if xid is None:
             raise AssertionError("edge target is neither unconnected nor in the tree")
         if gt_v + edge < costs[xid]:
@@ -307,7 +299,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
             ctx.batch += 1
             ctx.samples_drawn += params.batch_size
         elif kv <= ke:
-            ctx.world.tick(expand_vertex(ctx, problem, params))
+            ctx.world.units += expand_vertex(ctx, problem, params)
         else:
             expand_edge(ctx)
     return ctx.result()

@@ -113,7 +113,7 @@ def _snapshot_hook(svg_dir: Path, scenario):
         ellipses = []
         if math.isfinite(ctx.c_sol):
             ellipses = [(problem.root, g, ctx.c_sol) for g in problem.goal_samples]
-        render_svg(scenario.world, edges, ctx.path, ellipses, list(ctx.x_ncon),
+        render_svg(scenario.world, edges, ctx.path, ellipses, list(ctx.x_ncon.rows),
                    svg_dir / f"batch_{batch:03d}.svg")
 
     return hook

@@ -46,7 +46,7 @@ class RrtParams:
 
 def steer(from_state: State, to_state: State, eta: float) -> State:
     """Move from `from_state` toward `to_state`, at most `eta` meters."""
-    if eta <= 0:
+    if not eta > 0:  # NaN fails too
         raise ValueError("steering length eta must be positive")
     d = c_hat(from_state, to_state)
     if d <= eta:
@@ -78,16 +78,16 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             sample = rng.point(world.bounds)
 
         cols = tree.states_matrix()
-        run.world.tick(len(states))  # len(tree): RRT* never removes a vertex
+        run.world.units += len(states)  # len(tree): RRT* never removes a vertex
         d2 = sq_dists(cols, sample)
         nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
-        if new_state == nearest_state or tree.has_state(new_state):
+        if new_state == nearest_state or new_state in tree.by_state:
             continue
 
         # The near query is charged even when it reuses the nearest scan (an
         # unsteered sample is its own new state): the clock counts two scans.
-        run.world.tick(len(states))
+        run.world.units += len(states)
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
         nd2 = d2 if new_state == sample else sq_dists(cols, new_state)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -98,8 +99,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not (isinstance(seed, Integral) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self._rng = random.Random(seed)
         self._random = self._rng.random
 
@@ -211,8 +212,8 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
     most draws make: a draw outside informed_box is rejected inline, one
     inside it meets the exact informed_test, and only a draw that passes
     both reaches world.is_free. `world` is the run's CountingWorld, and every
-    draw costs one work unit whichever test ends it: the batch charges all
-    its draws with one world.tick, also when it starves. Raises
+    draw costs one work unit whichever test ends it: the batch adds all its
+    draws to world.units at once, also when it starves. Raises
     SamplerStarvedError if one sample exhausts the rejection budget
     (REJECTION_BUDGET, read when the batch starts).
     """
@@ -233,11 +234,11 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
                 break
         else:
             attempts += budget
-            world.tick(attempts)
+            world.units += attempts
             raise SamplerStarvedError(
                 f"no acceptable sample in {budget} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.tick(attempts)
+    world.units += attempts
     return out

@@ -10,8 +10,9 @@ append-only (d, n) array whose column v is vertex v's state, and a removed
 id's column is all inf, so its squared distance to any state is inf and no
 radius query admits it. Cost-to-come is updated by subtree traversal on
 rewire, because queue keys read it far more often than rewires write it.
-Only `add_child`, `rewire` and `remove_subtree` write the lists, and they
-check their arguments.
+`by_state` maps each live state to its id, so `x in tree.by_state` asks
+whether x is a vertex. Only `add_child`, `rewire` and `remove_subtree` write
+the lists (the first and last the dict too), and they check their arguments.
 """
 
 from __future__ import annotations
@@ -31,30 +32,24 @@ class Tree:
         self.costs: list[float] = [0.0]
         self._edge_costs: list[float] = [0.0]  # cost of the edge from the parent
         self._children: list[dict[int, None] | None] = [{}]  # insertion-ordered id sets
-        self._by_state: dict[State, int] = {root_state: 0}
+        self.by_state: dict[State, int] = {root_state: 0}
         # The states_matrix() store, column-major (d, capacity) as
         # space.sq_dists reads it: column v is vertex v's state.
         self._mat = np.empty((len(root_state), 64))
         self._mat[:, 0] = root_state
 
     def __len__(self) -> int:
-        return len(self._by_state)
+        return len(self.by_state)
 
     def children(self, vid: int) -> list[int]:
         self._check(vid)
         return list(self._children[vid])
 
-    def id_of(self, state: State) -> int | None:
-        return self._by_state.get(state)
-
-    def has_state(self, state: State) -> bool:
-        return state in self._by_state
-
     def add_child(self, parent: int, state: State, edge_cost: float) -> int:
         if not 0 <= edge_cost < math.inf:  # NaN fails too
             raise ValueError(f"edge cost must be finite and non-negative, got {edge_cost}")
         self._check(parent)
-        if state in self._by_state:
+        if state in self.by_state:
             raise ValueError("state is already a tree vertex")
         if len(state) != self._mat.shape[0]:
             raise ValueError(f"state needs {self._mat.shape[0]} coordinates, got {len(state)}")
@@ -69,7 +64,7 @@ class Tree:
         self._edge_costs.append(edge_cost)
         self._children.append({})
         self._children[parent][vid] = None
-        self._by_state[state] = vid
+        self.by_state[state] = vid
         return vid
 
     def rewire(self, child: int, new_parent: int, new_edge_cost: float) -> None:
@@ -109,7 +104,7 @@ class Tree:
         while stack:
             cur = stack.pop()
             state = self.states[cur]
-            del self._by_state[state]
+            del self.by_state[state]
             removed.append((cur, state))
             stack.extend(reversed(self._children[cur]))
             self.states[cur] = self.parents[cur] = self._children[cur] = None

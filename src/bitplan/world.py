@@ -253,9 +253,9 @@ class CountingWorld(World):
     It shares the fields of the world it is built from and charges one work
     unit per point of every `all_free` call (also the points its early exit
     never examines), so each edge check pays `segment_cost`'s point count. A
-    point test (`is_free`) is not metered. The sampler ticks its draws and
-    the planners their scanned candidates, each where the work is done. The
-    tally doubles as a deterministic monotonic clock (see
+    point test (`is_free`) is not metered. The sampler adds its draws and
+    the planners their scanned candidates to `units`, each where the work is
+    done. The tally doubles as a deterministic monotonic clock (see
     WORK_UNITS_PER_SECOND) used for time budgets and convergence timestamps,
     so equal seeds give byte-identical results.
 
@@ -272,9 +272,6 @@ class CountingWorld(World):
         self.units = 0
         if self._grid is not None:
             self._probe = []
-
-    def tick(self, n: int) -> None:
-        self.units += n
 
     def elapsed_s(self) -> float:
         return self.units / WORK_UNITS_PER_SECOND

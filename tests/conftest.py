@@ -26,9 +26,10 @@ def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
 def tree_lists_audit(tree) -> None:
     """The per-id lists agree with each other: every live id's cached cost is
     bitwise its parent's plus its edge's, and every removed id reads state
-    None, parent None and cost inf. states_matrix() is (2, len(states)) with
-    contiguous rows; column v is bitwise states[v] for a live v and all inf
-    for a removed v."""
+    None, parent None and cost inf. by_state maps exactly the live states to
+    their ids. states_matrix() is (2, len(states)) with contiguous rows;
+    column v is bitwise states[v] for a live v and all inf for a removed v."""
+    assert tree.by_state == {s: v for v, s in enumerate(tree.states) if s is not None}
     edge_costs = tree._edge_costs
     for vid, (state, p, cost) in enumerate(zip(tree.states, tree.parents, tree.costs)):
         if state is None:
@@ -41,6 +42,17 @@ def tree_lists_audit(tree) -> None:
     assert mat.shape == (2, len(tree.states)) and mat.strides[1] == mat.itemsize
     cols = [(math.inf, math.inf) if s is None else s for s in tree.states]
     assert mat.T.tobytes() == np.array(cols, dtype=float).tobytes()
+
+
+def samples_audit(samples) -> None:
+    """A bitstar.Samples set agrees with itself: its states are distinct,
+    rows maps each live state to its own row in row order, and the live
+    mask is set exactly at rows.values()."""
+    states, rows = samples.states, samples.rows
+    assert len(set(states)) == len(states)
+    assert all(states[r] == x for x, r in rows.items())
+    assert list(rows.values()) == sorted(rows.values())
+    assert samples._live.nonzero()[0].tolist() == list(rows.values())
 
 
 def tree_audit(tree, tol: float = 1e-9) -> None:

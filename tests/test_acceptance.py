@@ -146,7 +146,7 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
             key = ctx.tree.costs[vid] + h_hat(state, goals)
             if key > ctx.c_sol:
                 violations.append(("vertex", vid, key, ctx.c_sol))
-        for x in ctx.x_ncon:
+        for x in ctx.x_ncon.rows:
             est = c_hat(problem.root, x) + h_hat(x, goals)
             if est >= ctx.c_sol:
                 violations.append(("sample", x, est, ctx.c_sol))
@@ -187,7 +187,7 @@ def test_criterion_5_tree_fuzz_audit():
         if roll < 0.55 or len(ids) < 3:
             parent = rng.choice(ids)
             state = (rng.uniform(-100, 100), rng.uniform(-100, 100))
-            if tree.has_state(state):
+            if state in tree.by_state:
                 continue
             ids.append(tree.add_child(parent, state, rng.uniform(0.0, 10.0)))
         elif roll < 0.85:

@@ -52,7 +52,7 @@ def test_improve_takes_only_a_strictly_cheaper_goal_vertex():
     assert run.c_sol == 10.0 and run.path == [(0.0, -8.0), (2.0, 0.0)]
     # An equal cost is no improvement, even from a lower id.
     run.v_sol.add(a)
-    run.world.tick(5)
+    run.world.units += 5
     run.improve()
     assert run.path == [(0.0, -8.0), (2.0, 0.0)] and len(run.records) == 1
     run.v_sol.add(tree.add_child(a, (3.0, 0.0), 0.5))  # dearer: 10.5
@@ -93,10 +93,10 @@ def test_result_adds_a_final_record_only_when_the_clock_moved():
     run = _run()
     tree = run.tree
     run.v_sol.add(tree.add_child(tree.root_id, (1.0, 0.0), 7.0))
-    run.world.tick(10)
+    run.world.units += 10
     run.improve()
     assert len(run.result().convergence) == 1
-    run.world.tick(10)
+    run.world.units += 10
     run.batch = run.samples_drawn = 3
     convergence = run.result().convergence
     assert len(convergence) == 2

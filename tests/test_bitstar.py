@@ -38,7 +38,8 @@ from bitplan.queues import CostQueue
 from bitplan.rrtstar import RrtParams, rrt_plan
 from bitplan.space import h_hat_rows
 from bitplan.tree import Tree
-from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, tree_audit
+from conftest import (DEMO_BOUNDS, make_demo_problem, make_demo_world, samples_audit,
+                      tree_audit, tree_lists_audit)
 
 DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
 DEMO_STOP = StopCondition(max_batches=10)
@@ -234,8 +235,10 @@ def test_no_state_in_both_tree_and_samples(demo_world):
     seen = []
 
     def hook(batch, ctx):
+        samples_audit(ctx.x_ncon)
+        tree_lists_audit(ctx.tree)
         tree_states = set(ctx.tree.states) - {None}
-        seen.append(tree_states & set(ctx.x_ncon))
+        seen.append(tree_states & set(ctx.x_ncon.rows))
 
     params = PlannerParams(batch_size=50, radius=8.0)
     stop = StopCondition(max_batches=3)
@@ -307,7 +310,7 @@ def test_prune_noop_without_incumbent():
     ctx = _context(problem, [(9.0, 9.0)])
     reuse = prune(ctx, problem)
     assert reuse == []
-    assert (9.0, 9.0) in ctx.x_ncon
+    assert (9.0, 9.0) in ctx.x_ncon.rows
 
 
 def test_prune_drops_hopeless_samples():
@@ -316,10 +319,10 @@ def test_prune_drops_hopeless_samples():
     ctx = _context(problem, [(9.0, 9.0), (0.0, 0.0)])
     ctx.c_sol = 20.0
     prune(ctx, problem)
-    assert (9.0, 9.0) not in ctx.x_ncon
-    assert (0.0, 0.0) in ctx.x_ncon
+    assert (9.0, 9.0) not in ctx.x_ncon.rows
+    assert (0.0, 0.0) in ctx.x_ncon.rows
     # The goal sample itself sits at g_hat + h_hat = 16 < 20 and survives.
-    assert (0.0, 8.0) in ctx.x_ncon
+    assert (0.0, 8.0) in ctx.x_ncon.rows
 
 
 def test_prune_reuses_vertices_that_could_still_help():
@@ -362,18 +365,18 @@ def test_prune_soundness_postcondition():
     for _ in range(200):
         parent = rng.choice(ids)
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if ctx.tree.has_state(state):
+        if state in ctx.tree.by_state:
             continue
         ids.append(ctx.tree.add_child(parent, state, c_hat(ctx.tree.states[parent], state)))
         samples.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
-    ctx.x_ncon = Samples([*ctx.x_ncon, *samples], problem.goal_samples)
+    ctx.x_ncon = Samples([*ctx.x_ncon.rows, *samples], problem.goal_samples)
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
     for vid, state in enumerate(ctx.tree.states):
         if state is not None:
             assert ctx.tree.costs[vid] + h_hat(state, goals) <= ctx.c_sol
-    for x in ctx.x_ncon:
+    for x in ctx.x_ncon.rows:
         assert g_hat(x, problem) + h_hat(x, goals) < ctx.c_sol
     tree_audit(ctx.tree)
 
@@ -386,11 +389,11 @@ def test_start_new_batch_refills_queues(demo_world):
     start_new_batch(ctx, problem, DEMO_PARAMS, RngStream(1))
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
-    assert len(ctx.x_ncon) == 101
+    assert len(ctx.x_ncon.rows) == 101
     rows, _, _ = ctx.x_ncon.candidates(new_only=True)
     x_new = [ctx.x_ncon.states[r] for r in rows.tolist()]
     assert len(x_new) == 100
-    assert all(x in ctx.x_ncon for x in x_new)
+    assert all(x in ctx.x_ncon.rows for x in x_new)
 
 
 def test_start_new_batch_requires_empty_queues(demo_world):
@@ -455,7 +458,7 @@ def test_expand_vertex_never_queues_a_removed_vertex():
     ctx.qv.insert(0.0, 0.0, root)
     scanned = expand_vertex(ctx, problem, DEMO_PARAMS)
     # The goal sample is out of range; the scan is charged the live count.
-    assert scanned == len(ctx.x_ncon) + len(ctx.tree) == 4
+    assert scanned == len(ctx.x_ncon.rows) + len(ctx.tree) == 4
     targets = []
     while ctx.qe:
         targets.append(ctx.qe.pop_best()[2][1])
@@ -550,10 +553,10 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
         if not math.isinf(c):
             informed = informed_test(problem, c)
             x_ncon = {x: None for x in x_ncon if informed(x)}
-        x_new = {x: None for x in drawn.pop() if not ctx.tree.has_state(x)}
+        x_new = {x: None for x in drawn.pop() if x not in ctx.tree.by_state}
         x_ncon.update(x_new)
         x_ncon.update(dict.fromkeys(reused.pop()))
-        assert list(ctx.x_ncon) == list(x_ncon)
+        assert list(ctx.x_ncon.rows) == list(x_ncon)
         rows = ctx.x_ncon.candidates(new_only=True)[0].tolist()
         assert [ctx.x_ncon.states[r] for r in rows] == list(x_new)
 
@@ -599,7 +602,7 @@ def test_expand_edge_blocked_by_obstacle(demo_world):
     ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
     expand_edge(ctx)
     assert len(ctx.tree) == 1
-    assert (0.0, 8.0) in ctx.x_ncon
+    assert (0.0, 8.0) in ctx.x_ncon.rows
     assert ctx.c_sol == math.inf
     assert ctx.path is None and ctx.records == []
 
@@ -615,7 +618,7 @@ def test_expand_edge_connects_goal():
     # The new goal vertex is the incumbent: its path and one record.
     assert ctx.path == [(0.0, -8.0), (0.0, 8.0)]
     assert [(p.cost, p.batch, p.tree_vertices) for p in ctx.records] == [(16.0, 0, 2)]
-    assert (0.0, 8.0) not in ctx.x_ncon
+    assert (0.0, 8.0) not in ctx.x_ncon.rows
     assert len(ctx.qv) == 1  # the new vertex was queued
 
 

@@ -34,6 +34,13 @@ def test_steer_degenerate_and_distance_law():
         assert abs(c_hat(a, out) - min(eta, c_hat(a, b))) < 1e-9
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+def test_steer_refuses_a_step_that_is_not_positive(eta):
+    # NaN passes an `eta <= 0` check and would steer to (nan, nan).
+    with pytest.raises(ValueError, match="eta must be positive"):
+        steer((0.0, 0.0), (5.0, 0.0), eta)
+
+
 def test_rrt_direct_goal_in_empty_world():
     problem = make_demo_problem()
     world = World(DEMO_BOUNDS, [])

@@ -324,13 +324,13 @@ def _reference_sample_batch(m, problem, world, c_sol, rng):
                 out.append(x)
                 break
         else:
-            world.tick(attempts)
+            world.units += attempts
             raise SamplerStarvedError(
                 f"no acceptable sample in {space.REJECTION_BUDGET} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.tick(attempts)
+    world.units += attempts
     return out
 
 
@@ -412,6 +412,14 @@ def test_rng_stream_determinism():
     assert [a.point(DEMO_BOUNDS) for _ in range(100)] == [b.point(DEMO_BOUNDS) for _ in range(100)]
     with pytest.raises(ValueError):
         RngStream(-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+def test_rng_stream_refuses_a_seed_that_is_not_an_integer(seed):
+    # random.Random accepts any hashable seed, and a sign check alone lets a
+    # float through and raises TypeError on a string.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        RngStream(seed)
 
 
 @pytest.mark.parametrize("box", [((-10.0, -10.0), (10.0, 10.0)),

@@ -42,7 +42,7 @@ def test_a_refused_add_child_changes_nothing(state):
     # matrix write raised (or, at length 1, was broadcast into both rows).
     t = Tree((0.0, 0.0))
     t.add_child(t.root_id, (1.0, 1.0), 1.0)
-    lists = (t.states, t.parents, t.costs, t._edge_costs, t._children, t._by_state)
+    lists = (t.states, t.parents, t.costs, t._edge_costs, t._children, t.by_state)
     before = [list(x) for x in lists], len(t), t.children(0), t.states_matrix().tobytes()
     with pytest.raises(ValueError):
         t.add_child(t.root_id, state, 1.0)
@@ -91,16 +91,16 @@ def test_rewire_guards():
 def test_cost_to_come_semantics():
     t = Tree((0.0, 0.0))
     assert t.costs[t.root_id] == 0.0
-    assert t.id_of((5.0, 5.0)) is None  # unconnected sample
+    assert t.by_state.get((5.0, 5.0)) is None  # unconnected sample
     a = t.add_child(t.root_id, (1.0, 0.0), 3.0)
     b = t.add_child(a, (2.0, 0.0), 4.0)
     c = t.add_child(b, (3.0, 0.0), 5.0)
     assert t.costs[c] == 12.0
-    assert t.costs[t.id_of((3.0, 0.0))] == 12.0
+    assert t.costs[t.by_state[(3.0, 0.0)]] == 12.0
     # A removed id stays in the lists, unreachable.
     t.remove_subtree(b)
     assert (t.states[c], t.parents[c], t.costs[c]) == (None, None, math.inf)
-    assert t.id_of((3.0, 0.0)) is None
+    assert t.by_state.get((3.0, 0.0)) is None
 
 
 def test_parent_children_examples():
@@ -156,7 +156,7 @@ def test_solution_cost_matches_cost_to_come():
     for _ in range(50):
         parent = rng.choice(ids)
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if t.has_state(state):
+        if state in t.by_state:
             continue
         ids.append(t.add_child(parent, state, c_hat(t.states[parent], state)))
     for vid in ids:
@@ -210,7 +210,7 @@ def test_operation_fuzz_preserves_invariants():
         if op < 0.6 or len(ids) < 3:
             parent = rng.choice(ids)
             state = (rng.uniform(-100, 100), rng.uniform(-100, 100))
-            if t.has_state(state):
+            if state in t.by_state:
                 continue
             ids.append(t.add_child(parent, state, rng.uniform(0, 5)))
         elif op < 0.85:

@@ -361,7 +361,7 @@ def test_counting_world_tracks_work(demo_world):
     cost = cw.true_cost((0.0, -8.0), (0.0, -4.0))
     assert cost == 4.0
     assert cw.units == math.ceil(4.0 * 4.0) + 1
-    cw.tick(10)
+    cw.units += 10
     assert cw.units == 27
     assert cw.elapsed_s() == 27 / 250_000.0
     # A zero-length edge checks its one point, x itself, at one unit.
