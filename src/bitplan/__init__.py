@@ -1,59 +1,29 @@
-"""Anytime sampling-based motion planning: BIT* with an RRT* baseline."""
+"""Anytime sampling-based motion planning: BIT* with an RRT* baseline.
+
+The package exports the library API that README's "Library use" section
+documents; everything else is imported from its own module (say,
+`bitplan.world.load_occupancy_grid` or `bitplan.space.h_hat`).
+"""
 
 from .anytime import ConvergencePoint, PlanResult, StopCondition
-from .bitstar import PlannerContext, PlannerParams, plan
-from .rrtstar import RrtParams, rrt_plan, steer
-from .space import (
-    Box,
-    GoalRegion,
-    ProblemDef,
-    RngStream,
-    SamplerStarvedError,
-    State,
-    c_hat,
-    g_hat,
-    h_hat,
-    informed_test,
-    sample_batch,
-)
-from .world import (
-    WORK_UNITS_PER_SECOND,
-    Circle,
-    CountingWorld,
-    GridLoadError,
-    OccupancyGrid,
-    World,
-    load_occupancy_grid,
-    save_occupancy_grid,
-)
+from .bitstar import PlannerParams, plan
+from .rrtstar import RrtParams, rrt_plan
+from .space import Box, GoalRegion, ProblemDef, RngStream, SamplerStarvedError
+from .world import Circle, World
 
 __all__ = [
     "Box",
-    "WORK_UNITS_PER_SECOND",
     "Circle",
     "ConvergencePoint",
-    "CountingWorld",
     "GoalRegion",
-    "GridLoadError",
-    "OccupancyGrid",
     "PlanResult",
-    "PlannerContext",
     "PlannerParams",
     "ProblemDef",
     "RngStream",
     "RrtParams",
     "SamplerStarvedError",
-    "State",
     "StopCondition",
     "World",
-    "c_hat",
-    "g_hat",
-    "h_hat",
-    "informed_test",
-    "load_occupancy_grid",
     "plan",
     "rrt_plan",
-    "sample_batch",
-    "save_occupancy_grid",
-    "steer",
 ]

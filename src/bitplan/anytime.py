@@ -109,11 +109,12 @@ class AnytimeRun:
         return vid
 
     def should_stop(self) -> bool:
-        """True once the time budget is spent or the target cost is reached."""
+        """True once the time budget is spent or a solution meets the target cost."""
         stop = self.stop
         if stop.time_budget_s is not None and self.world.elapsed_s() >= stop.time_budget_s:
             return True
-        return stop.target_cost is not None and self.c_sol <= stop.target_cost
+        # A path first: with none, c_sol is inf, which an infinite target passes.
+        return stop.target_cost is not None and self.path is not None and self.c_sol <= stop.target_cost
 
     def batch_limit_reached(self) -> bool:
         """True once max_batches batches (RRT*: iterations) have run."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
 from .queues import CostQueue
-from .space import (ProblemDef, RngStream, SamplerStarvedError, State, g_hat, h_hat, h_hat_rows,
+from .space import (ProblemDef, RngStream, SamplerStarvedError, State, h_hat, h_hat_rows,
                     informed_test, sample_batch, sq_dists)
 from .world import World
 
@@ -190,7 +190,7 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     tree = ctx.tree
     states, costs = tree.states, tree.costs
     vstate = states[vid]
-    gh_v = g_hat(vstate, problem)
+    gh_v = math.dist(problem.root, vstate)
     gt_v = costs[vid]
 
     def near(cols: np.ndarray, h: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
-from .space import ProblemDef, RngStream, State, c_hat, sq_dists
+from .space import ProblemDef, RngStream, State, sq_dists
 from .world import World
 
 
@@ -48,7 +48,7 @@ def steer(from_state: State, to_state: State, eta: float) -> State:
     """Move from `from_state` toward `to_state`, at most `eta` meters."""
     if not eta > 0:  # NaN fails too
         raise ValueError("steering length eta must be positive")
-    d = c_hat(from_state, to_state)
+    d = math.dist(from_state, to_state)
     if d <= eta:
         return to_state
     f = eta / d

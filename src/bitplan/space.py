@@ -2,9 +2,11 @@
 
 States are plain tuples of floats so they can live in sets and dicts. All
 cost heuristics are Euclidean and therefore admissible lower bounds on the
-true (collision-checked) edge cost. The numpy forms beside them (`sq_dists`,
-`h_hat_rows`), over column-major (d, n) state matrices, are the one
-neighbour-scan kernel of BIT* and RRT*.
+true (collision-checked) edge cost. The paper's edge heuristic c_hat(x, y) and
+cost-to-come heuristic g_hat(x) are `math.dist(x, y)` and `math.dist(root, x)`,
+called directly. The numpy forms beside them (`sq_dists`, `h_hat_rows`), over
+column-major (d, n) state matrices, are the one neighbour-scan kernel of BIT*
+and RRT*.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class GoalRegion:
             raise ValueError("goal region needs a finite center and a positive finite radius")
 
     def contains(self, x: State) -> bool:
-        return c_hat(x, self.center) <= self.radius
+        return math.dist(x, self.center) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,6 @@ class RngStream:
         return (l0 + (h0 - l0) * r(), l1 + (h1 - l1) * r())
 
 
-def c_hat(x: State, y: State) -> float:
-    """Euclidean edge-cost heuristic ||x - y||; a lower bound on true cost."""
-    return math.dist(x, y)
-
-
 def sq_dists(cols: np.ndarray, x: State) -> np.ndarray:
     """Squared Euclidean distance from x to every column of the (d, n) array cols.
 
@@ -137,11 +134,6 @@ def sq_dists(cols: np.ndarray, x: State) -> np.ndarray:
     return out
 
 
-def g_hat(x: State, problem: ProblemDef) -> float:
-    """Heuristic cost-to-come: straight-line distance from the root."""
-    return c_hat(problem.root, x)
-
-
 def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
     """Heuristic cost-to-go: distance to the nearest goal sample.
 
@@ -151,8 +143,8 @@ def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
     if not goal_samples:
         raise ValueError("goal sample set is empty")
     if len(goal_samples) == 1:
-        return c_hat(x, goal_samples[0])
-    return min(c_hat(x, g) for g in goal_samples)
+        return math.dist(x, goal_samples[0])
+    return min(math.dist(x, g) for g in goal_samples)
 
 
 def h_hat_rows(cols: np.ndarray, goal_samples: tuple[State, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .space import State, c_hat
+from .space import State
 from .world import Circle, World
 
 
@@ -77,7 +77,7 @@ def render_svg(world: World, edges, path, ellipses, samples, out_path) -> None:
                 )
 
     for fa, fb, major in ellipses:
-        focal = c_hat(fa, fb)
+        focal = math.dist(fa, fb)
         if math.isfinite(major) and major > focal:
             cx = (fa[0] + fb[0]) / 2.0
             cy = (fa[1] + fb[1]) / 2.0

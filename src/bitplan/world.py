@@ -240,7 +240,7 @@ def segment_cost(world, x: State, y: State) -> float:
     A length that is NaN, infinite or over twice the bounds' diagonal is
     +inf at once: no points are built and no work is charged.
     """
-    d = math.dist(x, y)  # c_hat, without the call
+    d = math.dist(x, y)  # the edge heuristic c_hat
     if not d <= world._max_edge:  # NaN fails too
         return math.inf
     n = math.ceil(d * world.checks_per_meter) + 1

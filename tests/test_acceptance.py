@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 import bitplan.bitstar as bitstar
-from bitplan import RngStream, World, c_hat, h_hat
+from bitplan import RngStream, World
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.anytime import StopCondition
 from bitplan.bitstar import PlannerParams, plan
 from bitplan.cli import cli_main
+from bitplan.space import h_hat
 from bitplan.tree import Tree
 from conftest import DEMO_BOUNDS, make_demo_problem, tree_audit
 
@@ -147,7 +148,7 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
             if key > ctx.c_sol:
                 violations.append(("vertex", vid, key, ctx.c_sol))
         for x in ctx.x_ncon.rows:
-            est = c_hat(problem.root, x) + h_hat(x, goals)
+            est = math.dist(problem.root, x) + h_hat(x, goals)
             if est >= ctx.c_sol:
                 violations.append(("sample", x, est, ctx.c_sol))
         return x_reuse
@@ -171,7 +172,7 @@ def test_criterion_4_queue_dominance():
         )
         g_v = rng.uniform(0, 30)  # any cost-to-come; it appears on both sides
         vertex_key = g_v + h_hat(v, goals)
-        edge_key = g_v + c_hat(v, x) + h_hat(x, goals)
+        edge_key = g_v + math.dist(v, x) + h_hat(x, goals)
         worst = max(worst, vertex_key - edge_key)
     ok = worst <= 1e-9
     _report(4, ok, f"10000 pairs, max(vertex_key - edge_key) = {worst:.3e} <= 1e-9")
@@ -220,7 +221,7 @@ def test_criterion_7_batch_zero_trivial_case():
     world = World(DEMO_BOUNDS, [])
     params = PlannerParams(batch_size=100, radius=20.0)
     result = plan(problem, world, params, StopCondition(max_batches=10), RngStream(123))
-    direct = c_hat(problem.root, problem.goal_samples[0])
+    direct = math.dist(problem.root, problem.goal_samples[0])
     first = result.convergence[0]
     ok = first.samples_drawn == 0 and abs(result.cost - direct) <= 1e-9
     _report(7, ok, f"solved with {first.samples_drawn} samples at cost {result.cost!r} "
@@ -263,6 +264,6 @@ def test_criterion_9_heuristic_admissibility(demo_world):
     bad = 0
     for _ in range(10_000):
         a, b = free_point(), free_point()
-        if c_hat(a, b) > demo_world.true_cost(a, b):
+        if math.dist(a, b) > demo_world.true_cost(a, b):
             bad += 1
     _report(9, bad == 0, f"10000 free pairs, {bad} with c_hat exceeding the true cost")

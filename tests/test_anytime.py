@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from bitplan import GoalRegion, ProblemDef, RngStream, World
 from bitplan.anytime import AnytimeRun, ConvergencePoint, StopCondition
+from bitplan.bench import resolve_scenario, run_single
 from bitplan.bitstar import PlannerParams, plan
 from bitplan.rrtstar import RrtParams, rrt_plan
 from conftest import DEMO_BOUNDS, make_demo_problem
@@ -119,3 +121,20 @@ def test_rrtstar_stops_at_target_cost(demo_world):
 def test_stop_condition_rejects_a_non_integer_max_batches(max_batches):
     with pytest.raises(ValueError, match="max_batches"):
         StopCondition(max_batches=max_batches)
+
+
+@pytest.mark.parametrize("planner, first", [("bitstar", (16.680007, 1)),
+                                             ("rrtstar", (21.664062, 150))])
+def test_an_infinite_target_stops_at_the_first_solution(planner, first):
+    # inf <= inf holds, so the target needs an incumbent: without one, c_sol
+    # is inf too and the run would stop before it had a path.
+    scenario = dataclasses.replace(resolve_scenario("demo"),
+                                   stop=StopCondition(max_batches=2000, target_cost=math.inf))
+    result = run_single(scenario, planner, 1)
+    assert result.path is not None
+    assert [(round(p.cost, 6), p.batch) for p in result.convergence] == [first]
+
+
+def test_stop_condition_rejects_a_negative_max_batches():
+    with pytest.raises(ValueError, match="^max batches must be non-negative$"):
+        StopCondition(max_batches=-1)

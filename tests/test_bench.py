@@ -319,6 +319,22 @@ def test_a_directory_does_not_shadow_a_builtin_scenario(tmp_path, monkeypatch):
     assert (scn.problem, scn.bitstar, scn.stop) == (builtin.problem, builtin.bitstar, builtin.stop)
 
 
+def test_load_scenario_on_a_directory_names_the_path(tmp_path):
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(tmp_path)
+    msg = str(excinfo.value)
+    assert msg.startswith(f"{tmp_path}: ") and "Is a directory" in msg, msg
+    assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+
+
+def test_run_single_rejects_an_unknown_planner(tmp_path):
+    scn = load_scenario(_write(tmp_path, DEMO_SCN))
+    with pytest.raises(ValueError) as excinfo:
+        run_single(scn, "dijkstra", 1)
+    assert str(excinfo.value) == (
+        "unknown planner 'dijkstra'; expected one of ('bitstar', 'rrtstar')")
+
+
 def test_run_trials_deterministic_and_seeded(tmp_path):
     scn = load_scenario(_write(tmp_path, DEMO_SCN))
     a = run_trials(scn, "bitstar", 2)

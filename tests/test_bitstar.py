@@ -17,10 +17,6 @@ from bitplan import (
     RngStream,
     SamplerStarvedError,
     World,
-    c_hat,
-    g_hat,
-    h_hat,
-    informed_test,
 )
 from bitplan.anytime import AnytimeRun, StopCondition
 from bitplan.bench import resolve_scenario, run_single
@@ -36,7 +32,7 @@ from bitplan.bitstar import (
 )
 from bitplan.queues import CostQueue
 from bitplan.rrtstar import RrtParams, rrt_plan
-from bitplan.space import h_hat_rows
+from bitplan.space import h_hat, h_hat_rows, informed_test
 from bitplan.tree import Tree
 from conftest import (DEMO_BOUNDS, make_demo_problem, make_demo_world, samples_audit,
                       tree_audit, tree_lists_audit)
@@ -88,7 +84,7 @@ def test_near_matches_linear_scan_oracle():
     cands = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(1000)]
     x = (0.5, -0.25)
     rho = 4.0
-    expected = sorted(c for c in cands if c != x and c_hat(x, c) <= rho)
+    expected = sorted(c for c in cands if c != x and math.dist(x, c) <= rho)
     assert expected and _queued_targets(x, cands, rho) == expected
 
 
@@ -167,6 +163,12 @@ def test_plan_stops_at_target_cost(demo_world):
 @pytest.mark.parametrize("batch_size", [2.5, 100.0, "100"])
 def test_planner_params_reject_a_non_integer_batch_size(batch_size):
     with pytest.raises(ValueError, match="batch_size"):
+        PlannerParams(batch_size, 8.0)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_planner_params_reject_a_batch_size_below_one(batch_size):
+    with pytest.raises(ValueError, match="^batch size must be at least 1$"):
         PlannerParams(batch_size, 8.0)
 
 
@@ -288,7 +290,7 @@ def test_v_sol_matches_goal_region_membership(demo_world, monkeypatch):
 def test_plan_through_occupancy_grid_gap():
     import numpy as np
 
-    from bitplan import OccupancyGrid
+    from bitplan.world import OccupancyGrid
 
     blocked = np.zeros((20, 20), dtype=bool)
     blocked[10, :] = True
@@ -367,7 +369,7 @@ def test_prune_soundness_postcondition():
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         if state in ctx.tree.by_state:
             continue
-        ids.append(ctx.tree.add_child(parent, state, c_hat(ctx.tree.states[parent], state)))
+        ids.append(ctx.tree.add_child(parent, state, math.dist(ctx.tree.states[parent], state)))
         samples.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
     ctx.x_ncon = Samples([*ctx.x_ncon.rows, *samples], problem.goal_samples)
     ctx.c_sol = 18.0
@@ -377,7 +379,7 @@ def test_prune_soundness_postcondition():
         if state is not None:
             assert ctx.tree.costs[vid] + h_hat(state, goals) <= ctx.c_sol
     for x in ctx.x_ncon.rows:
-        assert g_hat(x, problem) + h_hat(x, goals) < ctx.c_sol
+        assert math.dist(problem.root, x) + h_hat(x, goals) < ctx.c_sol
     tree_audit(ctx.tree)
 
 
@@ -418,7 +420,7 @@ def test_expand_vertex_no_neighbors_in_range():
 def test_expand_vertex_skips_rewiring_without_incumbent():
     problem = make_demo_problem()
     ctx = _context(problem)
-    ctx.tree.add_child(ctx.tree.root_id, (1.0, -7.0), c_hat((0.0, -8.0), (1.0, -7.0)))
+    ctx.tree.add_child(ctx.tree.root_id, (1.0, -7.0), math.dist((0.0, -8.0), (1.0, -7.0)))
     ctx.qv.insert(16.0, 0.0, ctx.tree.root_id)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert ctx.v_rewire == set()
@@ -641,7 +643,7 @@ def test_expand_edge_rewires_connected_vertex():
     mid = ctx.tree.add_child(root, (0.0, 0.0), 8.0)
     far = ctx.tree.add_child(root, (3.0, 0.0), 20.0)  # overpriced
     ctx.c_sol = 40.0
-    edge = c_hat((0.0, 0.0), (3.0, 0.0))
+    edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
     ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
     expand_edge(ctx)

@@ -69,6 +69,28 @@ def test_out_of_range_integer_flags_are_usage_errors(capsys, tmp_path):
         assert flag in capsys.readouterr().err
 
 
+def test_non_numeric_flags_are_usage_errors(capsys):
+    plan = ["plan", "--scenario", "demo", "--planner", "rrtstar"]
+    for argv, err in [
+        (plan + ["--time-budget", "abc"],
+         "error: argument --time-budget: expected a non-negative finite number, got 'abc'\n"),
+        (plan + ["--max-batches", "abc"],
+         "error: argument --max-batches: expected an integer >= 0, got 'abc'\n"),
+    ]:
+        assert cli_main(argv) == 1, argv
+        assert capsys.readouterr().err == err
+
+
+def test_rrtstar_svg_dir_is_a_note_and_writes_no_snapshot(tmp_path, capsys):
+    svg_dir = tmp_path / "svgs"
+    rc = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
+                   "--max-batches", "50", "--svg-dir", str(svg_dir)])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "note: --svg-dir snapshots are per batch and apply to bitstar only\n")
+    assert not svg_dir.exists()
+
+
 def test_out_of_range_float_flags_are_usage_errors(capsys):
     # Rejected before any trial runs; a zero grid step would otherwise divide
     # by zero after the trials.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bitplan import GoalRegion, ProblemDef, RngStream, World, c_hat
+from bitplan import GoalRegion, ProblemDef, RngStream, World
 from bitplan.anytime import StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from conftest import DEMO_BOUNDS, make_demo_problem
@@ -31,7 +31,7 @@ def test_steer_degenerate_and_distance_law():
         b = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         eta = rng.uniform(0.1, 5.0)
         out = steer(a, b, eta)
-        assert abs(c_hat(a, out) - min(eta, c_hat(a, b))) < 1e-9
+        assert abs(math.dist(a, out) - min(eta, math.dist(a, b))) < 1e-9
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
@@ -89,7 +89,7 @@ def test_rrt_root_inside_goal_region():
 def test_rrt_through_occupancy_grid_gap():
     import numpy as np
 
-    from bitplan import OccupancyGrid
+    from bitplan.world import OccupancyGrid
 
     blocked = np.zeros((20, 20), dtype=bool)
     blocked[10, :] = True

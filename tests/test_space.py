@@ -10,47 +10,37 @@ import numpy as np
 import pytest
 
 import bitplan.space as space
-from bitplan import (
-    Box,
-    CountingWorld,
-    GoalRegion,
-    OccupancyGrid,
-    ProblemDef,
-    RngStream,
-    SamplerStarvedError,
-    World,
-    c_hat,
-    g_hat,
-    h_hat,
-    informed_test,
-    sample_batch,
-)
-from bitplan.space import h_hat_rows, informed_box, sq_dists
+from bitplan import Box, GoalRegion, ProblemDef, RngStream, SamplerStarvedError, World
+from bitplan.space import h_hat, h_hat_rows, informed_box, informed_test, sample_batch, sq_dists
+from bitplan.world import CountingWorld, OccupancyGrid
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world
 
 
+# The paper's edge heuristic c_hat(x, y) is math.dist(x, y), and its
+# cost-to-come heuristic g_hat(x) is math.dist(root, x): the planners call
+# math.dist directly, and these tests pin the properties they rely on.
 def test_c_hat_examples():
-    assert c_hat((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert c_hat((1.0, 1.0), (1.0, 1.0)) == 0.0
-    assert c_hat((0.0, -8.0), (0.0, 8.0)) == 16.0
+    assert math.dist((0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert math.dist((1.0, 1.0), (1.0, 1.0)) == 0.0
+    assert math.dist((0.0, -8.0), (0.0, 8.0)) == 16.0
 
 
 def test_c_hat_symmetric_and_dimension_checked():
-    assert c_hat((1.0, 2.0), (4.0, 6.0)) == c_hat((4.0, 6.0), (1.0, 2.0))
+    assert math.dist((1.0, 2.0), (4.0, 6.0)) == math.dist((4.0, 6.0), (1.0, 2.0))
     with pytest.raises(ValueError):
-        c_hat((0.0, 0.0), (1.0, 2.0, 3.0))
+        math.dist((0.0, 0.0), (1.0, 2.0, 3.0))
 
 
 def test_c_hat_higher_dimensions():
-    assert c_hat((0.0, 0.0, 0.0), (1.0, 2.0, 2.0)) == 3.0
+    assert math.dist((0.0, 0.0, 0.0), (1.0, 2.0, 2.0)) == 3.0
 
 
 def test_g_hat_examples():
     p = make_demo_problem()
-    assert g_hat((0.0, -8.0), p) == 0.0
-    assert g_hat((0.0, 8.0), p) == 16.0
+    assert math.dist(p.root, (0.0, -8.0)) == 0.0
+    assert math.dist(p.root, (0.0, 8.0)) == 16.0
     p2 = ProblemDef((0.0, 0.0), ((3.0, 4.0),), GoalRegion((3.0, 4.0), 0.5))
-    assert g_hat((3.0, 4.0), p2) == 5.0
+    assert math.dist(p2.root, (3.0, 4.0)) == 5.0
 
 
 def test_h_hat_examples():
@@ -138,7 +128,7 @@ def test_h_hat_rows_is_bitwise_the_per_goal_minimum():
 
 def test_heuristics_vanish_at_their_anchors():
     p = make_demo_problem()
-    assert g_hat(p.root, p) == 0.0
+    assert math.dist(p.root, p.root) == 0.0
     for g in p.goal_samples:
         assert h_hat(g, p.goal_samples) == 0.0
 
@@ -149,7 +139,7 @@ def test_triangle_inequality_random_triples():
         x, y, z = (
             (rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)
         )
-        assert c_hat(x, z) <= c_hat(x, y) + c_hat(y, z) + 1e-12
+        assert math.dist(x, z) <= math.dist(x, y) + math.dist(y, z) + 1e-12
 
 
 def test_informed_test_examples():
@@ -319,7 +309,7 @@ def _reference_sample_batch(m, problem, world, c_sol, rng):
             attempts += 1
             x = tuple(l + (h - l) * r() for l, h in zip(bounds.lo, bounds.hi))
             if ((math.isinf(c_sol)
-                 or c_hat(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol)
+                 or math.dist(problem.root, x) + h_hat(x, problem.goal_samples) < c_sol)
                     and world.is_free(x)):
                 out.append(x)
                 break
@@ -352,7 +342,7 @@ def _first_draw_on_the_boundary(problem, seed):
     so a sampler that tests <= instead of < accepts it."""
     x = RngStream(seed).point(DEMO_BOUNDS)
     assert make_demo_world().is_free(x)
-    return c_hat(problem.root, x) + h_hat(x, problem.goal_samples)
+    return math.dist(problem.root, x) + h_hat(x, problem.goal_samples)
 
 
 def _sampler_cases():
@@ -373,7 +363,7 @@ def _sampler_cases():
         "two-goals": (demo, two, 16.3, 200, 4),
         "two-goals-boundary": (demo, two, _first_draw_on_the_boundary(two, 7), 50, 7),
         "two-goals-far": (demo, far, 9.0, 200, 8),
-        "corner-root": (demo, corner, 1.2 * c_hat(corner.root, corner.goal_samples[0]), 100, 9),
+        "corner-root": (demo, corner, 1.2 * math.dist(corner.root, corner.goal_samples[0]), 100, 9),
         "grid-uninformed": (grid, gp, math.inf, 300, 5),
         "grid-tight": (grid, gp, 1.02 * detour, 50, 6),
     }
@@ -444,6 +434,14 @@ def test_problem_validation(demo_world):
         ProblemDef((0.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="outside the goal region"):
         ProblemDef((0.0, -8.0), ((0.0, 6.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
+    with pytest.raises(ValueError, match="^at least one goal sample is required$"):
+        ProblemDef((0.0, -8.0), (), GoalRegion((0.0, 8.0), 0.5))
+    # Every goal sample is checked: here the second fails, inside the region.
+    for goal, message in [((0.0, 11.0), "goal sample lies outside the planning bounds"),
+                          ((0.0, 0.0), "goal sample lies inside an obstacle")]:
+        problem = ProblemDef((0.0, -8.0), ((0.0, 8.0), goal), GoalRegion((0.0, 8.0), 12.0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            problem.validate(demo_world)
 
 
 @pytest.mark.parametrize("center, radius", [

@@ -6,8 +6,9 @@ from collections import Counter
 
 import numpy as np
 
-from bitplan import Box, OccupancyGrid, World
+from bitplan import Box, World
 from bitplan.svg import render_svg
+from bitplan.world import OccupancyGrid
 from conftest import make_demo_world
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -69,8 +70,6 @@ def test_rect_obstacles_and_grid_rendering(tmp_path):
     assert tags["rect"] == 2  # frame + obstacle
 
     import numpy as np
-
-    from bitplan import OccupancyGrid
 
     grid = OccupancyGrid(2, 2, 1.0, (0.0, 0.0), np.array([[True, False], [False, True]]))
     gw = World(grid=grid)

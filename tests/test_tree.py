@@ -148,8 +148,6 @@ def test_solution_path():
 
 
 def test_solution_cost_matches_cost_to_come():
-    from bitplan import c_hat
-
     rng = random.Random(3)
     t = Tree((0.0, 0.0))
     ids = [t.root_id]
@@ -158,10 +156,10 @@ def test_solution_cost_matches_cost_to_come():
         state = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         if state in t.by_state:
             continue
-        ids.append(t.add_child(parent, state, c_hat(t.states[parent], state)))
+        ids.append(t.add_child(parent, state, math.dist(t.states[parent], state)))
     for vid in ids:
         path = t.solution(vid)
-        length = sum(c_hat(u, v) for u, v in zip(path, path[1:]))
+        length = sum(math.dist(u, v) for u, v in zip(path, path[1:]))
         assert abs(length - t.costs[vid]) < 1e-9
 
 

@@ -10,21 +10,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bitplan import (
-    Box,
-    Circle,
-    CountingWorld,
-    GridLoadError,
-    OccupancyGrid,
-    World,
-    c_hat,
-    load_occupancy_grid,
-    save_occupancy_grid,
-)
+from bitplan import Box, Circle, World
 from bitplan.anytime import StopCondition
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.space import GoalRegion, ProblemDef
-from bitplan.world import _bisection_order, _p2_values, _t_weights
+from bitplan.world import (
+    CountingWorld,
+    GridLoadError,
+    OccupancyGrid,
+    _bisection_order,
+    _p2_values,
+    _t_weights,
+    load_occupancy_grid,
+    save_occupancy_grid,
+)
 from conftest import make_demo_world
 
 
@@ -71,7 +70,7 @@ def test_true_cost_segment_clearance_oracle(demo_world):
     a, b = (-3.0, -3.0), (-3.0, 4.0)
     for ob in demo_world.obstacles:
         assert _point_segment_distance(ob.center, a, b) > ob.radius
-    assert demo_world.true_cost(a, b) == c_hat(a, b)
+    assert demo_world.true_cost(a, b) == math.dist(a, b)
 
 
 def test_true_cost_symmetric_random(demo_world):
@@ -88,7 +87,7 @@ def test_true_cost_is_length_or_inf(demo_world):
         a = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         b = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         cost = demo_world.true_cost(a, b)
-        assert cost == c_hat(a, b) or cost == math.inf
+        assert cost == math.dist(a, b) or cost == math.inf
 
 
 def test_true_cost_refuses_an_edge_longer_than_any_in_bounds(demo_world):
@@ -112,7 +111,7 @@ def test_nested_refinement(demo_world):
     for _ in range(300):
         a = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         b = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-        n = math.ceil(c_hat(a, b) * 4.0) + 1
+        n = math.ceil(math.dist(a, b) * 4.0) + 1
         if n < 2:
             continue
         if demo_world.all_free(_t_weights(2 * n - 1), a, b):
@@ -162,6 +161,9 @@ def test_pgm_size_mismatch(tmp_path):
     f = tmp_path / "g.pgm"
     f.write_text("P2\n2 2\n255\n0 255 255\n")
     with pytest.raises(GridLoadError, match="size"):
+        load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
+    f.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 255]))
+    with pytest.raises(GridLoadError, match="^size: expected 4 pixel bytes, got 3$"):
         load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
 
 
@@ -320,6 +322,27 @@ def test_pgm_bad_header(tmp_path):
     f.write_text("P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(GridLoadError, match="meters_per_cell"):
         load_occupancy_grid(f, 0.0, (0.0, 0.0), 127)
+    for data, message in [
+        (b"P2\nx 2\n255\n0 0 0 0\n", "header: width, height, and maxval must be integers"),
+        (b"P2\n0 2\n255\n0\n", "size: width and height must be positive"),
+        (b"P2\n2 2", "header: truncated file"),
+        (b"P2\n2 2\n255", "header: missing pixel data"),
+    ]:
+        f.write_bytes(data)
+        with pytest.raises(GridLoadError) as excinfo:
+            load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
+        assert str(excinfo.value) == message, data
+
+
+def test_occupancy_grid_rejects_an_array_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="^occupancy array shape does not match width/height$"):
+        OccupancyGrid(2, 3, 1.0, (0.0, 0.0), np.zeros((2, 3), dtype=bool))
+
+
+def test_world_rejects_an_obstacle_that_is_neither_a_circle_nor_a_box():
+    with pytest.raises(ValueError) as excinfo:
+        World(Box((0.0, 0.0), (4.0, 4.0)), [(1.0, 1.0)])
+    assert str(excinfo.value) == "obstacles must be Circles or Boxes, got (1.0, 1.0)"
 
 
 def test_pgm_p5_binary(tmp_path):
@@ -352,8 +375,6 @@ def test_grid_world_bounds_derived(tmp_path):
 
 
 def test_counting_world_tracks_work(demo_world):
-    from bitplan import CountingWorld
-
     cw = CountingWorld(demo_world)
     # A point test is not metered: the sampler charges its draws itself.
     assert cw.is_free((0.0, -8.0))
