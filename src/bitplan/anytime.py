@@ -31,7 +31,8 @@ from .world import CountingWorld, World
 class StopCondition:
     """Any-of termination bounds; at least one must be set.
 
-    time_budget_s counts planner seconds on the deterministic work clock;
+    time_budget_s counts planner seconds on the deterministic work clock
+    and must be finite (an infinite budget never fires);
     max_batches bounds the number of sampled batches (0 allows only the
     direct root-to-goal attempt); target_cost stops at the first solution
     at or below the target.
@@ -45,8 +46,8 @@ class StopCondition:
         if self.time_budget_s is None and self.max_batches is None and self.target_cost is None:
             raise ValueError("at least one stop bound must be set")
         # Negated comparisons, so that NaN fails them too.
-        if self.time_budget_s is not None and not self.time_budget_s >= 0:
-            raise ValueError("time budget must be non-negative")
+        if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
+            raise ValueError("time budget must be non-negative and finite")
         if self.max_batches is not None and not isinstance(self.max_batches, Integral):
             raise ValueError(f"max_batches must be an integer, got {self.max_batches!r}")
         if self.max_batches is not None and not self.max_batches >= 0:

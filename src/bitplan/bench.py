@@ -45,7 +45,6 @@ import math
 import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
@@ -86,8 +85,7 @@ class AggregateTable:
 
 
 def builtin_scenario_path(name: str) -> Path:
-    p = resources.files("bitplan").joinpath(f"scenarios/{name}.scn")
-    return Path(str(p))
+    return Path(__file__).with_name("scenarios") / f"{name}.scn"
 
 
 def resolve_scenario(ref: str) -> Scenario:

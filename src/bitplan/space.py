@@ -142,8 +142,6 @@ def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
     """
     if not goal_samples:
         raise ValueError("goal sample set is empty")
-    if len(goal_samples) == 1:
-        return math.dist(x, goal_samples[0])
     return min(math.dist(x, g) for g in goal_samples)
 
 
@@ -187,8 +185,6 @@ def informed_box(problem: ProblemDef, c_sol: float) -> tuple[float, float, float
     covers math.dist's rounding; float rounding is monotone, so the margin
     survives the box arithmetic.
     """
-    if math.isinf(c_sol):
-        return (-math.inf, -math.inf, math.inf, math.inf)
     c = c_sol * (1 + 1e-9)
     (r0, r1), (g0, g1) = problem.root, zip(*problem.goal_samples)
     return (max(r0, min(g0)) - c, max(r1, min(g1)) - c, min(r0, max(g0)) + c, min(r1, max(g1)) + c)

@@ -9,6 +9,7 @@ Points exactly on an obstacle boundary count as blocked.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -374,27 +375,25 @@ def _p2_values(raster: np.ndarray, n: int) -> np.ndarray:
     return np.fromstring(raster, dtype=np.int64, sep=" ")
 
 
+# A PGM header is tokens separated by gaps of ASCII whitespace and # comments
+# (each running to the end of its line); a # inside a token is part of it.
+_HEADER_GAP = re.compile(rb"(?:\s|#[^\n]*)*")
+_HEADER_TOKEN = re.compile(rb"\S+")
+
+
 def _header_tokens(data: bytes, count: int):
     """First `count` whitespace-separated header tokens, skipping # comments.
 
     Returns the tokens and the offset just past the single whitespace byte
     that terminates the last one (where a P5 raster begins).
     """
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
+    tokens, pos = [], 0
+    for _ in range(count):
+        token = _HEADER_TOKEN.match(data, _HEADER_GAP.match(data, pos).end())
+        if token is None:
             raise GridLoadError("header: truncated file")
-        tokens.append(data[start:i])
-    if i >= len(data):
+        tokens.append(token[0])
+        pos = token.end()
+    if pos >= len(data):
         raise GridLoadError("header: missing pixel data")
-    return tokens, i + 1
+    return tokens, pos + 1

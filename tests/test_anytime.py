@@ -138,3 +138,13 @@ def test_an_infinite_target_stops_at_the_first_solution(planner, first):
 def test_stop_condition_rejects_a_negative_max_batches():
     with pytest.raises(ValueError, match="^max batches must be non-negative$"):
         StopCondition(max_batches=-1)
+
+
+@pytest.mark.parametrize("budget", [math.inf, -math.inf, -1.0, math.nan])
+def test_stop_condition_requires_a_finite_non_negative_time_budget(budget):
+    # An infinite budget never fires: rrt_plan under it alone never returns.
+    with pytest.raises(ValueError, match="^time budget must be non-negative and finite$"):
+        StopCondition(time_budget_s=budget)
+    with pytest.raises(ValueError, match="^time budget must be non-negative and finite$"):
+        StopCondition(time_budget_s=budget, max_batches=10)
+    assert StopCondition(time_budget_s=0.0).time_budget_s == 0.0

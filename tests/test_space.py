@@ -126,6 +126,17 @@ def test_h_hat_rows_is_bitwise_the_per_goal_minimum():
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_h_hat_is_math_dist_to_one_goal_and_the_minimum_over_several():
+    rng = random.Random(29)
+    goals = tuple((rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(4))
+    for _ in range(300):
+        x = (rng.uniform(-12, 12), rng.uniform(-12, 12))
+        dists = [math.dist(x, g) for g in goals]
+        assert [h_hat(x, (g,)).hex() for g in goals] == [d.hex() for d in dists]
+        for k in (2, 3, 4):
+            assert h_hat(x, goals[:k]).hex() == min(dists[:k]).hex()
+
+
 def test_heuristics_vanish_at_their_anchors():
     p = make_demo_problem()
     assert math.dist(p.root, p.root) == 0.0

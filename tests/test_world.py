@@ -327,11 +327,36 @@ def test_pgm_bad_header(tmp_path):
         (b"P2\n0 2\n255\n0\n", "size: width and height must be positive"),
         (b"P2\n2 2", "header: truncated file"),
         (b"P2\n2 2\n255", "header: missing pixel data"),
+        (b"P2\n2 1\n# runs to the end of the file", "header: truncated file"),
+        (b"P2 2 1 # 255\n", "header: truncated file"),
+        (b"P2#x\n2 1\n255\n0 255\n", "magic: expected P2 or P5, got 'P2#x'"),
+        (b"P2\n2 1\n255#\n0 255\n", "header: width, height, and maxval must be integers"),
+        # The one whitespace byte after maxval ends the header, so a # after
+        # it is raster, not a comment.
+        (b"P2\n2 1\n255\n#0 255\n", "pixels: non-integer pixel value"),
+        (b"P2\n2 1\n255 # 0\n", "pixels: non-integer pixel value"),
     ]:
         f.write_bytes(data)
         with pytest.raises(GridLoadError) as excinfo:
             load_occupancy_grid(f, 1.0, (0.0, 0.0), 127)
         assert str(excinfo.value) == message, data
+
+
+@pytest.mark.parametrize("header", [
+    b"P2 # magic\n2 1\n255\n",
+    b"P2\n# before the width\n2 # width\n# between\n1 # height\n# before maxval\n255\n",
+    b"P2\r2\x0b1\x0c255\n",
+    b"P2\x0c2\r1\x0b255\r",
+    b"P2\n2 1\n255\x0b",
+])
+def test_pgm_header_skips_comments_and_every_ascii_space(tmp_path, header):
+    # A P2 raster; the same header then starts a P5 raster right after the
+    # single whitespace byte that ends maxval.
+    f = tmp_path / "g.pgm"
+    f.write_bytes(header + b"0 255\n")
+    assert load_occupancy_grid(f, 1.0, (0.0, 0.0), 127).grid.blocked.tolist() == [[True, False]]
+    f.write_bytes(b"P5" + header[2:] + bytes([255, 0]))
+    assert load_occupancy_grid(f, 1.0, (0.0, 0.0), 127).grid.blocked.tolist() == [[False, True]]
 
 
 def test_occupancy_grid_rejects_an_array_of_the_wrong_shape():
