@@ -52,40 +52,35 @@ class PlannerParams:
 class Samples:
     """The unconnected samples x_ncon, held as one (2, n) matrix per batch.
 
-    Row i of the set is column i of the matrix and `states[i]`; rows keep
-    insertion order, and a state given twice keeps its first row.
-    The matrix, each row's h_hat and the new-this-batch mask are fixed when
-    the set is built: by `PlannerContext` at set-up and by `start_new_batch`
-    once per batch. Between builds the only change is `discard`, which clears
-    a row's live flag when `prune` drops the sample or `expand_edge` connects
-    it.
+    Row i of the set is column i of `mat`, `h[i]` its h_hat and `states[i]`
+    its state. Rows keep insertion order: the old samples, then this batch's
+    new ones (the slice `new`), then the reused ones, and a state given twice
+    keeps its first row. The rows are fixed when the set is built: by
+    `PlannerContext` at set-up and by `start_new_batch` once per batch.
+    Between builds the only change is `discard`, when `prune` drops the
+    sample or `expand_edge` connects it, and it follows the tree's removal
+    rule: the row leaves `rows` and its column becomes inf, so no radius test
+    admits it again.
     `rows` maps each live sample to its row, in row order, so readers ask it
     for membership (`x in samples.rows`) and iterate it for the live samples
     and never see a removed one.
     """
 
-    def __init__(self, states: Iterable[State], goal_samples: tuple[State, ...],
-                 new: Iterable[State] = ()):
-        self.states = list(dict.fromkeys(states))  # every row's state, live or not
+    def __init__(self, goal_samples: tuple[State, ...], old: Iterable[State] = (),
+                 new: Iterable[State] = (), reused: Iterable[State] = ()):
+        rows = dict.fromkeys(old)
+        start = len(rows)
+        rows |= dict.fromkeys(new)
+        self.new = slice(start, len(rows))
+        rows |= dict.fromkeys(reused)
+        self.states = list(rows)  # every row's state, live or not
         self.rows = {x: i for i, x in enumerate(self.states)}  # live samples only
-        self._mat = np.array(self.states, dtype=float).reshape(-1, 2).T.copy()
-        # h_hat_rows works column by column, so any subset of h is bitwise
-        # the h_hat_rows of that subset of columns.
-        self._h = h_hat_rows(self._mat, goal_samples) if self.states else np.empty(0)
-        self._live = np.ones(len(self.states), dtype=bool)
-        new = set(new)
-        self._new = np.array([x in new for x in self.states], dtype=bool)
+        self.mat = np.array(self.states, dtype=float).reshape(-1, 2).T.copy()
+        self.h = h_hat_rows(self.mat, goal_samples)
 
     def discard(self, x: State) -> None:
         """Remove the live sample x."""
-        self._live[self.rows.pop(x)] = False
-
-    def candidates(self, new_only: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live rows in order (only this batch's new ones if new_only),
-        with their (2, k) columns of the matrix and their h_hat values."""
-        rows = (self._live & self._new if new_only else self._live).nonzero()[0]
-        # take keeps each coordinate row contiguous; m[:, rows] would not.
-        return rows, self._mat.take(rows, axis=1), self._h[rows]
+        self.mat[:, self.rows.pop(x)] = math.inf
 
 
 class PlannerContext(AnytimeRun):
@@ -108,8 +103,7 @@ class PlannerContext(AnytimeRun):
         self.qv = CostQueue()
         self.qe = CostQueue()
         goals = problem.goal_samples
-        x_goal = [g for g in goals if g != problem.root]
-        self.x_ncon = Samples(x_goal, goals, x_goal)
+        self.x_ncon = Samples(goals, new=[g for g in goals if g != problem.root])
         self.v_exp: set[int] = set()
         self.v_rewire: set[int] = set()
 
@@ -129,9 +123,8 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
         return []
     goals = problem.goal_samples
     informed = informed_test(problem, c)
-    samples = ctx.x_ncon
-    for x in [x for x in samples.rows if not informed(x)]:
-        samples.discard(x)
+    for x in [x for x in ctx.x_ncon.rows if not informed(x)]:
+        ctx.x_ncon.discard(x)
     x_reuse: list[State] = []
     tree = ctx.tree
     states, costs = tree.states, tree.costs
@@ -153,7 +146,8 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
     New samples are informed once an incumbent exists. x_ncon is rebuilt here,
     once per batch, from the surviving samples, the new ones and the reused
     pruned states, in that order; the rebuild computes the batch's samples
-    matrix and h_hat values. Reused pruned states rejoin x_ncon but not x_new:
+    matrix and h_hat values, and the new rows are the slice x_ncon.new.
+    Reused pruned states rejoin x_ncon but not x_new:
     vertices that saw them in earlier batches already considered those
     connections, and pruned vertices lose their expanded flag, so no
     connection opportunity is lost.
@@ -164,7 +158,7 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
     fresh = sample_batch(params.batch_size, problem, ctx.world, ctx.c_sol, rng)
     goals = problem.goal_samples
     x_new = [x for x in fresh if x not in ctx.tree.by_state]  # keep tree and samples disjoint
-    ctx.x_ncon = Samples([*ctx.x_ncon.rows, *x_new, *x_reuse], goals, x_new)
+    ctx.x_ncon = Samples(goals, ctx.x_ncon.rows, x_new, x_reuse)
     tree = ctx.tree
     for vid, (state, g) in enumerate(zip(tree.states, tree.costs)):
         if state is not None:
@@ -176,14 +170,14 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
     Runs entirely on heuristics, no collision checks. Edges to unconnected
     samples are admitted with the optimistic g_hat test; a first-time vertex
-    scans all of x_ncon, a repeat only this batch's new samples, both on the
-    matrix and h_hat values x_ncon computed when the batch began, and only
-    the admitted samples' states are looked up. Rewiring
+    scans every row of x_ncon, a repeat only the slice `x_ncon.new`, both as
+    views of the matrix and h_hat values x_ncon computed when the batch
+    began, and only the admitted samples' states are looked up. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
     solution exists. Queue entries memoize the edge and cost-to-go
     heuristics (pure functions of the states) as plain floats; only
     cost-to-come can go stale and is re-read at pop time. Returns the number
-    of candidates scanned so the caller can charge the work clock.
+    of live candidates scanned so the caller can charge the work clock.
     """
     scanned = 0
     _, _, vid = ctx.qv.pop_best()
@@ -195,28 +189,29 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
     def near(cols: np.ndarray, h: np.ndarray):
         # Columns within the radius whose edge could still beat the
-        # incumbent, with their edge and cost-to-go heuristics. Only Python
-        # floats leave: the queues compare them far faster than numpy scalars.
+        # incumbent, with their edge and cost-to-go heuristics. A removed
+        # state's column is inf, so it is never admitted and the scan is
+        # charged only the live (finite) columns. Only Python floats leave:
+        # the queues compare them far faster than numpy scalars.
+        nonlocal scanned
         d = np.sqrt(sq_dists(cols, vstate))
+        scanned += int(np.count_nonzero(d < math.inf))
         admit = ((d <= params.radius) & (gh_v + d + h < ctx.c_sol)).nonzero()[0]
         return admit, d[admit].tolist(), h[admit].tolist()
 
-    rows, cols, h = ctx.x_ncon.candidates(new_only=vid in ctx.v_exp)
+    samples = ctx.x_ncon
+    span = samples.new if vid in ctx.v_exp else slice(0, None)
     ctx.v_exp.add(vid)
-    if len(rows):
-        scanned += len(rows)
-        admit, d, h = near(cols, h)
-        x_states = ctx.x_ncon.states
-        for r, dx, hx in zip(rows[admit].tolist(), d, h):
-            x = x_states[r]
-            if x != vstate:
-                ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, x, dx, hx))
+    admit, d, h = near(samples.mat[:, span], samples.h[span])
+    for r, dx, hx in zip((admit + span.start).tolist(), d, h):
+        x = samples.states[r]
+        if x != vstate:
+            ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, x, dx, hx))
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
         # Column w is vertex w; a removed w's column is inf and never admitted.
         cols = tree.states_matrix()
-        scanned += len(tree)
         admit, d, h = near(cols, h_hat_rows(cols, problem.goal_samples))
         for wid, dw, hw in zip(admit.tolist(), d, h):
             wstate = states[wid]

@@ -59,8 +59,9 @@ class GoalRegion:
 
     def __post_init__(self):
         # Negated comparisons, so that NaN fails them too.
-        if not (all(-math.inf < c < math.inf for c in self.center) and 0 < self.radius < math.inf):
-            raise ValueError("goal region needs a finite center and a positive finite radius")
+        if not (len(self.center) == 2 and all(-math.inf < c < math.inf for c in self.center)
+                and 0 < self.radius < math.inf):
+            raise ValueError("goal region needs a finite 2-D center and a positive finite radius")
 
     def contains(self, x: State) -> bool:
         return math.dist(x, self.center) <= self.radius
@@ -77,6 +78,8 @@ class ProblemDef:
     def __post_init__(self):
         if not self.goal_samples:
             raise ValueError("at least one goal sample is required")
+        if any(len(x) != 2 for x in (self.root, *self.goal_samples)):
+            raise ValueError("the root and every goal sample must be 2-D states")
 
     def validate(self, world) -> None:
         """Check start/goal placement against world bounds, obstacles, and the region."""

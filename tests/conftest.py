@@ -46,13 +46,18 @@ def tree_lists_audit(tree) -> None:
 
 def samples_audit(samples) -> None:
     """A bitstar.Samples set agrees with itself: its states are distinct,
-    rows maps each live state to its own row in row order, and the live
-    mask is set exactly at rows.values()."""
+    rows maps each live state to its own row in row order, and mat is
+    (2, len(states)) with contiguous rows, where a live row's column is
+    bitwise its state and every other column is inf in both coordinates,
+    as the tree's states_matrix() keeps a removed vertex."""
     states, rows = samples.states, samples.rows
     assert len(set(states)) == len(states)
     assert all(states[r] == x for x, r in rows.items())
     assert list(rows.values()) == sorted(rows.values())
-    assert samples._live.nonzero()[0].tolist() == list(rows.values())
+    mat = samples.mat
+    assert mat.shape == (2, len(states)) and mat.strides[1] == mat.itemsize
+    cols = [x if x in rows else (math.inf, math.inf) for x in states]
+    assert mat.T.tobytes() == np.array(cols, dtype=float).reshape(-1, 2).tobytes()
 
 
 def tree_audit(tree, tol: float = 1e-9) -> None:

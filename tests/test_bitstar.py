@@ -32,7 +32,7 @@ from bitplan.bitstar import (
 )
 from bitplan.queues import CostQueue
 from bitplan.rrtstar import RrtParams, rrt_plan
-from bitplan.space import h_hat, h_hat_rows, informed_test
+from bitplan.space import h_hat, h_hat_rows, informed_test, sq_dists
 from bitplan.tree import Tree
 from conftest import (DEMO_BOUNDS, make_demo_problem, make_demo_world, samples_audit,
                       tree_audit, tree_lists_audit)
@@ -43,10 +43,10 @@ DEMO_STOP = StopCondition(max_batches=10)
 
 def _context(problem, samples=(), world=None) -> PlannerContext:
     """A lone root on `world` (default: the demo world); x_ncon holds the
-    goal samples (new) and then `samples` (old)."""
+    goal samples (the slice x_ncon.new) and then `samples` (not new)."""
     ctx = PlannerContext(problem, make_demo_world() if world is None else world, DEMO_STOP)
     goals = problem.goal_samples
-    ctx.x_ncon = Samples([*goals, *samples], goals, goals)
+    ctx.x_ncon = Samples(goals, new=goals, reused=samples)
     return ctx
 
 
@@ -54,7 +54,7 @@ def _queued_targets(x, samples, radius):
     """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
     problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1))
     ctx = PlannerContext(problem, World(DEMO_BOUNDS, []), DEMO_STOP)
-    ctx.x_ncon = Samples(samples, problem.goal_samples)
+    ctx.x_ncon = Samples(problem.goal_samples, samples)
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
     params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
@@ -371,7 +371,7 @@ def test_prune_soundness_postcondition():
             continue
         ids.append(ctx.tree.add_child(parent, state, math.dist(ctx.tree.states[parent], state)))
         samples.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
-    ctx.x_ncon = Samples([*ctx.x_ncon.rows, *samples], problem.goal_samples)
+    ctx.x_ncon = Samples(problem.goal_samples, [*ctx.x_ncon.rows, *samples])
     ctx.c_sol = 18.0
     prune(ctx, problem)
     goals = problem.goal_samples
@@ -392,8 +392,7 @@ def test_start_new_batch_refills_queues(demo_world):
     assert len(ctx.qv) == len(ctx.tree) == 3
     # 1 goal sample + 100 fresh samples, X_reuse empty pre-incumbent.
     assert len(ctx.x_ncon.rows) == 101
-    rows, _, _ = ctx.x_ncon.candidates(new_only=True)
-    x_new = [ctx.x_ncon.states[r] for r in rows.tolist()]
+    x_new = ctx.x_ncon.states[ctx.x_ncon.new]
     assert len(x_new) == 100
     assert all(x in ctx.x_ncon.rows for x in x_new)
 
@@ -474,10 +473,67 @@ def test_expand_vertex_second_expansion_sees_only_new_samples():
     root = ctx.tree.root_id
     ctx.v_exp.add(root)
     # The goal and an old sample within radius, neither of them new.
-    ctx.x_ncon = Samples([*goals, (1.0, -7.0)], goals)
+    ctx.x_ncon = Samples(goals, [*goals, (1.0, -7.0)])
     ctx.qv.insert(16.0, 0.0, root)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
+
+
+def test_samples_rows_are_old_then_new_then_reused_and_keep_their_first_row():
+    goals = make_demo_problem().goal_samples
+    a, b, c, d = (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)
+    # A new state equal to an old one keeps its old row, so it is not new.
+    samples = Samples(goals, [a, b], [c, a, c], [b, d, c])
+    assert samples.states == [a, b, c, d]
+    assert samples.rows == {a: 0, b: 1, c: 2, d: 3}
+    assert samples.states[samples.new] == [c]
+    samples.discard(c)
+    assert samples.states[samples.new] == [c] and c not in samples.rows
+    samples_audit(samples)
+
+
+def test_the_scan_charge_counts_live_candidates_only():
+    # A hand-built run with an incumbent, so that every expansion below scans
+    # the samples and then the tree: one dead sample column inside the new
+    # slice, one outside it, and a removed subtree's two tree columns.
+    problem = make_demo_problem()
+    goals = problem.goal_samples
+    ctx = PlannerContext(problem, make_demo_world(), DEMO_STOP)
+    old, new, reused = [(1.0, -7.0), (2.0, -6.0)], [(-1.0, -7.0), (-2.0, -6.0)], [(3.0, -5.0)]
+    ctx.x_ncon = samples = Samples(goals, [*goals, *old], new, reused)
+    samples.discard(new[0])
+    samples.discard(old[1])
+    samples_audit(samples)
+    tree = ctx.tree
+    root = tree.root_id
+    mid = tree.add_child(root, (0.0, -4.0), 4.0)
+    gone = tree.add_child(mid, (1.0, -3.0), math.dist((0.0, -4.0), (1.0, -3.0)))
+    tree.add_child(gone, (1.0, -2.0), 1.0)
+    tree.remove_subtree(gone)
+    ctx.c_sol = 40.0
+    live = [x for x in [*goals, *old, *new, *reused] if x not in (new[0], old[1])]
+    live_new = [x for x in new if x != new[0]]
+    assert len(samples.states) == 6 and len(tree.states) == 4
+
+    def queued_targets():
+        targets = []
+        while ctx.qe:
+            targets.append(ctx.qe.pop_best()[2][1])
+        return sorted(targets)
+
+    # First expansion of the root: every sample row, then every tree column.
+    # Only samples are queued: mid is the root's child.
+    ctx.qv.insert(0.0, 0.0, root)
+    assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live) + 2 == 6
+    assert queued_targets() == sorted(x for x in live if math.dist(problem.root, x) <= 8.0)
+    # A repeat expansion of mid, whose rewiring edges were never queued: the
+    # new slice, then every tree column. Only the new slice's live sample is
+    # queued: the root's cost cannot be beaten.
+    ctx.v_exp.add(mid)
+    ctx.qv.insert(0.0, 4.0, mid)
+    assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live_new) + 2 == 3
+    assert queued_targets() == live_new
+    assert ctx.v_rewire == {root, mid}
 
 
 def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypatch, demo_world):
@@ -524,8 +580,9 @@ def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypa
 def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_world):
     # Oracle: x_ncon and x_new kept as insertion-ordered dicts, as the planner
     # kept them before it owned a samples matrix. A first expansion must scan
-    # list(x_ncon), a repeat the new samples still in x_ncon, in that order,
-    # on (2, k) columns and h values bitwise those of a fresh h_hat_rows.
+    # list(x_ncon), a repeat the new samples still in x_ncon, in that order:
+    # those are the finite columns of the scanned view of the samples matrix,
+    # bitwise, and their h values are bitwise those of a fresh h_hat_rows.
     problem = make_demo_problem()
     goals = problem.goal_samples
     x_ncon = dict.fromkeys(g for g in goals if g != problem.root)
@@ -559,37 +616,40 @@ def test_expand_vertex_scans_the_rows_of_the_old_sample_sets(monkeypatch, demo_w
         x_ncon.update(x_new)
         x_ncon.update(dict.fromkeys(reused.pop()))
         assert list(ctx.x_ncon.rows) == list(x_ncon)
-        rows = ctx.x_ncon.candidates(new_only=True)[0].tolist()
-        assert [ctx.x_ncon.states[r] for r in rows] == list(x_new)
+        assert ctx.x_ncon.states[ctx.x_ncon.new] == list(x_new)
 
     orig_expand = bitstar.expand_vertex
 
     def expand(ctx, problem, params):
         expanded = len(ctx.v_exp)
+        scans.clear()
         scanned = orig_expand(ctx, problem, params)
         first = len(ctx.v_exp) > expanded
         expected = list(x_ncon) if first else [x for x in x_new if x in x_ncon]
-        rows, cols, h, states = scans.pop()
-        assert [states[r] for r in rows.tolist()] == expected
-        # One contiguous row per coordinate, column i the state of rows[i].
-        assert cols.shape == (2, len(expected)) and cols.flags.c_contiguous
-        if expected:
-            want = np.asarray(expected, dtype=float).T
-            assert cols.tobytes() == want.tobytes()
-            assert h.tobytes() == h_hat_rows(want, goals).tobytes()
+        samples = ctx.x_ncon
+        span = slice(0, None) if first else samples.new
+        # The samples scan comes first; it reads the span's view of the
+        # matrix, one contiguous row per coordinate, and copies nothing.
+        cols, snapshot = scans[0]
+        assert cols.base is samples.mat and cols.strides[1] == cols.itemsize
+        view = samples.mat[:, span]
+        assert cols.shape == view.shape
+        assert cols.__array_interface__["data"] == view.__array_interface__["data"]
+        live = np.isfinite(snapshot).all(axis=0)
+        assert live.tolist() == [x in samples.rows for x in samples.states[span]]
+        want = np.asarray(expected, dtype=float).reshape(-1, 2).T
+        assert snapshot[:, live].tobytes() == want.tobytes()
+        assert samples.h[span][live].tobytes() == h_hat_rows(want, goals).tobytes()
         seen[first] += 1
         return scanned
 
+    def scan(cols, x):
+        scans.append((cols, cols.copy()))
+        return sq_dists(cols, x)
+
     monkeypatch.setattr(bitstar, "prune", record(bitstar.prune, reused))
     monkeypatch.setattr(bitstar, "sample_batch", record(bitstar.sample_batch, drawn))
-    candidates = bitstar.Samples.candidates
-
-    def scan(samples, new_only):
-        result = candidates(samples, new_only)
-        scans.append((*result, samples.states))
-        return result
-
-    monkeypatch.setattr(bitstar.Samples, "candidates", scan)
+    monkeypatch.setattr(bitstar, "sq_dists", scan)
     monkeypatch.setattr(Tree, "add_child", connect)
     monkeypatch.setattr(bitstar, "start_new_batch", batch)
     monkeypatch.setattr(bitstar, "expand_vertex", expand)

@@ -455,6 +455,19 @@ def test_problem_validation(demo_world):
             problem.validate(demo_world)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ProblemDef((0.0, -8.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)),
+    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0), (0.0, 8.0, 0.0)), GoalRegion((0.0, 8.0), 0.5)),
+    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0, 0.0), 0.5)),
+    lambda: ProblemDef((0.0,), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)),
+], ids=["3-D root", "3-D goal sample", "3-D goal region center", "1-D root"])
+def test_a_problem_off_the_plane_is_refused_at_construction(build):
+    # The planners are planar, so a problem off the plane is refused where it
+    # is made, not with a math.dist or reshape error deep inside a planner.
+    with pytest.raises(ValueError, match="2-D"):
+        build()
+
+
 @pytest.mark.parametrize("center, radius", [
     ((0.0, 0.0), math.nan),
     ((0.0, 0.0), math.inf),
