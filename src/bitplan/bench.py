@@ -1,7 +1,8 @@
 """Scenario files, seeded multi-trial execution, aggregation, and CSV output.
 
-Scenario format (line-oriented, '#' starts a comment, blank lines ignored;
-every number must be finite; an unknown section or key is an error):
+Scenario format (UTF-8 text, a leading byte-order mark ignored; line-oriented,
+'#' starts a comment, blank lines ignored; every number must be finite; an
+unknown section or key is an error):
 
     name = demo                 # optional, defaults to the file stem
     [world]
@@ -101,10 +102,16 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ScenarioError(f"{path}: {e}") from e
+
+    def made(where: str, make, *args):
+        # The one path from a refusal (a constructor's ValueError, a read's
+        # OSError or UnicodeDecodeError) to a ScenarioError naming the file.
+        try:
+            return make(*args)
+        except (ValueError, OSError) as e:
+            raise ScenarioError(f"{path}{where}{e}") from e
+
+    text = made(": ", lambda: path.read_text(encoding="utf-8-sig"))
 
     # Each section's keys as (line, text); None is the top level. Reading a
     # key pops it, so whatever is left at the end was never read.
@@ -182,10 +189,7 @@ def load_scenario(path) -> Scenario:
     name = found[1] if found else path.stem
 
     b = read("world", "bounds", 4)
-    try:
-        bounds = Box((b[0], b[1]), (b[2], b[3]))
-    except ValueError as e:
-        raise ScenarioError(f"{path}: bounds: {e}") from e
+    bounds = made(": bounds: ", Box, (b[0], b[1]), (b[2], b[3]))
     cpm = read("world", "checks_per_meter", low="positive", required=False, default=4.0)
 
     if "obstacles" in stores and "grid" in stores:
@@ -198,10 +202,9 @@ def load_scenario(path) -> Scenario:
         mpc = read("grid", "meters_per_cell", low="positive")
         origin = read("grid", "origin", 2)
         threshold = read("grid", "threshold", conv=int, within=(0, 255))
-        try:
-            grid = load_occupancy_grid(grid_path, mpc, origin, threshold).grid
-        except (ValueError, OSError) as e:  # GridLoadError, or an extent World refuses
-            raise ScenarioError(f"{path}:{line_no}: file: {grid_path}: {e}") from e
+        # A GridLoadError, or an extent that World refuses.
+        grid = made(f":{line_no}: file: {grid_path}: ", load_occupancy_grid,
+                    grid_path, mpc, origin, threshold).grid
         obstacles = None
     else:
         grid, obstacles = None, []
@@ -210,14 +213,9 @@ def load_scenario(path) -> Scenario:
             if (kind, len(parts)) not in (("circle", 3), ("rect", 4)):
                 err(line_no, f"expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got {line!r}")
             v = numbers(line_no, kind, parts, len(parts))
-            try:
-                obstacles.append(Circle(v[:2], v[2]) if kind == "circle" else Box(v[:2], v[2:]))
-            except ValueError as e:
-                err(line_no, f"bad obstacle: {e}")
-    try:
-        world = World(bounds, obstacles, grid, checks_per_meter=cpm)
-    except ValueError as e:
-        raise ScenarioError(f"{path}: [world] {e}") from e
+            make, rest = (Circle, v[2]) if kind == "circle" else (Box, v[2:])
+            obstacles.append(made(f":{line_no}: bad obstacle: ", make, v[:2], rest))
+    world = made(": [world] ", World, bounds, obstacles, grid, cpm)
 
     root = read("problem", "root", 2)
     goal_center = read("problem", "goal_center", 2)
@@ -225,19 +223,14 @@ def load_scenario(path) -> Scenario:
     goal_samples = tuple(
         numbers(line_no, "goal_sample", value.split(), 2) for line_no, value in goal_sample_lines
     ) or (goal_center,)
-    try:
-        problem = ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius))
-        problem.validate(world)
-    except ValueError as e:
-        raise ScenarioError(f"{path}: problem: {e}") from e
+    problem = made(": problem: ",
+                   lambda: ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius)))
+    made(": problem: ", problem.validate, world)
 
     time_budget = read("stop", "time_budget_s", low="positive", required=False)
     max_batches = read("stop", "max_batches", conv=int, low="non-negative", required=False)
     target_cost = read("stop", "target_cost", low="positive", required=False)
-    try:
-        stop = StopCondition(time_budget, max_batches, target_cost)
-    except ValueError as e:
-        raise ScenarioError(f"{path}: [stop]: {e}") from e
+    stop = made(": [stop]: ", StopCondition, time_budget, max_batches, target_cost)
 
     # The reads enforce every rule of both parameter types.
     bit = PlannerParams(batch_size=read("bitstar", "batch_size", conv=int, low="positive"),

@@ -5,7 +5,7 @@ import random
 import re
 import statistics
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -21,7 +21,7 @@ from bitplan.bench import (
     write_convergence_csv,
 )
 from bitplan.anytime import ConvergencePoint, StopCondition
-from bitplan.world import Circle
+from bitplan.world import Circle, GridLoadError
 
 DEMO_SCN = """
 name = tiny
@@ -51,6 +51,12 @@ base_seed = 5
 def _write(tmp_path, text, name="s.scn"):
     p = tmp_path / name
     p.write_text(text)
+    return p
+
+
+def _write_bytes(tmp_path, data, name="s.scn"):
+    p = tmp_path / name
+    p.write_bytes(data)
     return p
 
 
@@ -103,41 +109,50 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 # Each case edits the built-in demo (rho is on line 21) and pins the whole
 # message, so a loader rewrite cannot drop a line number or wrap a message.
-@pytest.mark.parametrize("old, new, message", [
-    ("rho = 8", "rho 8", ":21: expected 'key = value'"),
-    ("rho = 8", "= 8", ":21: empty key"),
-    ("root = 0 -8", "", ": missing required key 'root' in [problem]"),
-    ("bounds = -10 -10 10 10", "bounds = -10 -10 10", ":6: bounds: expected 4 numbers, got 3"),
+# A message that wraps a constructor's refusal ends with that refusal and
+# chains it as its cause; a message of the parser's own chains nothing.
+@pytest.mark.parametrize("old, new, message, cause", [
+    ("rho = 8", "rho 8", ":21: expected 'key = value'", None),
+    ("rho = 8", "= 8", ":21: empty key", None),
+    ("root = 0 -8", "", ": missing required key 'root' in [problem]", None),
+    ("bounds = -10 -10 10 10", "bounds = -10 -10 10", ":6: bounds: expected 4 numbers, got 3", None),
     ("bounds = -10 -10 10 10", "bounds = 10 -10 -10 10",
-     ": bounds: box needs 2-D corners with lo < hi componentwise"),
+     ": bounds: box needs 2-D corners with lo < hi componentwise", ValueError),
     ("bounds = -10 -10 10 10", "bounds = -1e308 -1e308 1e308 1e308",
-     ": [world] the bounds' diagonal times checks_per_meter must be finite"),
-    ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive"),
-    ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative"),
-    ("base_seed = 1", "base_seed = -1", ":33: base_seed: must be non-negative"),
+     ": [world] the bounds' diagonal times checks_per_meter must be finite", ValueError),
+    ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive",
+     None),
+    ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative", None),
+    ("base_seed = 1", "base_seed = -1", ":33: base_seed: must be non-negative", None),
     ("circle 0 0 1.5", "circle 0 0",
-     ":10: expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got 'circle 0 0'"),
+     ":10: expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got 'circle 0 0'", None),
     ("circle 0 0 1.5", "circle 0 0 -1.5",
-     ":10: bad obstacle: circle needs a finite 2-D center and a positive finite radius"),
-    ("root = 0 -8", "root = 0 0", ": problem: root lies inside an obstacle"),
-    ("max_batches = 10", "", ": [stop]: at least one stop bound must be set"),
-    ("[problem]", "[grid]\nfile = map.pgm\n[problem]", ": give either [obstacles] or [grid], not both"),
-    ("rho = 8", "rho = abc", ":21: rho: invalid value 'abc'"),
-    ("batch_size = 100", "batch_size = 0", ":20: batch_size: must be positive"),
-    ("eta = 2", "eta = -2", ":24: eta: must be positive"),
-    ("alpha = 20", "alpha = 2.5", ":25: alpha: invalid value '2.5'"),
-    ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive"),
+     ":10: bad obstacle: circle needs a finite 2-D center and a positive finite radius", ValueError),
+    ("root = 0 -8", "root = 0 0", ": problem: root lies inside an obstacle", ValueError),
+    ("max_batches = 10", "", ": [stop]: at least one stop bound must be set", ValueError),
+    ("[problem]", "[grid]\nfile = map.pgm\n[problem]", ": give either [obstacles] or [grid], not both",
+     None),
+    ("rho = 8", "rho = abc", ":21: rho: invalid value 'abc'", None),
+    ("batch_size = 100", "batch_size = 0", ":20: batch_size: must be positive", None),
+    ("eta = 2", "eta = -2", ":24: eta: must be positive", None),
+    ("alpha = 20", "alpha = 2.5", ":25: alpha: invalid value '2.5'", None),
+    ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive", None),
 ], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box", "bounds-overflow",
         "time-budget", "max-batches", "base-seed", "obstacle-shape", "bad-obstacle",
         "blocked-root", "no-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
-def test_scenario_error_messages(tmp_path, old, new, message):
+def test_scenario_error_messages(tmp_path, old, new, message, cause):
     text = builtin_scenario_path("demo").read_text()
     assert text.count(old) == 1
     path = _write(tmp_path, text.replace(old, new))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert str(excinfo.value) == f"{path}{message}"
+    chained = excinfo.value.__cause__
+    if cause is None:
+        assert chained is None
+    else:
+        assert type(chained) is cause and message.endswith(f" {chained}"), repr(chained)
 
 
 # A misspelt or misplaced key would otherwise load and run on a default
@@ -282,6 +297,7 @@ def test_a_grid_map_whose_extent_overflows_names_the_scenario_line_and_the_map(t
         load_scenario(path)
     msg = str(excinfo.value)
     assert msg.startswith(f"{path}:5: file: {tmp_path / 'map.pgm'}: ") and "diagonal" in msg, msg
+    assert type(excinfo.value.__cause__) is ValueError
 
 
 def test_scenario_missing_grid_file(tmp_path):
@@ -303,6 +319,9 @@ def test_a_bad_grid_map_names_the_scenario_line_and_the_map(tmp_path, kind):
         load_scenario(path)
     msg = str(excinfo.value)
     assert msg.startswith(f"{path}:5: file: {tmp_path / 'map.pgm'}") and detail in msg, msg
+    # The directory fails the loader's own is-a-file check before any read.
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, GridLoadError) if kind == "p6-map" else cause is None, repr(cause)
 
 
 def test_resolve_scenario_unknown_name():
@@ -325,6 +344,76 @@ def test_load_scenario_on_a_directory_names_the_path(tmp_path):
     msg = str(excinfo.value)
     assert msg.startswith(f"{tmp_path}: ") and "Is a directory" in msg, msg
     assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+
+
+def _demo_bytes():
+    return builtin_scenario_path("demo").read_bytes()
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path):
+    # The built-in demo opens with a comment; DEMO_SCN (stripped) opens with a key.
+    demo = load_scenario(builtin_scenario_path("demo"))
+    bom = load_scenario(_write_bytes(tmp_path, b"\xef\xbb\xbf" + _demo_bytes()))
+    for field in fields(demo):
+        a, b = getattr(demo, field.name), getattr(bom, field.name)
+        assert (vars(a) == vars(b)) if field.name == "world" else a == b, field.name
+    assert load_scenario(_write(tmp_path, "\ufeff" + DEMO_SCN.lstrip(), "t.scn")).name == "tiny"
+    stop = StopCondition(max_batches=2)
+    runs = [run_single(replace(s, stop=stop), "bitstar", 1) for s in (demo, bom)]
+    assert runs[0].convergence and runs[0].convergence == runs[1].convergence
+
+
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path):
+    # A Latin-1 e-acute (byte 0xE9) in the demo's first comment.
+    path = _write_bytes(tmp_path, _demo_bytes().replace(b"Three", b"Thr\xe9e", 1))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
+
+# Every input either loads or fails with a ScenarioError that names the
+# file: no mutant of a valid scenario may escape as another exception.
+MUTANT_TOKENS = [b"nan", b"-nan", b"inf", b"1e309", b"-1e309", b"1e-320", b"0", b"-1", b"2.5",
+                 b"abc", b"=", b"==", b"#", b"[", b"]", b"[]", b"\xe9", b"\xef\xbb\xbf", b"\x00",
+                 b"\xff\xfe", b"\t", b"", b"[grid]", b"[obstacles]", b"[bench]", b"[nope]",
+                 b"file = x.pgm", b"circle", b"rect", b"circle 0 0 1", b"rect 1 1 0 0",
+                 b"goal_sample = 0 8", b"name =", b"threshold = 300"]
+
+
+def _mutant(rng, lines):
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(3)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        else:
+            tokens = lines[i].split(b" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(MUTANT_TOKENS)
+            lines[i] = b" ".join(tokens)
+        if not lines:
+            break
+    return b"\n".join(lines)
+
+
+def test_every_mutant_of_the_demo_loads_or_names_its_path(tmp_path):
+    rng = random.Random(0)
+    lines = _demo_bytes().split(b"\n")
+    path = tmp_path / "m.scn"
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(2000):
+        path.write_bytes(_mutant(rng, lines))
+        try:
+            load_scenario(path)
+        except ScenarioError as e:
+            assert str(e).startswith(f"{path}:"), str(e)
+            outcomes["refused"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_run_single_rejects_an_unknown_planner(tmp_path):

@@ -712,6 +712,20 @@ def test_expand_edge_rewires_connected_vertex():
     tree_audit(ctx.tree)
 
 
+def test_expand_edge_refuses_a_target_it_does_not_know():
+    # Every queued target is an unconnected sample or a tree vertex; one that
+    # is neither means a queue entry outlived its state.
+    problem = make_demo_problem()
+    ctx = _context(problem, world=World(DEMO_BOUNDS, []))
+    root = ctx.tree.root_id
+    x = (5.0, 5.0)
+    assert x not in ctx.x_ncon.rows and x not in ctx.tree.by_state
+    edge, h = math.dist(problem.root, x), h_hat(x, problem.goal_samples)
+    ctx.qe.insert(edge + h, edge, (root, x, edge, h))
+    with pytest.raises(AssertionError, match="^edge target is neither unconnected nor in the tree$"):
+        expand_edge(ctx)
+
+
 def test_the_clock_is_draws_plus_edge_points_plus_scanned_candidates(monkeypatch):
     # Count each kind of work at its source, with pass-through wrappers: the
     # run's clock must charge exactly one unit per draw, per edge-check point

@@ -48,6 +48,15 @@ def test_broken_scenario_is_runtime_error(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+def test_a_scenario_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
+    # A Latin-1 e-acute (byte 0xE9) in the demo's first comment.
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(builtin_scenario_path("demo").read_bytes().replace(b"Three", b"Thr\xe9e", 1))
+    rc = cli_main(["plan", "--scenario", str(bad), "--planner", "bitstar"])
+    assert rc == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
 def test_non_finite_time_budget_is_usage_error(capsys):
     # A NaN budget never runs out; --max-batches keeps a run that starts short.
     rc = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
