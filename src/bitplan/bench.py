@@ -296,7 +296,7 @@ def aggregate(traces, grid_step: float, horizon: float) -> AggregateTable:
     steps = horizon / grid_step * (1 + 1e-9)
     if not steps < MAX_GRID_STEPS + 1:  # also an infinite or NaN horizon
         raise ValueError(f"grid step {grid_step:g} s over a horizon of {horizon:g} s gives "
-                         f"{steps:.0f} grid steps; at most {MAX_GRID_STEPS} are allowed")
+                         f"{steps:.10g} grid steps; at most {MAX_GRID_STEPS} are allowed")
     times = [i * grid_step for i in range(math.floor(steps) + 1)]
     # A stable sort: of one trial's records at the same time, the last wins.
     records = sorted(((p.elapsed_s, k, p.cost) for k, trace in enumerate(traces) for p in trace),

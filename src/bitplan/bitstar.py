@@ -223,13 +223,19 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
 
 def expand_edge(ctx: PlannerContext) -> None:
-    """Pop the best edge and evaluate it against the tree with true costs.
+    """Pop the best edge and process it against the tree with true costs:
+    the paper's ProcessEdge, one rule for an unconnected sample and a tree
+    vertex alike.
 
     All admission conditions are re-checked with fresh cost-to-come values,
     which is what makes lazily keyed (possibly stale) queue entries safe. If
     even the best edge cannot beat the incumbent, nothing in either queue
-    can, and both are cleared to end the batch. A new solution vertex or a
-    rewire may improve the incumbent, so both end with `ctx.improve()`.
+    can, and both are cleared to end the batch. Otherwise the target's
+    cost-to-come g_x is inf for a sample and its tree cost for a vertex; an
+    edge whose heuristic cannot lower g_x is dropped before its collision
+    check, and one whose true cost lowers g_x and can beat the incumbent
+    connects the sample or rewires the vertex. Either may improve the
+    incumbent, so both end with `ctx.improve()`.
     """
     _, _, (vid, x, edge, h_x) = ctx.qe.pop_best()
     tree = ctx.tree
@@ -241,26 +247,23 @@ def expand_edge(ctx: PlannerContext) -> None:
         ctx.qv.clear()
         return
 
-    vstate = tree.states[vid]
     if x in ctx.x_ncon.rows:
-        cost = ctx.world.true_cost(vstate, x)
-        if gt_v + cost + h_x < ctx.c_sol:
-            ctx.x_ncon.discard(x)
-            new_id = ctx.add_vertex(vid, x, cost)
-            g_new = costs[new_id]
-            ctx.qv.insert(g_new + h_x, g_new, new_id)
-            if new_id in ctx.v_sol:
-                ctx.improve()
+        xid, g_x = None, math.inf
+    elif (xid := tree.by_state.get(x)) is not None:
+        g_x = costs[xid]
     else:
-        xid = tree.by_state.get(x)
-        if xid is None:
-            raise AssertionError("edge target is neither unconnected nor in the tree")
-        if gt_v + edge < costs[xid]:
-            cost = ctx.world.true_cost(vstate, x)
-            if gt_v + cost + h_x < ctx.c_sol:
-                if gt_v + cost < costs[xid]:
-                    tree.rewire(xid, vid, cost)
-                    ctx.improve()
+        raise AssertionError("edge target is neither unconnected nor in the tree")
+    if gt_v + edge < g_x:
+        cost = ctx.world.true_cost(tree.states[vid], x)
+        if gt_v + cost + h_x < ctx.c_sol and gt_v + cost < g_x:
+            if xid is None:
+                ctx.x_ncon.discard(x)
+                new_id = ctx.add_vertex(vid, x, cost)
+                g_new = costs[new_id]
+                ctx.qv.insert(g_new + h_x, g_new, new_id)
+            else:
+                tree.rewire(xid, vid, cost)
+            ctx.improve()
 
 
 def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCondition,

@@ -145,7 +145,7 @@ class World:
         """
         (x0, x1), (y0, y1) = x, y
         bx0, by0, bx1, by1 = self._box
-        g = self._grid
+        circles, rects, g = self._circles, self._rects, self._grid
         if g is not None:
             ox, oy, mpc, width, height, blocked = g
             if probe:
@@ -157,24 +157,19 @@ class World:
                 t = ((probe[0] - x0) * dx + (probe[1] - x1) * dy) / l2 if 0.0 < l2 < math.inf else 0.0
                 i = n - 1 if t >= 1.0 else round(t * (n - 1)) if t > 0.0 else 0
                 weights = chain((_plain_weights(n)[i],), weights)
-            for o, t in weights:
-                a = o * x0 + t * y0
-                b = o * x1 + t * y1
-                if not (bx0 <= a <= bx1 and by0 <= b <= by1):
-                    return False
+        for o, t in weights:
+            a = o * x0 + t * y0
+            b = o * x1 + t * y1
+            if not (bx0 <= a <= bx1 and by0 <= b <= by1):
+                return False
+            if g is not None:
                 col = math.floor((a - ox) / mpc)
                 row = math.floor((b - oy) / mpc)
                 if not (0 <= col < width and 0 <= row < height) or blocked[row * width + col]:
                     if probe is not None:
                         probe[:] = a, b
                     return False
-            return True
-        circles, rects = self._circles, self._rects
-        for o, t in weights:
-            a = o * x0 + t * y0
-            b = o * x1 + t * y1
-            if not (bx0 <= a <= bx1 and by0 <= b <= by1):
-                return False
+                continue
             for cx, cy, r2 in circles:
                 dx = a - cx
                 dy = b - cy

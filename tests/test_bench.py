@@ -563,6 +563,11 @@ def test_aggregate_rejects_a_grid_of_over_a_million_steps():
         aggregate([], 1e-9, 1.0)
     with pytest.raises(ValueError, match="inf grid steps"):
         aggregate([], 0.1, math.inf)
+    # A huge count reads in ten significant digits, not hundreds.
+    with pytest.raises(ValueError, match=r"^grid step 1e-300 s over a horizon of 1 s gives "
+                                         r"1\.000000001e\+300 grid steps; at most 1000000 "
+                                         r"are allowed$"):
+        aggregate([], 1e-300, 1.0)
 
 
 def test_csv_empty_series_header_only(tmp_path):

@@ -712,6 +712,25 @@ def test_expand_edge_rewires_connected_vertex():
     tree_audit(ctx.tree)
 
 
+@pytest.mark.parametrize("g_far", [10.0, 11.0])
+def test_expand_edge_drops_a_stale_rewire_before_its_edge_check(g_far):
+    # The queued edge mid -> far cannot make far cheaper even by its
+    # heuristic (8 + 3 >= g_far), so it is dropped before any collision check.
+    problem = make_demo_problem()
+    ctx = _context(problem, world=World(DEMO_BOUNDS, []))
+    root = ctx.tree.root_id
+    mid = ctx.tree.add_child(root, (0.0, 0.0), 8.0)
+    ctx.tree.add_child(root, (3.0, 0.0), g_far)
+    ctx.c_sol = 40.0
+    edge = math.dist((0.0, 0.0), (3.0, 0.0))
+    h = h_hat((3.0, 0.0), problem.goal_samples)
+    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
+    units, parents, costs = ctx.world.units, list(ctx.tree.parents), list(ctx.tree.costs)
+    expand_edge(ctx)
+    assert ctx.world.units == units
+    assert list(ctx.tree.parents) == parents and list(ctx.tree.costs) == costs
+
+
 def test_expand_edge_refuses_a_target_it_does_not_know():
     # Every queued target is an unconnected sample or a tree vertex; one that
     # is neither means a queue entry outlived its state.

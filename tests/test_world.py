@@ -24,7 +24,7 @@ from bitplan.world import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from conftest import make_demo_world
+from conftest import DEMO_BOUNDS, make_demo_world
 
 
 def _rows(a, b, n):
@@ -507,10 +507,15 @@ def _agreement_worlds():
     faces = [(x, y) for x in (2.0, 3.0, 4.0, 6.0, 7.0, 8.0) for y in (1.0, 2.0, 3.0, 3.5, 5.0)]
     edges = [(1.0 + 0.5 * i, -2.0 + 0.5 * j) for i in range(9) for j in range(7)]
     edges += [(3.0, 0.25), (4.25, -0.5), (4.99, 0.99), (5.0, 1.0), (2.0, 1.0 + 1e-12)]
-    return [(circles, rim), (rects, faces), (grid, edges)]
+    # Both obstacle kinds in one world, so a free point runs both inner loops.
+    boxes = [Box((-5.0, 3.0), (-2.0, 6.0)), Box((2.0, -6.0), (5.0, -3.0))]
+    mixed = World(DEMO_BOUNDS, circles.obstacles + boxes)
+    box_faces = [(x, y) for x in (-5.0, -3.5, -2.0, 2.0, 3.5, 5.0)
+                 for y in (-6.0, -4.5, -3.0, 3.0, 4.5, 6.0)]
+    return [(circles, rim), (rects, faces), (grid, edges), (mixed, rim + box_faces)]
 
 
-@pytest.mark.parametrize("which", range(3), ids=["circles", "rects", "grid"])
+@pytest.mark.parametrize("which", range(4), ids=["circles", "rects", "grid", "mixed"])
 def test_is_free_agrees_with_all_free(which):
     world, boundary = _agreement_worlds()[which]
     lo, hi = world.bounds.lo, world.bounds.hi
@@ -631,7 +636,7 @@ def _boundary_segments(world):
     return segments
 
 
-@pytest.mark.parametrize("which", range(3), ids=["circles", "rects", "grid"])
+@pytest.mark.parametrize("which", range(4), ids=["circles", "rects", "grid", "mixed"])
 def test_all_free_matches_the_numpy_reference_on_segments(which):
     world, _ = _agreement_worlds()[which]
     lo, hi = world.bounds.lo, world.bounds.hi
