@@ -31,6 +31,9 @@ run() {
         run bench --scenario demo --planner "$planner" --trials 3 --time-budget 1.0 \
             --out "$out/bench_$planner.csv"
     done
+    # Untimed: the grid ends at the first grid time at or past the last record.
+    run bench --scenario demo --planner rrtstar --trials 3 --max-batches 300 \
+        --out "$out/bench_untimed.csv"
     run plan --scenario demo --planner bitstar --seed 3 --time-budget 0.5 \
         --out "$out/bitstar_s3_budget.csv"
 

@@ -13,8 +13,11 @@ An object address in a builtin's name (`... at 0x7f...`) is dropped: it
 differs from one process to the next.
 The count is exact for one commit under a fixed PYTHONHASHSEED, so running
 this script on two trees shows the calls a change adds or removes per query,
-and which functions they are, free of timing noise. It imports REPO_ROOT's
-`src/` and `perfbench/` and writes nothing into them.
+and which functions they are, free of timing noise. It imports a copy of
+REPO_ROOT's `src/` and `perfbench/`, made in a temporary directory and
+removed at the end, because path handling in a query (`pathlib`, `sys.intern`)
+makes calls that vary with the depth of the checkout's path. It writes
+nothing into REPO_ROOT.
 
 Usage: PYTHONHASHSEED=0 scripts/calls_per_query.py [REPO_ROOT]
 (default REPO_ROOT: the repository that holds this script)
@@ -27,6 +30,7 @@ import cProfile
 import io
 import pstats
 import re
+import shutil
 import sys
 import tempfile
 from collections import Counter
@@ -45,8 +49,16 @@ def calls_by_function(stats: pstats.Stats) -> Counter:
 
 def main(argv: list[str]) -> int:
     root = (Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent).resolve()
-    sys.dont_write_bytecode = True  # no __pycache__ inside the tree measured
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    with tempfile.TemporaryDirectory() as copy:
+        for part in ("src", "perfbench"):
+            shutil.copytree(root / part, Path(copy) / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        sys.path[:0] = [str(Path(copy) / "src"), str(Path(copy) / "perfbench")]
+        return count_calls()
+
+
+def count_calls() -> int:
+    """Print the rows of every workload, importing bitplan from sys.path."""
     from bitplan.cli import cli_main
     from workloads import WORKLOADS
 

@@ -32,12 +32,12 @@ unknown section or key is an error):
     max_batches = 10
     time_budget_s = 1.0
     target_cost = 17.0
-    [bench]
-    trials = 20                 # optional, default 20
-    base_seed = 1               # optional, default 1
 
-Trial k of a benchmark uses seed base_seed + k, so reruns and concurrent
-executions produce identical, order-stable results.
+The trial count and the seeds are the caller's: trial k of a benchmark uses
+seed base_seed + k, so reruns and concurrent executions produce identical,
+order-stable results. A trace and an aggregate are each a list of one
+NamedTuple row kind, and `write_convergence_csv` writes either through that
+kind's one format.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
@@ -71,18 +72,20 @@ class Scenario:
     bitstar: PlannerParams
     rrtstar: RrtParams
     stop: StopCondition
-    trials: int
-    base_seed: int
 
 
-@dataclass(frozen=True)
-class AggregateTable:
-    """Per-gridpoint statistics over the trials that have a solution by then."""
+class AggregatePoint(NamedTuple):
+    """One grid time's statistics over the trials that have a solution by then."""
 
-    times: tuple[float, ...]
-    n_solved: tuple[int, ...]
-    median_cost: tuple[float, ...]
-    mean_cost: tuple[float, ...]
+    t_s: float
+    n_solved: int
+    median_cost: float
+    mean_cost: float
+
+
+# One CSV row format per row kind; an int in a float field still reads 3.000000.
+_ROW_FORMATS = {ConvergencePoint: "{:.6f},{:.6f},{},{},{}",
+                AggregatePoint: "{:.6f},{},{:.6f},{:.6f}"}
 
 
 def builtin_scenario_path(name: str) -> Path:
@@ -129,7 +132,7 @@ def load_scenario(path) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("world", "obstacles", "grid", "problem", "bitstar", "rrtstar", "stop", "bench"):
+            if section not in ("world", "obstacles", "grid", "problem", "bitstar", "rrtstar", "stop"):
                 err(line_no, f"unknown section [{section}]")
             stores.setdefault(section, {})
             continue
@@ -239,9 +242,6 @@ def load_scenario(path) -> Scenario:
                     alpha=read("rrtstar", "alpha", conv=int, low="positive"),
                     goal_period=read("rrtstar", "goal_period", conv=int, low="positive"))
 
-    trials = read("bench", "trials", conv=int, low="positive", required=False, default=20)
-    base_seed = read("bench", "base_seed", conv=int, low="non-negative", required=False, default=1)
-
     # A key nothing read is a typo or misplaced: running without it would
     # silently use a default.
     first = min(((line_no, key, section_name) for section_name, store in stores.items()
@@ -250,7 +250,7 @@ def load_scenario(path) -> Scenario:
         line_no, key, section_name = first
         err(line_no, f"unknown key {key!r} in {where(section_name)}")
 
-    return Scenario(name, world, problem, bit, rrt, stop, trials, base_seed)
+    return Scenario(name, world, problem, bit, rrt, stop)
 
 
 def run_single(scenario: Scenario, planner: str, seed: int, **hooks):
@@ -263,7 +263,8 @@ def run_single(scenario: Scenario, planner: str, seed: int, **hooks):
     raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
 
 
-def run_trials(scenario: Scenario, planner: str, n: int) -> list[list[ConvergencePoint]]:
+def run_trials(scenario: Scenario, planner: str, n: int,
+               base_seed: int) -> list[list[ConvergencePoint]]:
     """The improvement traces of n independent trials, with seeds base_seed ..
     base_seed + n - 1; in each, elapsed strictly increases and cost never rises."""
     if n < 1:
@@ -272,7 +273,7 @@ def run_trials(scenario: Scenario, planner: str, n: int) -> list[list[Convergenc
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
     traces = []
     for k in range(n):
-        seed = scenario.base_seed + k
+        seed = base_seed + k
         try:
             traces.append(run_single(scenario, planner, seed).convergence)
         except Exception as e:
@@ -280,59 +281,55 @@ def run_trials(scenario: Scenario, planner: str, n: int) -> list[list[Convergenc
     return traces
 
 
-def aggregate(traces, grid_step: float, horizon: float) -> AggregateTable:
+def aggregate(traces, grid_step: float, horizon: float | None = None) -> list[AggregatePoint]:
     """Median/mean cost on a uniform time grid over trials solved by each time.
 
-    A trial contributes at grid time t only once it has a finite cost at t:
-    the cost of its last record at or before t (staircase interpolation of
-    its improvement trace). One walk over all traces' records in time order
-    updates each trial's cost; the statistics are recomputed only at a grid
-    time that some record reaches, and repeat the previous row otherwise.
+    The grid runs from 0 to the horizon, or with no horizon to the first grid
+    time at or past the last record of any trace. A trial contributes at grid
+    time t only once it has a finite cost at t: the cost of its last record
+    at or before t (staircase interpolation of its improvement trace). One
+    walk over all traces' records in time order updates each trial's cost;
+    the statistics are recomputed only at a grid time that some record
+    reaches, and repeat the previous row otherwise.
     """
     if not 0 < grid_step < math.inf:  # an infinite step would put a NaN time on the grid
         raise ValueError("grid step must be positive and finite")
-    # Round the step count down, except when the horizon is a whole number of
-    # steps up to rounding: 0.3 / 0.1 is 2.9999999999999996 in floats.
-    steps = horizon / grid_step * (1 + 1e-9)
-    if not steps < MAX_GRID_STEPS + 1:  # also an infinite or NaN horizon
-        raise ValueError(f"grid step {grid_step:g} s over a horizon of {horizon:g} s gives "
-                         f"{steps:.10g} grid steps; at most {MAX_GRID_STEPS} are allowed")
-    times = [i * grid_step for i in range(math.floor(steps) + 1)]
     # A stable sort: of one trial's records at the same time, the last wins.
     records = sorted(((p.elapsed_s, k, p.cost) for k, trace in enumerate(traces) for p in trace),
                      key=itemgetter(0))
+    last = records[-1][0] if records else 0.0
+    end = last if horizon is None else horizon
+    # Round the step count down, except when end is a whole number of steps
+    # up to rounding: 0.3 / 0.1 is 2.9999999999999996 in floats.
+    steps = end / grid_step * (1 + 1e-9)
+    n = math.floor(steps) if steps < MAX_GRID_STEPS + 1 else math.inf  # also an inf or NaN end
+    if horizon is None and n * grid_step < last:
+        n += 1  # the last record lies past the rounded-down grid
+    if n > MAX_GRID_STEPS:
+        raise ValueError(f"grid step {grid_step:g} s over a horizon of {end:g} s gives "
+                         f"{steps:.10g} grid steps; at most {MAX_GRID_STEPS} are allowed")
     current = [math.inf] * len(traces)
-    n_solved, medians, means = [], [], []
-    i, row = 0, (0, math.nan, math.nan)
-    for t in times:
+    rows, i, stats = [], 0, (0, math.nan, math.nan)
+    for t in (j * grid_step for j in range(n + 1)):
         if i < len(records) and records[i][0] <= t:
             while i < len(records) and records[i][0] <= t:
                 _, k, current[k] = records[i]
                 i += 1
             costs = [c for c in current if math.isfinite(c)]
-            row = ((len(costs), statistics.median(costs), statistics.fmean(costs)) if costs
-                   else (0, math.nan, math.nan))
-        n_solved.append(row[0])
-        medians.append(row[1])
-        means.append(row[2])
-    return AggregateTable(tuple(times), tuple(n_solved), tuple(medians), tuple(means))
+            stats = ((len(costs), statistics.median(costs), statistics.fmean(costs)) if costs
+                     else (0, math.nan, math.nan))
+        rows.append(AggregatePoint(t, *stats))
+    return rows
 
 
-def write_convergence_csv(obj: Sequence[ConvergencePoint] | AggregateTable, path) -> None:
-    """Write one trial's trace or an AggregateTable as CSV.
+def write_convergence_csv(rows: Sequence[tuple], path, kind=ConvergencePoint) -> None:
+    """Write rows of one kind (a trial's ConvergencePoint trace, or aggregate
+    AggregatePoint rows) as CSV: kind's field names, then one line per row.
 
     Fixed 6-decimal float formatting makes output bytes a pure function of
     the data.
     """
-    if isinstance(obj, AggregateTable):
-        lines = ["t_s,n_solved,median_cost,mean_cost"]
-        for t, n, med, mean in zip(obj.times, obj.n_solved, obj.median_cost, obj.mean_cost):
-            lines.append(f"{t:.6f},{n},{med:.6f},{mean:.6f}")
-    else:
-        lines = ["elapsed_s,cost,batch,tree_vertices,samples_drawn"]
-        for p in obj:
-            lines.append(
-                f"{p.elapsed_s:.6f},{p.cost:.6f},{p.batch},{p.tree_vertices},{p.samples_drawn}"
-            )
+    row_format = _ROW_FORMATS[kind]
+    lines = [",".join(kind._fields), *(row_format.format(*row) for row in rows)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

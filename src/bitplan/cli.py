@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .bench import (
     PLANNERS,
+    AggregatePoint,
     aggregate,
     resolve_scenario,
     run_single,
@@ -67,36 +68,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bitplan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--scenario", required=True, help="scenario file path or built-in name (e.g. demo)")
-        p.add_argument("--planner", required=True, choices=PLANNERS)
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="override the scenario base seed")
-        p.add_argument("--time-budget", type=_finite_float(positive=False), default=None,
-                       metavar="S", help="replace the stop: planner-seconds budget")
-        p.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N",
-                       help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
-        p.add_argument("--out", type=Path, default=None, help="CSV output path")
-
     p_plan = sub.add_parser("plan", help="run one trial and emit its convergence CSV")
-    common(p_plan)
-    p_plan.add_argument("--svg-dir", type=Path, default=None,
-                        help="write per-batch SVG snapshots here (bitstar only)")
-
     p_bench = sub.add_parser("bench", help="run seeded trials and emit the aggregate CSV")
-    common(p_bench)
-    p_bench.add_argument("--trials", type=_int_at_least(1), default=None,
-                         help="override the scenario trial count")
-    p_bench.add_argument("--grid-step", type=_finite_float(positive=True), default=0.1,
-                         metavar="S", help="aggregate time-grid step (default 0.1)")
-
     # `demo` is `plan` on the built-in scenario with BIT*; only its stdout line differs.
     p_demo = sub.add_parser("demo", help="run the built-in demo with per-batch snapshots")
     p_demo.set_defaults(scenario="demo", planner="bitstar", time_budget=None)
-    p_demo.add_argument("--seed", type=_int_at_least(0), default=None)
-    p_demo.add_argument("--out", type=Path, default=None)
+    for p in (p_plan, p_bench):
+        p.add_argument("--scenario", required=True, help="scenario file path or built-in name (e.g. demo)")
+        p.add_argument("--planner", required=True, choices=PLANNERS)
+        p.add_argument("--time-budget", type=_finite_float(positive=False), default=None,
+                       metavar="S", help="replace the stop: planner-seconds budget")
+    for p in (p_plan, p_bench, p_demo):
+        p.add_argument("--seed", type=_int_at_least(0), default=1,
+                       help="planner seed (default 1); bench runs seeds SEED to SEED+TRIALS-1")
+        p.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N",
+                       help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
+        p.add_argument("--out", type=Path, default=None, help="CSV output path")
+    p_plan.add_argument("--svg-dir", type=Path, default=None,
+                        help="write per-batch SVG snapshots here (bitstar only)")
     p_demo.add_argument("--svg-dir", type=Path, default=Path("demo_out"))
-    p_demo.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N")
+    p_bench.add_argument("--trials", type=_int_at_least(1), default=20,
+                         help="trial count (default 20)")
+    p_bench.add_argument("--grid-step", type=_finite_float(positive=True), default=0.1,
+                         metavar="S", help="aggregate time-grid step (default 0.1)")
 
     return parser
 
@@ -120,7 +114,6 @@ def _snapshot_hook(svg_dir: Path, scenario):
 
 
 def _cmd_plan(args, scenario) -> int:
-    seed = args.seed if args.seed is not None else scenario.base_seed
     hooks = {}
     if args.svg_dir is not None:
         if args.planner == "bitstar":
@@ -128,34 +121,26 @@ def _cmd_plan(args, scenario) -> int:
         else:
             print("note: --svg-dir snapshots are per batch and apply to bitstar only",
                   file=sys.stderr)
-    result = run_single(scenario, args.planner, seed, **hooks)
+    result = run_single(scenario, args.planner, args.seed, **hooks)
     if args.out is not None:
         write_convergence_csv(result.convergence, args.out)
     if args.command == "demo":
-        print(f"demo seed={seed} cost={result.cost:.6f} snapshots in {args.svg_dir}")
+        print(f"demo seed={args.seed} cost={result.cost:.6f} snapshots in {args.svg_dir}")
     else:
-        print(f"{args.planner} seed={seed} cost={result.cost:.6f} "
+        print(f"{args.planner} seed={args.seed} cost={result.cost:.6f} "
               f"records={len(result.convergence)}")
     return 0
 
 
 def _cmd_bench(args, scenario) -> int:
-    if args.seed is not None:
-        scenario = replace(scenario, base_seed=args.seed)
-    trials = args.trials if args.trials is not None else scenario.trials
-    traces = run_trials(scenario, args.planner, trials)
-    horizon = scenario.stop.time_budget_s
-    if horizon is None:
-        # Cover the slowest trial: round its end time up to the grid.
-        last = max(trace[-1].elapsed_s for trace in traces)
-        horizon = math.ceil(last / args.grid_step) * args.grid_step
-    table = aggregate(traces, args.grid_step, horizon)
+    traces = run_trials(scenario, args.planner, args.trials, args.seed)
+    rows = aggregate(traces, args.grid_step, scenario.stop.time_budget_s)
     if args.out is not None:
-        write_convergence_csv(table, args.out)
+        write_convergence_csv(rows, args.out, AggregatePoint)
     final = [trace[-1].cost for trace in traces]
     solved = [c for c in final if math.isfinite(c)]
     med = statistics.median(solved) if solved else math.nan
-    print(f"{args.planner} trials={trials} solved={len(solved)} median_final_cost={med:.6f}")
+    print(f"{args.planner} trials={args.trials} solved={len(solved)} median_final_cost={med:.6f}")
     return 0
 
 

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import pytest
 
 from bitplan.bench import (
-    AggregateTable,
+    AggregatePoint,
     ScenarioError,
     aggregate,
     builtin_scenario_path,
@@ -42,9 +42,6 @@ alpha = 10
 goal_period = 50
 [stop]
 max_batches = 2
-[bench]
-trials = 2
-base_seed = 5
 """
 
 
@@ -75,13 +72,11 @@ def test_load_builtin_demo_scenario():
     assert scn.bitstar.batch_size == 100
     assert scn.bitstar.radius == 8.0
     assert scn.rrtstar.eta == 2.0
-    assert scn.trials == 20
 
 
 def test_load_scenario_file(tmp_path):
     scn = load_scenario(_write(tmp_path, DEMO_SCN))
     assert scn.name == "tiny"
-    assert scn.base_seed == 5
     assert scn.stop.max_batches == 2
 
 
@@ -104,7 +99,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ScenarioError, match="unknown section"):
         load_scenario(_write(tmp_path, DEMO_SCN + "\n[surprise]\n"))
     with pytest.raises(ScenarioError, match="duplicate"):
-        load_scenario(_write(tmp_path, DEMO_SCN + "\n[bench]\ntrials = 3\ntrials = 4\n"))
+        load_scenario(_write(tmp_path, DEMO_SCN + "\n[stop]\nmax_batches = 3\n"))
 
 
 # Each case edits the built-in demo (rho is on line 21) and pins the whole
@@ -123,7 +118,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive",
      None),
     ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative", None),
-    ("base_seed = 1", "base_seed = -1", ":33: base_seed: must be non-negative", None),
+    # The trial count and seeds are the command line's.
+    ("max_batches = 10", "max_batches = 10\n[bench]", ":30: unknown section [bench]", None),
     ("circle 0 0 1.5", "circle 0 0",
      ":10: expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got 'circle 0 0'", None),
     ("circle 0 0 1.5", "circle 0 0 -1.5",
@@ -138,7 +134,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("alpha = 20", "alpha = 2.5", ":25: alpha: invalid value '2.5'", None),
     ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive", None),
 ], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box", "bounds-overflow",
-        "time-budget", "max-batches", "base-seed", "obstacle-shape", "bad-obstacle",
+        "time-budget", "max-batches", "bench-section", "obstacle-shape", "bad-obstacle",
         "blocked-root", "no-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
 def test_scenario_error_messages(tmp_path, old, new, message, cause):
@@ -162,7 +158,7 @@ def test_scenario_error_messages(tmp_path, old, new, message, cause):
     ("rho = 8\n", "rho = 8\nrho_typo = 3\n", "[bitstar]"),
     ("name = tiny\n", "name = tiny\nbounds = -10 -10 10 10\n", "top level"),
     ("max_batches = 2\n", "max_batches = 2\ngoal_sample = 0 8\n", "[stop]"),
-    ("base_seed = 5\n", "base_seed = 5\nseed = 5\nalso_unknown = 1\n", "[bench]"),
+    ("alpha = 10\n", "alpha = 10\nseed = 5\nalso_unknown = 1\n", "[rrtstar]"),
 ], ids=["world", "bitstar", "top-level", "goal-sample-in-stop", "first-of-two"])
 def test_unknown_key_names_file_line_and_key(tmp_path, old, new, where):
     text = DEMO_SCN.replace(old, new)
@@ -426,14 +422,14 @@ def test_run_single_rejects_an_unknown_planner(tmp_path):
 
 def test_run_trials_deterministic_and_seeded(tmp_path):
     scn = load_scenario(_write(tmp_path, DEMO_SCN))
-    a = run_trials(scn, "bitstar", 2)
-    b = run_trials(scn, "bitstar", 2)
+    a = run_trials(scn, "bitstar", 2, 5)
+    b = run_trials(scn, "bitstar", 2, 5)
     assert a == b
     assert a == [run_single(scn, "bitstar", seed).convergence for seed in (5, 6)]
     with pytest.raises(ValueError):
-        run_trials(scn, "bitstar", 0)
+        run_trials(scn, "bitstar", 0, 5)
     with pytest.raises(ValueError, match="unknown planner"):
-        run_trials(scn, "dijkstra", 1)
+        run_trials(scn, "dijkstra", 1, 5)
 
 
 def test_run_trials_annotates_failures_with_seed(tmp_path, monkeypatch):
@@ -446,14 +442,14 @@ def test_run_trials_annotates_failures_with_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "run_single", boom)
     with pytest.raises(RuntimeError, match="seed 5"):
-        bench.run_trials(scn, "bitstar", 1)
+        bench.run_trials(scn, "bitstar", 1, 5)
 
 
 def test_demo_two_second_budget_solves_almost_every_trial():
     # Frozen after measuring: at a 2 planner-second budget every demo trial
     # reaches a finite cost; the contract requires at least 19 of 20.
     scn = replace(resolve_scenario("demo"), stop=StopCondition(time_budget_s=2.0))
-    traces = run_trials(scn, "bitstar", 20)
+    traces = run_trials(scn, "bitstar", 20, 1)
     solved = sum(1 for trace in traces if math.isfinite(trace[-1].cost))
     assert solved >= 19
 
@@ -493,33 +489,32 @@ def test_aggregate_is_bitwise_the_staircase_at_every_grid_time(seed):
     rng = random.Random(seed)
     grid_step = rng.choice([0.1, 0.25, 0.3])
     traces = _random_traces(rng, grid_step)
-    table = aggregate(traces, grid_step, rng.choice([0.0, 0.3, 2.0, 4.5]))
+    rows = aggregate(traces, grid_step, rng.choice([0.0, 0.3, 2.0, 4.5, None]))
     want = []
-    for t in table.times:
+    for t, *_ in rows:
         costs = [c for trace in traces if math.isfinite(c := cost_at(trace, t))]
         want.append((len(costs), statistics.median(costs) if costs else math.nan,
                      statistics.fmean(costs) if costs else math.nan))
-    got = list(zip(table.n_solved, table.median_cost, table.mean_cost))
+    got = [row[1:] for row in rows]
     assert [(n, med.hex(), mean.hex()) for n, med, mean in got] == \
         [(n, med.hex(), mean.hex()) for n, med, mean in want]
 
 
 def test_aggregate_staircase_example():
     s = _pts([(1.0, 10.0), (3.0, 8.0)])
-    table = aggregate([s], 1.0, 4.0)
-    assert table.times == (0.0, 1.0, 2.0, 3.0, 4.0)
-    assert table.n_solved == (0, 1, 1, 1, 1)
-    assert math.isnan(table.median_cost[0])
-    assert table.median_cost[1:] == (10.0, 10.0, 8.0, 8.0)
+    rows = aggregate([s], 1.0, 4.0)
+    assert [r.t_s for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert [r.n_solved for r in rows] == [0, 1, 1, 1, 1]
+    assert math.isnan(rows[0].median_cost)
+    assert [r.median_cost for r in rows[1:]] == [10.0, 10.0, 8.0, 8.0]
 
 
 def test_aggregate_median_of_two():
     a = _pts([(0.5, 10.0)])
     b = _pts([(0.5, 20.0)])
-    table = aggregate([a, b], 1.0, 1.0)
-    assert table.median_cost[1] == 15.0
-    assert table.mean_cost[1] == 15.0
-    assert table.n_solved == (0, 2)
+    rows = aggregate([a, b], 1.0, 1.0)
+    assert rows[1] == AggregatePoint(1.0, 2, 15.0, 15.0)
+    assert [r.n_solved for r in rows] == [0, 2]
 
 
 def test_aggregate_medians_monotone_once_all_defined():
@@ -534,8 +529,7 @@ def test_aggregate_medians_monotone_once_all_defined():
             pts.append((t, c))
         traces.append(_pts(pts))
     first_defined = max(trace[0].elapsed_s for trace in traces)
-    table = aggregate(traces, 0.1, 6.0)
-    meds = [m for t, m in zip(table.times, table.median_cost) if t >= first_defined]
+    meds = [r.median_cost for r in aggregate(traces, 0.1, 6.0) if r.t_s >= first_defined]
     assert all(x >= y for x, y in zip(meds, meds[1:]))
 
 
@@ -544,10 +538,25 @@ def test_aggregate_ends_at_a_horizon_of_whole_steps(horizon):
     # horizon / 0.1 falls just below a whole number in floats; the grid must
     # still reach the horizon, where the last improvement is on the table.
     s = _pts([(0.05, 20.0), (horizon - 0.01, 19.0)])
-    table = aggregate([s], 0.1, horizon)
+    rows = aggregate([s], 0.1, horizon)
     steps = round(horizon * 10)
-    assert [f"{t:.6f}" for t in table.times] == [f"{i / 10:.6f}" for i in range(steps + 1)]
-    assert table.median_cost[-1] == 19.0
+    assert [f"{r.t_s:.6f}" for r in rows] == [f"{i / 10:.6f}" for i in range(steps + 1)]
+    assert rows[-1].median_cost == 19.0
+
+
+# With no horizon the grid ends at the first grid time at or past the last
+# record: 414 * 0.3 is 124.19999999999999 and 4254 * 0.03 is 127.61999999999999,
+# so rounding the quotient alone ends those grids one step short; 3 * 0.1 is
+# 0.30000000000000004, which a record there reaches without another step.
+@pytest.mark.parametrize("grid_step, last, steps", [
+    (0.3, 124.2, 415), (0.03, 127.62, 4255), (0.1, 0.3, 3), (0.1, 3 * 0.1, 3), (0.1, 0.0, 0),
+])
+def test_an_untimed_grid_ends_at_the_first_grid_time_at_or_past_the_last_record(
+        grid_step, last, steps):
+    rows = aggregate([_pts([(0.0, 20.0)]), _pts([(last, 19.0)])], grid_step)
+    assert [r.t_s for r in rows] == [i * grid_step for i in range(steps + 1)]
+    assert rows[-1].t_s >= last and all(r.t_s < last for r in rows[:-1])
+    assert rows[-1].n_solved == 2
 
 
 def test_aggregate_rejects_bad_grid():
@@ -568,6 +577,10 @@ def test_aggregate_rejects_a_grid_of_over_a_million_steps():
                                          r"1\.000000001e\+300 grid steps; at most 1000000 "
                                          r"are allowed$"):
         aggregate([], 1e-300, 1.0)
+    # With no horizon, the grid's end is the last record's time.
+    with pytest.raises(ValueError, match=r"^grid step 9\.99989e-321 s over a horizon of 2 s gives "
+                                         r"inf grid steps; at most 1000000 are allowed$"):
+        aggregate([_pts([(2.0, 20.0)])], 1e-320)
 
 
 def test_csv_empty_series_header_only(tmp_path):
@@ -578,9 +591,11 @@ def test_csv_empty_series_header_only(tmp_path):
 
 def test_csv_fixed_decimal_formatting(tmp_path):
     out = tmp_path / "c.csv"
-    write_convergence_csv([ConvergencePoint(1.5, 12.25, 2, 7, 100)], out)
+    # An int in a float field keeps the float field's format.
+    write_convergence_csv([ConvergencePoint(1.5, 12.25, 2, 7, 100), ConvergencePoint(3, 10, 1, 2, 3)],
+                          out)
     lines = out.read_text().splitlines()
-    assert lines[1] == "1.500000,12.250000,2,7,100"
+    assert lines[1:] == ["1.500000,12.250000,2,7,100", "3.000000,10.000000,1,2,3"]
 
 
 def test_csv_bytes_reproducible(tmp_path):
@@ -592,11 +607,13 @@ def test_csv_bytes_reproducible(tmp_path):
 
 
 def test_csv_aggregate_format(tmp_path):
-    table = AggregateTable((0.0, 0.5), (0, 2), (math.nan, 15.0), (math.nan, 15.0))
+    rows = [AggregatePoint(0.0, 0, math.nan, math.nan), AggregatePoint(0.5, 2, 15.0, 15.0),
+            AggregatePoint(3, 2, 15, 15)]
     out = tmp_path / "agg.csv"
-    write_convergence_csv(table, out)
+    write_convergence_csv(rows, out, AggregatePoint)
     assert out.read_text() == (
         "t_s,n_solved,median_cost,mean_cost\n"
         "0.000000,0,nan,nan\n"
         "0.500000,2,15.000000,15.000000\n"
+        "3.000000,2,15.000000,15.000000\n"
     )

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from bitplan.bench import builtin_scenario_path
+from bitplan import cli
+from bitplan.anytime import ConvergencePoint
+from bitplan.bench import builtin_scenario_path, run_trials
 from bitplan.cli import cli_main
 
 
@@ -122,6 +125,42 @@ def test_a_bench_grid_of_over_a_million_steps_is_runtime_error(capsys):
     assert rc == 2
     assert capsys.readouterr().err == ("error: grid step 1e-09 s over a horizon of 1 s gives "
                                        "1000000001 grid steps; at most 1000000 are allowed\n")
+    # Untimed, the same guard and message: the step count overflows to inf,
+    # which no rounding of it may reach first.
+    rc = cli_main(["bench", "--scenario", "demo", "--planner", "rrtstar", "--trials", "1",
+                   "--max-batches", "5", "--grid-step", "1e-320"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: grid step 9\.99989e-321 s over a horizon of \S+ s gives inf grid "
+                        r"steps; at most 1000000 are allowed\n", err), err
+
+
+def test_an_untimed_bench_grid_reaches_the_slowest_trials_last_record(tmp_path, capsys,
+                                                                       monkeypatch):
+    # 414 * 0.3 is 124.19999999999999, so a grid end rounded up from
+    # 124.2 / 0.3 alone falls one step short of the trial's last record.
+    trace = [ConvergencePoint(1.0, 20.0, 1, 2, 100), ConvergencePoint(124.2, 19.0, 9, 3, 900)]
+    monkeypatch.setattr(cli, "run_trials", lambda *args: [trace])
+    out = tmp_path / "agg.csv"
+    assert cli_main(["bench", "--scenario", "demo", "--planner", "bitstar", "--trials", "1",
+                     "--max-batches", "9", "--grid-step", "0.3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "bitstar trials=1 solved=1 median_final_cost=19.000000\n"
+    assert out.read_text().splitlines()[-2:] == ["124.200000,1,20.000000,20.000000",
+                                                 "124.500000,1,19.000000,19.000000"]
+
+
+def test_bench_runs_20_trials_from_seed_1_by_default(monkeypatch, capsys):
+    seen = []
+
+    def spy(*args):
+        seen.append(args[1:])
+        return run_trials(*args)
+
+    monkeypatch.setattr(cli, "run_trials", spy)
+    assert cli_main(["bench", "--scenario", "demo", "--planner", "rrtstar",
+                     "--max-batches", "1"]) == 0
+    assert capsys.readouterr().out.startswith("rrtstar trials=20 solved=")
+    assert seen == [("rrtstar", 20, 1)]
 
 
 def test_bench_reproducible_bytes(tmp_path):
@@ -356,6 +395,10 @@ def test_plan_outputs_match_pinned_bytes(tmp_path):
     ]) == 0
     assert bit_csv.read_text() == PINNED_BITSTAR_CSV
     assert rrt_csv.read_text() == PINNED_RRTSTAR_CSV
+    # --seed defaults to 1.
+    assert cli_main(["plan", "--scenario", "demo", "--planner", "bitstar", "--max-batches", "3",
+                     "--out", str(bit_csv)]) == 0
+    assert bit_csv.read_text() == PINNED_BITSTAR_CSV
     last_svg = (svg_dir / "batch_003.svg").read_bytes()
     assert hashlib.sha256(last_svg).hexdigest() == PINNED_BITSTAR_LAST_SVG_SHA256
 
