@@ -36,30 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite_float(positive: bool):
-    """An argparse type for finite floats > 0 if positive, else >= 0."""
-    kind = "positive" if positive else "non-negative"
+def _at_least(conv, low, strict=False):
+    """An argparse type for numbers conv(text) with low <= value < inf, or
+    low < value < inf if strict. Text conv refuses reads as NaN, which fails
+    both. The float wordings take low to be 0. An int is compared with inf
+    directly: math.isfinite raises OverflowError on an int past float range."""
+    kind = (f"an integer >= {low}" if conv is int
+            else f"a {'positive' if strict else 'non-negative'} finite number")
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = conv(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-            raise argparse.ArgumentTypeError(f"expected a {kind} finite number, got {text!r}")
-        return value
-    return parse
-
-
-def _int_at_least(low: int):
-    """An argparse type for integers >= low."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not (low < value < math.inf if strict else low <= value < math.inf):
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
         return value
     return parse
 
@@ -76,20 +67,20 @@ def _build_parser() -> _Parser:
     for p in (p_plan, p_bench):
         p.add_argument("--scenario", required=True, help="scenario file path or built-in name (e.g. demo)")
         p.add_argument("--planner", required=True, choices=PLANNERS)
-        p.add_argument("--time-budget", type=_finite_float(positive=False), default=None,
+        p.add_argument("--time-budget", type=_at_least(float, 0), default=None,
                        metavar="S", help="replace the stop: planner-seconds budget")
     for p in (p_plan, p_bench, p_demo):
-        p.add_argument("--seed", type=_int_at_least(0), default=1,
+        p.add_argument("--seed", type=_at_least(int, 0), default=1,
                        help="planner seed (default 1); bench runs seeds SEED to SEED+TRIALS-1")
-        p.add_argument("--max-batches", type=_int_at_least(0), default=None, metavar="N",
+        p.add_argument("--max-batches", type=_at_least(int, 0), default=None, metavar="N",
                        help="replace the stop: batch (bitstar) / iteration (rrtstar) cap")
         p.add_argument("--out", type=Path, default=None, help="CSV output path")
     p_plan.add_argument("--svg-dir", type=Path, default=None,
                         help="write per-batch SVG snapshots here (bitstar only)")
     p_demo.add_argument("--svg-dir", type=Path, default=Path("demo_out"))
-    p_bench.add_argument("--trials", type=_int_at_least(1), default=20,
+    p_bench.add_argument("--trials", type=_at_least(int, 1), default=20,
                          help="trial count (default 20)")
-    p_bench.add_argument("--grid-step", type=_finite_float(positive=True), default=0.1,
+    p_bench.add_argument("--grid-step", type=_at_least(float, 0, strict=True), default=0.1,
                          metavar="S", help="aggregate time-grid step (default 0.1)")
 
     return parser

@@ -82,7 +82,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         d2 = sq_dists(cols, sample)
         nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
-        if new_state == nearest_state or new_state in tree.by_state:
+        if new_state in tree.by_state:
             continue
 
         # The near query is charged even when it reuses the nearest scan (an

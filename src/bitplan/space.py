@@ -142,6 +142,11 @@ def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
 
     Defined as a minimum over all goal samples at all times, so it is an
     admissible cost-to-go bound both before and after the first solution.
+    Tree-vertex keys and prune use this form, not h_hat_rows: it is
+    math.dist, the metric world.segment_cost prices edges with, so on a
+    one-goal problem the incumbent goal's parent keys at exactly c_sol and
+    stays. h_hat_rows may differ from it by an ulp, and it keys only sample
+    rows and rewiring edges.
     """
     if not goal_samples:
         raise ValueError("goal sample set is empty")

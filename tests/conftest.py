@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from bitplan import Box, Circle, GoalRegion, ProblemDef, World
+from bitplan.bench import resolve_scenario, run_single
+from bitplan.tree import Tree
 
 DEMO_BOUNDS = Box((-10.0, -10.0), (10.0, 10.0))
 DEMO_ROOT = (0.0, -8.0)
 DEMO_GOAL = (0.0, 8.0)
+
+# The seeds of the acceptance battery's trials.
+SEEDS = range(1, 21)
 
 
 def make_demo_world() -> World:
@@ -91,6 +97,56 @@ def tree_audit(tree, tol: float = 1e-9) -> None:
         assert abs(walked - costs[vid]) <= tol, (
             f"cached cost {costs[vid]} != walked {walked} for {vid}"
         )
+
+
+def tree_fuzz(seed: int, n_ops: int, add_frac: float, max_cost: float):
+    """Yield (ops, tree) after each of n_ops random operations on a Tree
+    rooted at the origin, ops counting the operations done so far.
+
+    An operation adds a child to a random vertex with probability add_frac
+    (always while the tree has under three vertices), rewires a random
+    non-root vertex to a random parent up to 0.85 (a refused cycle still
+    counts), and removes a random non-root subtree otherwise. States are
+    uniform on [-100, 100]^2 and edge costs on [0, max_cost]; a drawn state
+    already in the tree is skipped and not counted.
+    """
+    rng = random.Random(seed)
+    tree = Tree((0.0, 0.0))
+    ids = [tree.root_id]
+    ops = 0
+    while ops < n_ops:
+        roll = rng.random()
+        if roll < add_frac or len(ids) < 3:
+            parent = rng.choice(ids)
+            state = (rng.uniform(-100, 100), rng.uniform(-100, 100))
+            if state in tree.by_state:
+                continue
+            ids.append(tree.add_child(parent, state, rng.uniform(0, max_cost)))
+        elif roll < 0.85:
+            child = rng.choice(ids[1:])
+            parent = rng.choice(ids)
+            try:
+                tree.rewire(child, parent, rng.uniform(0, max_cost))
+            except ValueError:
+                pass  # rejected cycles still count as exercised operations
+        else:
+            victim = rng.choice(ids[1:])
+            gone = {vid for vid, _ in tree.remove_subtree(victim)}
+            ids = [v for v in ids if v not in gone]
+        ops += 1
+        yield ops, tree
+
+
+@pytest.fixture(scope="session")
+def demo_scenario():
+    return resolve_scenario("demo")
+
+
+@pytest.fixture(scope="session")
+def ten_batch_results(demo_scenario):
+    """BIT* on the built-in demo at its own stop (10 batches), one result per
+    seed of SEEDS in order: planned once for every module that reads it."""
+    return [run_single(demo_scenario, "bitstar", seed) for seed in SEEDS]
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete. The heavy trial batteries are module-scoped fixtures
-shared across criteria.
+lines as they complete. The heavy trial batteries are fixtures shared across
+criteria: the one-second one here, the ten-batch one (`ten_batch_results`) in
+conftest.py, where test_bitstar.py reads it too.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import pytest
 
 import bitplan.bitstar as bitstar
 from bitplan import RngStream, World
-from bitplan.bench import resolve_scenario, run_single
+from bitplan.bench import run_single
 from bitplan.anytime import StopCondition
 from bitplan.bitstar import PlannerParams, plan
 from bitplan.cli import cli_main
 from bitplan.space import h_hat
-from bitplan.tree import Tree
-from conftest import DEMO_BOUNDS, make_demo_problem, tree_audit
+from conftest import DEMO_BOUNDS, SEEDS, make_demo_problem, tree_audit, tree_fuzz
 
 # 8-connected shortest path across the demo world on a 0.05 m lattice,
 # computed by the Dijkstra oracle below and frozen here.
@@ -33,8 +33,6 @@ ORACLE_COST = 17.284062043356666
 # Exact optimum from the demo root (0, -8) to the goal sample (0, 8): a
 # tangent, a 1.5 m arc round the centre circle, and a tangent.
 ANALYTIC_OPTIMUM = 2 * math.sqrt(8**2 - 1.5**2) + 1.5 * (math.pi - 2 * math.acos(1.5 / 8))
-
-SEEDS = range(1, 21)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -79,16 +77,6 @@ def _grid_shortest_path(resolution: float = 0.05) -> float:
                 dist[ni, nj] = d + c
                 heapq.heappush(pq, (d + c, (ni, nj)))
     return math.inf
-
-
-@pytest.fixture(scope="module")
-def demo_scenario():
-    return resolve_scenario("demo")
-
-
-@pytest.fixture(scope="module")
-def ten_batch_results(demo_scenario):
-    return [run_single(demo_scenario, "bitstar", seed) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +126,14 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
     orig = bitstar.prune
 
     def checked_prune(ctx, prob):
+        # The incumbent's vertices, read before the prune, must all survive it.
         nonlocal calls
+        path_ids = [ctx.tree.by_state[x] for x in ctx.path or ()]
         x_reuse = orig(ctx, prob)
         calls += 1
+        for pos, vid in enumerate(path_ids):
+            if ctx.tree.states[vid] is None:
+                violations.append(("path", seed, ctx.batch, pos, len(path_ids)))
         for vid, state in enumerate(ctx.tree.states):
             if state is None:
                 continue
@@ -158,7 +151,8 @@ def test_criterion_3_prune_soundness(demo_scenario, monkeypatch):
         plan(problem, demo_scenario.world, demo_scenario.bitstar, demo_scenario.stop,
              RngStream(seed))
     ok = calls > 0 and not violations
-    _report(3, ok, f"{calls} instrumented prunes, {len(violations)} violations")
+    _report(3, ok, f"{calls} instrumented prunes, {len(violations)} violations"
+                   + (f", first {violations[:4]}" if violations else ""))
 
 
 def test_criterion_4_queue_dominance():
@@ -179,30 +173,7 @@ def test_criterion_4_queue_dominance():
 
 
 def test_criterion_5_tree_fuzz_audit():
-    rng = random.Random(55)
-    tree = Tree((0.0, 0.0))
-    ids = [tree.root_id]
-    ops = 0
-    while ops < 10_000:
-        roll = rng.random()
-        if roll < 0.55 or len(ids) < 3:
-            parent = rng.choice(ids)
-            state = (rng.uniform(-100, 100), rng.uniform(-100, 100))
-            if state in tree.by_state:
-                continue
-            ids.append(tree.add_child(parent, state, rng.uniform(0.0, 10.0)))
-        elif roll < 0.85:
-            child = rng.choice(ids[1:])
-            parent = rng.choice(ids)
-            try:
-                tree.rewire(child, parent, rng.uniform(0.0, 10.0))
-            except ValueError:
-                pass  # rejected cycles still count as exercised operations
-        else:
-            victim = rng.choice(ids[1:])
-            gone = {vid for vid, _ in tree.remove_subtree(victim)}
-            ids = [v for v in ids if v not in gone]
-        ops += 1
+    for ops, tree in tree_fuzz(55, 10_000, add_frac=0.55, max_cost=10.0):
         if ops % 1000 == 0:
             tree_audit(tree, tol=1e-9)
     tree_audit(tree, tol=1e-9)

@@ -79,6 +79,10 @@ def test_out_of_range_integer_flags_are_usage_errors(capsys, tmp_path):
     ]:
         assert cli_main(argv) == 1, argv
         assert flag in capsys.readouterr().err
+    # A seed past float range is in range: the bound holds for any int.
+    assert cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "9" * 400,
+                     "--max-batches", "0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_numeric_flags_are_usage_errors(capsys):
@@ -88,6 +92,9 @@ def test_non_numeric_flags_are_usage_errors(capsys):
          "error: argument --time-budget: expected a non-negative finite number, got 'abc'\n"),
         (plan + ["--max-batches", "abc"],
          "error: argument --max-batches: expected an integer >= 0, got 'abc'\n"),
+        (plan + ["--seed", "5.0"], "error: argument --seed: expected an integer >= 0, got '5.0'\n"),
+        (["bench", "--scenario", "demo", "--planner", "rrtstar", "--trials", "1e3"],
+         "error: argument --trials: expected an integer >= 1, got '1e3'\n"),
     ]:
         assert cli_main(argv) == 1, argv
         assert capsys.readouterr().err == err
@@ -111,12 +118,17 @@ def test_out_of_range_float_flags_are_usage_errors(capsys):
     for argv, flag in [
         (bench + ["--grid-step", "0"], "--grid-step"),
         (bench + ["--grid-step", "-1"], "--grid-step"),
+        (bench + ["--grid-step", "-0.0"], "--grid-step"),
         (["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",
           "--max-batches", "1", "--time-budget", "-1"], "--time-budget"),
         (bench + ["--time-budget", "-0.5"], "--time-budget"),
     ]:
         assert cli_main(argv) == 1, argv
         assert flag in capsys.readouterr().err
+    # A budget of -0.0 compares equal to 0, so it is non-negative.
+    assert cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar",
+                     "--time-budget", "-0.0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_bench_grid_of_over_a_million_steps_is_runtime_error(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bitplan.tree import Tree
-from conftest import tree_audit, tree_lists_audit
+from conftest import tree_audit, tree_fuzz, tree_lists_audit
 
 
 def test_add_child_costs():
@@ -200,29 +200,8 @@ def test_states_matrix_across_growth_removal_and_rewire():
 
 
 def test_operation_fuzz_preserves_invariants():
-    rng = random.Random(99)
-    t = Tree((0.0, 0.0))
-    ids = [t.root_id]
-    for step in range(2000):
-        op = rng.random()
-        if op < 0.6 or len(ids) < 3:
-            parent = rng.choice(ids)
-            state = (rng.uniform(-100, 100), rng.uniform(-100, 100))
-            if state in t.by_state:
-                continue
-            ids.append(t.add_child(parent, state, rng.uniform(0, 5)))
-        elif op < 0.85:
-            child = rng.choice(ids[1:])
-            new_parent = rng.choice(ids)
-            try:
-                t.rewire(child, new_parent, rng.uniform(0, 5))
-            except ValueError:
-                pass  # cycle attempts are expected
-        else:
-            victim = rng.choice(ids[1:])
-            removed = {vid for vid, _ in t.remove_subtree(victim)}
-            ids = [v for v in ids if v not in removed]
+    for ops, t in tree_fuzz(99, 2000, add_frac=0.6, max_cost=5.0):
         tree_lists_audit(t)
-        if step % 200 == 0:
+        if ops % 200 == 1:  # after operations 1, 201, 401, ...
             tree_audit(t)
     tree_audit(t)
