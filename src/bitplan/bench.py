@@ -1,37 +1,8 @@
 """Scenario files, seeded multi-trial execution, aggregation, and CSV output.
 
-Scenario format (UTF-8 text, a leading byte-order mark ignored; line-oriented,
-'#' starts a comment, blank lines ignored; every number must be finite; an
-unknown section or key is an error):
-
-    name = demo                 # optional, defaults to the file stem
-    [world]
-    bounds = XMIN YMIN XMAX YMAX  # with [grid]: must equal the map extent
-    checks_per_meter = 4        # optional, default 4
-    [obstacles]                 # or a [grid] section, not both
-    circle CX CY R
-    rect XMIN YMIN XMAX YMAX
-    [grid]
-    file = map.pgm              # relative to the scenario file
-    meters_per_cell = 0.1
-    origin = X Y
-    threshold = 127             # 0..255; gray value <= threshold is blocked
-    [problem]
-    root = X Y
-    goal_center = X Y
-    goal_radius = R
-    goal_sample = X Y           # repeatable; defaults to goal_center
-    [bitstar]
-    batch_size = 100
-    rho = 8
-    [rrtstar]
-    eta = 2
-    alpha = 20
-    goal_period = 50
-    [stop]                      # at least one bound
-    max_batches = 10
-    time_budget_s = 1.0
-    target_cost = 17.0
+A scenario file is line-oriented UTF-8 text (a leading byte-order mark
+ignored) with `[sections]` of `key = value` lines; README's "Scenario files"
+block documents the format, and `_KEYS` states each key's rules.
 
 The trial count and the seeds are the caller's: trial k of a benchmark uses
 seed base_seed + k, so reruns and concurrent executions produce identical,
@@ -58,6 +29,35 @@ from .world import Circle, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
 MAX_GRID_STEPS = 1_000_000  # an aggregate grid holds one entry per step
+
+
+# Every scenario key: section (None is the top level) -> key -> (required,
+# count, type, rule). A text key has count 0; rule is None, "positive",
+# "non-negative" or an inclusive (lo, hi) range on the first number.
+# goal_sample is the one repeatable key, [obstacles] holds shape lines
+# instead of keys, and [grid]'s keys are required only when it is given.
+_KEYS: dict[str | None, dict[str, tuple]] = {
+    None: {"name": (False, 0, str, None)},
+    "world": {"bounds": (True, 4, float, None),
+              "checks_per_meter": (False, 1, float, "positive")},
+    "obstacles": {},
+    "grid": {"file": (True, 0, str, None),
+             "meters_per_cell": (True, 1, float, "positive"),
+             "origin": (True, 2, float, None),
+             "threshold": (True, 1, int, (0, 255))},
+    "problem": {"root": (True, 2, float, None),
+                "goal_center": (True, 2, float, None),
+                "goal_radius": (True, 1, float, "positive"),
+                "goal_sample": (False, 2, float, None)},
+    "bitstar": {"batch_size": (True, 1, int, "positive"),
+                "rho": (True, 1, float, "positive")},
+    "rrtstar": {"eta": (True, 1, float, "positive"),
+                "alpha": (True, 1, int, "positive"),
+                "goal_period": (True, 1, int, "positive")},
+    "stop": {"max_batches": (False, 1, int, "non-negative"),
+             "time_budget_s": (False, 1, float, "positive"),
+             "target_cost": (False, 1, float, "positive")},
+}
 
 
 class ScenarioError(ValueError):
@@ -104,153 +104,106 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """Load a scenario file. Its first fault in file order is refused with a
+    ScenarioError naming the file, and the line when one line is at fault."""
     path = Path(path)
 
-    def made(where: str, make, *args):
+    def made(where: str, make, *args, **kwargs):
         # The one path from a refusal (a constructor's ValueError, a read's
         # OSError or UnicodeDecodeError) to a ScenarioError naming the file.
         try:
-            return make(*args)
+            return make(*args, **kwargs)
         except (ValueError, OSError) as e:
             raise ScenarioError(f"{path}{where}{e}") from e
-
-    text = made(": ", lambda: path.read_text(encoding="utf-8-sig"))
-
-    # Each section's keys as (line, text); None is the top level. Reading a
-    # key pops it, so whatever is left at the end was never read.
-    stores: dict[str | None, dict[str, tuple[int, str]]] = {None: {}}
-    obstacle_lines: list[tuple[int, str]] = []
-    goal_sample_lines: list[tuple[int, str]] = []
-    section = None
 
     def err(line_no: int, msg: str):
         raise ScenarioError(f"{path}:{line_no}: {msg}")
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in ("world", "obstacles", "grid", "problem", "bitstar", "rrtstar", "stop"):
-                err(line_no, f"unknown section [{section}]")
-            stores.setdefault(section, {})
-            continue
-        if section == "obstacles":
-            obstacle_lines.append((line_no, line))
-            continue
-        if "=" not in line:
-            err(line_no, "expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            err(line_no, "empty key")
-        if section == "problem" and key == "goal_sample":
-            goal_sample_lines.append((line_no, value))
-            continue
-        if key in stores[section]:
-            err(line_no, f"duplicate key {key!r}")
-        stores[section][key] = (line_no, value)
-
-    def where(section_name):
-        return f"[{section_name}]" if section_name else "top level"
-
-    def entry(section_name, key, required=True):
-        """A key's (line, text), or None when it is absent and not required."""
-        found = stores.get(section_name, {}).pop(key, None)
-        if found is None and required:
-            raise ScenarioError(f"{path}: missing required key {key!r} in {where(section_name)}")
-        return found
-
     def numbers(line_no, field, parts, n, conv=float):
         # The one parser for every number in the file: exactly n finite values.
+        # A comparison, not math.isfinite, which overflows on a 400-digit int.
         if len(parts) != n:
             err(line_no, f"{field}: expected {n} number{'s' * (n > 1)}, got {len(parts)}")
         try:
             values = tuple(conv(p) for p in parts)
         except ValueError:
             err(line_no, f"{field}: invalid value {' '.join(parts)!r}")
-        if not all(math.isfinite(v) for v in values):
+        if not all(-math.inf < v < math.inf for v in values):
             err(line_no, f"{field}: numbers must be finite, got {' '.join(parts)!r}")
         return values
 
-    def read(section_name, key, n=1, conv=float, low=None, within=None, required=True,
-             default=None):
-        """n numbers as a tuple, or one bare; low is "positive" or "non-negative",
-        within an inclusive (lo, hi) range."""
-        found = entry(section_name, key, required)
-        if found is None:
-            return default
-        line_no, value = found
-        values = numbers(line_no, key, value.split(), n, conv)
-        if (low == "positive" and values[0] <= 0) or (low == "non-negative" and values[0] < 0):
-            err(line_no, f"{key}: must be {low}")
-        if within and not within[0] <= values[0] <= within[1]:
-            err(line_no, f"{key}: must be in {within[0]}..{within[1]}, got {values[0]}")
-        return values if n > 1 else values[0]
-
-    found = entry(None, "name", required=False)
-    name = found[1] if found else path.stem
-
-    b = read("world", "bounds", 4)
-    bounds = made(": bounds: ", Box, (b[0], b[1]), (b[2], b[3]))
-    cpm = read("world", "checks_per_meter", low="positive", required=False, default=4.0)
-
-    if "obstacles" in stores and "grid" in stores:
-        raise ScenarioError(f"{path}: give either [obstacles] or [grid], not both")
-    if "grid" in stores:
-        line_no, grid_file = entry("grid", "file")
-        grid_path = path.parent / grid_file
-        if not grid_path.is_file():
-            err(line_no, f"file: {grid_path} does not exist or is not a file")
-        mpc = read("grid", "meters_per_cell", low="positive")
-        origin = read("grid", "origin", 2)
-        threshold = read("grid", "threshold", conv=int, within=(0, 255))
-        # A GridLoadError, or an extent that World refuses.
-        grid = made(f":{line_no}: file: {grid_path}: ", load_occupancy_grid,
-                    grid_path, mpc, origin, threshold).grid
-        obstacles = None
-    else:
-        grid, obstacles = None, []
-        for line_no, line in obstacle_lines:
+    text = made(": ", path.read_text, encoding="utf-8-sig")
+    # Each given section's values by key, each key's line, and the obstacles.
+    got: dict[str | None, dict] = {None: {}}
+    lines: dict[tuple[str | None, str], int] = {}
+    obstacles, section = [], None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _KEYS:
+                err(line_no, f"unknown section [{section}]")
+            got.setdefault(section, {})
+            continue
+        if section == "obstacles":
             kind, *parts = line.split()
             if (kind, len(parts)) not in (("circle", 3), ("rect", 4)):
                 err(line_no, f"expected 'circle CX CY R' or 'rect XMIN YMIN XMAX YMAX', got {line!r}")
             v = numbers(line_no, kind, parts, len(parts))
             make, rest = (Circle, v[2]) if kind == "circle" else (Box, v[2:])
             obstacles.append(made(f":{line_no}: bad obstacle: ", make, v[:2], rest))
-    world = made(": [world] ", World, bounds, obstacles, grid, cpm)
+            continue
+        if "=" not in line:
+            err(line_no, "expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            err(line_no, "empty key")
+        if key not in _KEYS[section]:
+            err(line_no, f"unknown key {key!r} in {f'[{section}]' if section else 'top level'}")
+        if (section, key) in lines and key != "goal_sample":
+            err(line_no, f"duplicate key {key!r}")
+        lines[section, key] = line_no
+        _, n, conv, rule = _KEYS[section][key]
+        v = numbers(line_no, key, value.split(), n, conv) if n else value
+        if (rule == "positive" and v[0] <= 0) or (rule == "non-negative" and v[0] < 0):
+            err(line_no, f"{key}: must be {rule}")
+        if isinstance(rule, tuple) and not rule[0] <= v[0] <= rule[1]:
+            err(line_no, f"{key}: must be in {rule[0]}..{rule[1]}, got {v[0]}")
+        if key == "goal_sample":
+            v = got[section].get(key, ()) + (v,)
+        got[section][key] = v[0] if n == 1 else v
 
-    root = read("problem", "root", 2)
-    goal_center = read("problem", "goal_center", 2)
-    goal_radius = read("problem", "goal_radius", low="positive")
-    goal_samples = tuple(
-        numbers(line_no, "goal_sample", value.split(), 2) for line_no, value in goal_sample_lines
-    ) or (goal_center,)
-    problem = made(": problem: ",
-                   lambda: ProblemDef(root, goal_samples, GoalRegion(goal_center, goal_radius)))
+    if "obstacles" in got and "grid" in got:
+        raise ScenarioError(f"{path}: give either [obstacles] or [grid], not both")
+    for section, keys in _KEYS.items():
+        missing = [key for key, row in keys.items() if row[0] and key not in got.get(section, {})]
+        if missing and (section != "grid" or section in got):
+            raise ScenarioError(f"{path}: missing required key {missing[0]!r} in [{section}]")
+
+    w = got["world"]
+    w.update(bounds=made(": bounds: ", Box, w["bounds"][:2], w["bounds"][2:]), obstacles=obstacles)
+    if "grid" in got:
+        g, line_no = got["grid"], lines["grid", "file"]
+        grid_path = path.parent / g["file"]
+        if not grid_path.is_file():
+            err(line_no, f"file: {grid_path} does not exist or is not a file")
+        # A GridLoadError, or an extent that World refuses.
+        grid = made(f":{line_no}: file: {grid_path}: ", load_occupancy_grid, grid_path,
+                    g["meters_per_cell"], g["origin"], g["threshold"]).grid
+        w.update(obstacles=None, grid=grid)
+    world = made(": [world] ", World, **w)
+
+    # The table enforces every rule of the goal region and both parameter types.
+    p = got["problem"]
+    goal = GoalRegion(p["goal_center"], p["goal_radius"])
+    problem = made(": problem: ", ProblemDef, p["root"], p.get("goal_sample", (goal.center,)), goal)
     made(": problem: ", problem.validate, world)
-
-    time_budget = read("stop", "time_budget_s", low="positive", required=False)
-    max_batches = read("stop", "max_batches", conv=int, low="non-negative", required=False)
-    target_cost = read("stop", "target_cost", low="positive", required=False)
-    stop = made(": [stop]: ", StopCondition, time_budget, max_batches, target_cost)
-
-    # The reads enforce every rule of both parameter types.
-    bit = PlannerParams(batch_size=read("bitstar", "batch_size", conv=int, low="positive"),
-                        radius=read("bitstar", "rho", low="positive"))
-    rrt = RrtParams(eta=read("rrtstar", "eta", low="positive"),
-                    alpha=read("rrtstar", "alpha", conv=int, low="positive"),
-                    goal_period=read("rrtstar", "goal_period", conv=int, low="positive"))
-
-    # A key nothing read is a typo or misplaced: running without it would
-    # silently use a default.
-    first = min(((line_no, key, section_name) for section_name, store in stores.items()
-                 for key, (line_no, _) in store.items()), default=None)
-    if first is not None:
-        line_no, key, section_name = first
-        err(line_no, f"unknown key {key!r} in {where(section_name)}")
-
-    return Scenario(name, world, problem, bit, rrt, stop)
+    stop = made(": [stop]: ", StopCondition, **got.get("stop", {}))
+    bit = PlannerParams(batch_size=got["bitstar"]["batch_size"], radius=got["bitstar"]["rho"])
+    name = got[None]["name"] if "name" in got[None] else path.stem
+    return Scenario(name, world, problem, bit, RrtParams(**got["rrtstar"]), stop)
 
 
 def run_single(scenario: Scenario, planner: str, seed: int, **hooks):

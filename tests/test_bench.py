@@ -21,6 +21,7 @@ from bitplan.bench import (
     write_convergence_csv,
 )
 from bitplan.anytime import ConvergencePoint, StopCondition
+from bitplan.cli import cli_main
 from bitplan.world import Circle, GridLoadError
 
 DEMO_SCN = """
@@ -151,6 +152,25 @@ def test_scenario_error_messages(tmp_path, old, new, message, cause):
         assert type(chained) is cause and message.endswith(f" {chained}"), repr(chained)
 
 
+# A file with several faults is refused at the first in file order: the
+# unknown key (line 6) before the bad rho (line 22), and a key left at the top
+# level by a deleted header before the required key it leaves missing.
+@pytest.mark.parametrize("edits, message", [
+    ((("[world]\n", "[world]\nchecks_per_metre = 40\n"), ("rho = 8", "rho = -1")),
+     ":6: unknown key 'checks_per_metre' in [world]"),
+    ((("[world]\n", ""),), ":5: unknown key 'bounds' in top level"),
+], ids=["unknown-key-before-bad-rho", "deleted-header"])
+def test_the_first_fault_in_file_order_is_reported(tmp_path, edits, message):
+    text = builtin_scenario_path("demo").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = _write(tmp_path, text)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}{message}"
+
+
 # A misspelt or misplaced key would otherwise load and run on a default
 # (checks_per_metre = 40 ran at the default of 4 checks per meter).
 @pytest.mark.parametrize("old, new, where", [
@@ -261,6 +281,41 @@ def test_a_grid_threshold_of_0_or_255_is_accepted(tmp_path):
     # 255 blocks every cell, so what fails is the root, not the threshold.
     with pytest.raises(ScenarioError, match="problem: root lies inside an obstacle"):
         load_scenario(_write(tmp_path, GRID_SCN.replace("threshold = 127", "threshold = 255")))
+
+
+# A 400-digit integer is finite: the number check compares it with inf
+# instead of calling math.isfinite, which raises OverflowError on it.
+HUGE = "9" * 400
+HUGE_KEYS = ("max_batches", "batch_size", "alpha", "goal_period")
+
+
+def _huge(*keys):
+    text = DEMO_SCN
+    for key in keys:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {HUGE}", text, flags=re.M)
+    return text
+
+
+@pytest.mark.parametrize("key", HUGE_KEYS)
+def test_a_400_digit_integer_loads_with_its_exact_value(tmp_path, key):
+    scn = load_scenario(_write(tmp_path, _huge(key)))
+    params = {"max_batches": scn.stop, "batch_size": scn.bitstar}.get(key, scn.rrtstar)
+    assert getattr(params, key) == int(HUGE)
+
+
+def test_a_400_digit_threshold_is_refused_at_its_line(tmp_path):
+    _write_grid_map(tmp_path)
+    text = GRID_SCN.replace("threshold = 127", f"threshold = {HUGE}")
+    path = _write(tmp_path, text)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}:8: threshold: must be in 0..255, got {HUGE}"
+
+
+def test_a_scenario_of_400_digit_integers_plans_from_the_command_line(tmp_path):
+    path = _write(tmp_path, _huge(*HUGE_KEYS))
+    assert cli_main(["plan", "--scenario", str(path), "--planner", "bitstar",
+                     "--max-batches", "0"]) == 0
 
 
 def test_grid_scenario_bounds_may_round_the_map_extent(tmp_path):

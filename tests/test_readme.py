@@ -1,4 +1,4 @@
-"""README's "Library use" section against the package it documents."""
+"""README's "Library use" and "Scenario files" sections against the package."""
 
 from __future__ import annotations
 
@@ -7,13 +7,18 @@ import re
 from pathlib import Path
 
 import bitplan
+from bitplan.bench import _KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_use() -> str:
-    after = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+def _section(title: str) -> str:
+    after = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
     return after.split("\n## ", 1)[0]
+
+
+def _library_use() -> str:
+    return _section("Library use")
 
 
 def test_the_library_use_example_runs(capsys):
@@ -27,3 +32,18 @@ def test_every_package_export_is_named_in_library_use():
     section = _library_use()
     missing = [name for name in bitplan.__all__ if not re.search(rf"\b{name}\b", section)]
     assert missing == []
+
+
+def test_the_scenario_block_names_exactly_the_loaders_keys():
+    # The first code block of "Scenario files": its section headers and its
+    # `key =` lines, by section (None is the top level).
+    block = re.search(r"```\n(.*?)```", _section("Scenario files"), re.S).group(1)
+    named: dict[str | None, set[str]] = {None: set()}
+    section = None
+    for line in (raw.split("#", 1)[0].strip() for raw in block.splitlines()):
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            named[section] = set()
+        elif "=" in line:
+            named[section].add(line.split("=", 1)[0].strip())
+    assert named == {section: set(keys) for section, keys in _KEYS.items()}
