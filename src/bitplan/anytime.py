@@ -5,10 +5,11 @@ vertices v_sol, the incumbent (its cost c_sol and a copy of its path), the
 batch and sample counts and the convergence records. The incumbent rule lives
 only in `AnytimeRun.improve`: the cheapest goal vertex, ties to the lowest id,
 replaces the incumbent only when it is strictly cheaper. A run meters time on
-the deterministic work clock of its CountingWorld, one unit per piece of work,
-charged where that work is done: per BIT* sample draw in `sample_batch`, per
-edge-check point in `CountingWorld.all_free`, and per neighbor-scan candidate
-in `bitstar.plan` and `rrt_plan`. The clock counts work, not wall time, so
+its own deterministic work clock, one unit per piece of work, charged by
+`run.units +=` where that work is done: per BIT* sample draw in
+`sample_batch`, per edge-check point in `world.segment_cost` (a metered edge
+check is `world.true_cost(x, y, run)`), and per neighbor-scan candidate in
+`bitstar.plan` and `rrt_plan`. The clock counts work, not wall time, so
 identical seeds replay identical runs byte for byte. It stops on the same
 bounds for both planners and records one convergence point per strict cost
 improvement plus one at termination, which is what makes the two planners'
@@ -24,18 +25,27 @@ from typing import NamedTuple
 
 from .space import ProblemDef, State
 from .tree import Tree
-from .world import CountingWorld, World
+from .world import World
+
+# Nominal rate at which a desk machine performs elementary planner work: one
+# unit per BIT* sample draw, one per edge-check point and one per candidate
+# scanned in a nearest-neighbor search. A run converts its unit count into
+# "planner seconds" at this fixed rate, giving every run a deterministic,
+# monotonic clock: identical seeds produce byte-identical convergence output
+# no matter the host machine.
+WORK_UNITS_PER_SECOND = 250_000.0
 
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Any-of termination bounds; at least one must be set.
+    """Any-of termination bounds; time_budget_s or max_batches must be set.
 
     time_budget_s counts planner seconds on the deterministic work clock
     and must be finite (an infinite budget never fires);
     max_batches bounds the number of sampled batches (0 allows only the
     direct root-to-goal attempt); target_cost stops at the first solution
-    at or below the target.
+    at or below the target. A target below the optimum is never met, so it
+    cannot be the only bound.
     """
 
     time_budget_s: float | None = None
@@ -43,8 +53,10 @@ class StopCondition:
     target_cost: float | None = None
 
     def __post_init__(self):
-        if self.time_budget_s is None and self.max_batches is None and self.target_cost is None:
-            raise ValueError("at least one stop bound must be set")
+        if self.time_budget_s is None and self.max_batches is None:
+            if self.target_cost is None:
+                raise ValueError("at least one stop bound must be set")
+            raise ValueError("a target cost alone may never be met: set time_budget_s or max_batches")
         # Negated comparisons, so that NaN fails them too.
         if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
             raise ValueError("time budget must be non-negative and finite")
@@ -76,7 +88,15 @@ class PlanResult:
 class AnytimeRun:
     """One planner run: the tree, the goal vertices, the incumbent and the clock.
 
-    `world` is the metered world the planner must check edges against.
+    `world` is the scenario's world, which the run never copies or writes;
+    the planners check an edge against it with `world.true_cost(x, y, run)`.
+    `units` is the work clock's tally (see WORK_UNITS_PER_SECOND), and
+    `elapsed_s` reads it. On an occupancy grid, `probe` is the last blocked
+    point an edge check found, which the next check tests first: an edge
+    check that fails usually fails on the same thin wall as the one before,
+    about 9 points into bisection order on a one-cell wall. A geometric
+    world's checks stop after about 1.5 points already, so there `probe` is
+    None.
     `is_solution` is the one rule that makes a state a solution (it lies in
     the goal region), and only `add_vertex` and the root check apply it.
     `v_sol` holds the tree's solution vertices; a pruned id stays in it and
@@ -88,7 +108,9 @@ class AnytimeRun:
     """
 
     def __init__(self, problem: ProblemDef, world: World, stop: StopCondition):
-        self.world = CountingWorld(world)
+        self.world = world
+        self.units = 0
+        self.probe = None if world.grid is None else []
         self.stop = stop
         self.tree = Tree(problem.root)
         self.v_sol: set[int] = set()
@@ -102,6 +124,9 @@ class AnytimeRun:
             self.v_sol.add(self.tree.root_id)
             self.improve()
 
+    def elapsed_s(self) -> float:
+        return self.units / WORK_UNITS_PER_SECOND
+
     def add_vertex(self, parent: int, state: State, edge_cost: float) -> int:
         """Add state to the tree under parent; a solution joins v_sol. Returns its id."""
         vid = self.tree.add_child(parent, state, edge_cost)
@@ -112,7 +137,7 @@ class AnytimeRun:
     def should_stop(self) -> bool:
         """True once the time budget is spent or a solution meets the target cost."""
         stop = self.stop
-        if stop.time_budget_s is not None and self.world.elapsed_s() >= stop.time_budget_s:
+        if stop.time_budget_s is not None and self.elapsed_s() >= stop.time_budget_s:
             return True
         # A path first: with none, c_sol is inf, which an infinite target passes.
         return stop.target_cost is not None and self.path is not None and self.c_sol <= stop.target_cost
@@ -137,7 +162,7 @@ class AnytimeRun:
             self.records.append(self._record())
 
     def _record(self) -> ConvergencePoint:
-        return ConvergencePoint(self.world.elapsed_s(), self.c_sol, self.batch, len(self.tree),
+        return ConvergencePoint(self.elapsed_s(), self.c_sol, self.batch, len(self.tree),
                                 self.samples_drawn)
 
     def result(self) -> PlanResult:

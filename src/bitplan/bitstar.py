@@ -155,7 +155,7 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
     if ctx.qv or ctx.qe:
         raise ValueError("a new batch may only start when both queues are empty")
     x_reuse = prune(ctx, problem)
-    fresh = sample_batch(params.batch_size, problem, ctx.world, ctx.c_sol, rng)
+    fresh = sample_batch(params.batch_size, problem, ctx, rng)
     goals = problem.goal_samples
     x_new = [x for x in fresh if x not in ctx.tree.by_state]  # keep tree and samples disjoint
     ctx.x_ncon = Samples(goals, ctx.x_ncon.rows, x_new, x_reuse)
@@ -254,7 +254,7 @@ def expand_edge(ctx: PlannerContext) -> None:
     else:
         raise AssertionError("edge target is neither unconnected nor in the tree")
     if gt_v + edge < g_x:
-        cost = ctx.world.true_cost(tree.states[vid], x)
+        cost = ctx.world.true_cost(tree.states[vid], x, ctx)
         if gt_v + cost + h_x < ctx.c_sol and gt_v + cost < g_x:
             if xid is None:
                 ctx.x_ncon.discard(x)
@@ -297,7 +297,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
             ctx.batch += 1
             ctx.samples_drawn += params.batch_size
         elif kv <= ke:
-            ctx.world.units += expand_vertex(ctx, problem, params)
+            ctx.units += expand_vertex(ctx, problem, params)
         else:
             expand_edge(ctx)
     return ctx.result()

@@ -78,7 +78,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
             sample = rng.point(world.bounds)
 
         cols = tree.states_matrix()
-        run.world.units += len(states)  # len(tree): RRT* never removes a vertex
+        run.units += len(states)  # len(tree): RRT* never removes a vertex
         d2 = sq_dists(cols, sample)
         nearest_state = states[d2.argmin()]
         new_state = steer(nearest_state, sample, params.eta)
@@ -87,7 +87,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         # The near query is charged even when it reuses the nearest scan (an
         # unsteered sample is its own new state): the clock counts two scans.
-        run.world.units += len(states)
+        run.units += len(states)
         # Compare squared distances: steer puts new_state exactly eta from its
         # nearest vertex, and a rounded square root could push that vertex out.
         nd2 = d2 if new_state == sample else sq_dists(cols, new_state)
@@ -104,7 +104,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
         parent = None
         edge_cost = math.inf
         for _, v, s in ranked:
-            cost = run.world.true_cost(s, new_state)
+            cost = world.true_cost(s, new_state, run)
             if math.isfinite(cost):
                 parent = v
                 edge_cost = cost
@@ -123,7 +123,7 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
                 continue
             if g_new + d >= costs[w]:
                 continue
-            cost = run.world.true_cost(new_state, s)
+            cost = world.true_cost(new_state, s, run)
             if g_new + cost < costs[w]:
                 tree.rewire(w, new_id, cost)
 

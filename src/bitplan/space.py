@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 if TYPE_CHECKING:
-    from .world import CountingWorld
+    from .anytime import AnytimeRun
 
 State = tuple[float, ...]
 
@@ -198,26 +198,26 @@ def informed_box(problem: ProblemDef, c_sol: float) -> tuple[float, float, float
     return (max(r0, min(g0)) - c, max(r1, min(g1)) - c, min(r0, max(g0)) + c, min(r1, max(g1)) + c)
 
 
-def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float,
-                 rng: RngStream) -> list[State]:
-    """Draw m i.i.d. uniform samples of the free space inside the informed set.
+def sample_batch(m: int, problem: ProblemDef, run: AnytimeRun, rng: RngStream) -> list[State]:
+    """Draw m i.i.d. uniform samples of the free space inside the run's informed set.
 
     Rejection sampling from the uniform distribution over world.bounds keeps the
-    accepted samples exactly uniform on (free space) intersect (informed set).
+    accepted samples exactly uniform on (free space) intersect (informed set),
+    for the run's world and its incumbent cost run.c_sol.
     Each draw is one rng.point(world.bounds) call, and the only Python call
     most draws make: a draw outside informed_box is rejected inline, one
     inside it meets the exact informed_test, and only a draw that passes
-    both reaches world.is_free. `world` is the run's CountingWorld, and every
-    draw costs one work unit whichever test ends it: the batch adds all its
-    draws to world.units at once, also when it starves. Raises
-    SamplerStarvedError if one sample exhausts the rejection budget
-    (REJECTION_BUDGET, read when the batch starts).
+    both reaches world.is_free. Every draw costs one work unit whichever
+    test ends it: the batch adds all its draws to run.units at once, also
+    when it starves. Raises SamplerStarvedError if one sample exhausts the
+    rejection budget (REJECTION_BUDGET, read when the batch starts).
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
+    world = run.world
     bounds, point, is_free = world.bounds, rng.point, world.is_free
-    informed = informed_test(problem, c_sol)
-    lo0, lo1, hi0, hi1 = informed_box(problem, c_sol)
+    informed = informed_test(problem, run.c_sol)
+    lo0, lo1, hi0, hi1 = informed_box(problem, run.c_sol)
     budget = REJECTION_BUDGET
     out: list[State] = []
     attempts = 0
@@ -230,11 +230,11 @@ def sample_batch(m: int, problem: ProblemDef, world: CountingWorld, c_sol: float
                 break
         else:
             attempts += budget
-            world.units += attempts
+            run.units += attempts
             raise SamplerStarvedError(
                 f"no acceptable sample in {budget} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.units += attempts
+    run.units += attempts
     return out

@@ -18,14 +18,6 @@ import numpy as np
 
 from .space import Box, State
 
-# Nominal rate at which a desk machine performs elementary planner work: one
-# unit per BIT* sample draw, one per edge-check point and one per candidate
-# scanned in a nearest-neighbor search. CountingWorld converts its unit count
-# into "planner seconds" at this fixed rate, giving every run a deterministic,
-# monotonic clock: identical seeds produce byte-identical convergence output
-# no matter the host machine.
-WORK_UNITS_PER_SECOND = 250_000.0
-
 
 class GridLoadError(ValueError):
     """Raised when an occupancy-grid file cannot be parsed or validated."""
@@ -75,7 +67,8 @@ class World:
     `all_free` share one kernel, `_free_run`, which computes and tests the
     points of a segment in one loop, so a point costs no Python call or
     object of its own. Nothing writes a World after construction; per-run
-    state (the work clock, a grid's probe) lives on a CountingWorld.
+    state (the work clock, a grid's probe) lives on the run, an
+    `anytime.AnytimeRun`, which `true_cost` takes to meter an edge check.
     """
 
     def __init__(self, bounds: Box | None = None, obstacles=None, grid: OccupancyGrid | None = None,
@@ -126,10 +119,6 @@ class World:
             float(grid.origin[0]), float(grid.origin[1]), float(grid.meters_per_cell),
             int(grid.width), int(grid.height),
             np.ascontiguousarray(grid.blocked, dtype=bool).tobytes())
-
-    # A CountingWorld's memory of the last blocked point on a grid (see
-    # there); the scenario's World keeps none, so it never changes.
-    _probe = None
 
     def _free_run(self, x: State, y: State, weights, probe=None) -> bool:
         """The one point test, over the points o * x + t * y of a segment for
@@ -185,18 +174,18 @@ class World:
         # 1.0 * a + 0.0 * a is a itself when finite, and NaN (blocked) when not.
         return len(x) == 2 and self._free_run(x, x, ((1.0, 0.0),))
 
-    def all_free(self, weights, x: State, y: State) -> bool:
+    def all_free(self, weights, x: State, y: State, probe=None) -> bool:
         """True iff every point o * x + t * y of the edge x..y is free, for
         the weight pairs (o, t) of `_t_weights(n)`.
 
         The points are tested in bisection order up to the first blocked
-        one (on a CountingWorld's grid, the one nearest its last blocked
-        point first); any order gives the same verdict.
+        one (on a grid, given a run's `probe`, the one nearest its last
+        blocked point first); any order gives the same verdict.
         """
-        return self._free_run(x, y, weights, self._probe)
+        return self._free_run(x, y, weights, probe)
 
-    def true_cost(self, x: State, y: State) -> float:
-        return segment_cost(self, x, y)
+    def true_cost(self, x: State, y: State, run=None) -> float:
+        return segment_cost(self, x, y, run)
 
 
 def _bisection_order(n: int) -> tuple[int, ...]:
@@ -228,55 +217,27 @@ def _t_weights(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(plain[i] for i in _bisection_order(n))
 
 
-def segment_cost(world, x: State, y: State) -> float:
+def segment_cost(world, x: State, y: State, run=None) -> float:
     """Length of the straight edge x..y, or +inf when it hits an obstacle.
 
     The edge is sampled at ceil(length * checks_per_meter) + 1 points so both
     endpoints are always checked and the point set is symmetric under swap.
     A length that is NaN, infinite or over twice the bounds' diagonal is
     +inf at once: no points are built and no work is charged.
+
+    Given the planner run (an `anytime.AnytimeRun`), the check is metered:
+    it adds its point count to `run.units`, also for the points its early
+    exit never examines, and tests with the run's grid `probe`. Without
+    one it charges nothing and reads no probe.
     """
     d = math.dist(x, y)  # the edge heuristic c_hat
     if not d <= world._max_edge:  # NaN fails too
         return math.inf
     n = math.ceil(d * world.checks_per_meter) + 1
-    return d if world.all_free(_t_weights(n), x, y) else math.inf
-
-
-class CountingWorld(World):
-    """The world a planner run checks against, metering its edge points.
-
-    It shares the fields of the world it is built from and charges one work
-    unit per point of every `all_free` call (also the points its early exit
-    never examines), so each edge check pays `segment_cost`'s point count. A
-    point test (`is_free`) is not metered. The sampler adds its draws and
-    the planners their scanned candidates to `units`, each where the work is
-    done. The tally doubles as a deterministic monotonic clock (see
-    WORK_UNITS_PER_SECOND) used for time budgets and convergence timestamps,
-    so equal seeds give byte-identical results.
-
-    On an occupancy grid it also owns the run's probe, the last blocked
-    point an edge check found, which the next check tests first: an edge
-    check that fails usually fails on the same thin wall as the one before,
-    about 9 points into bisection order on a one-cell wall. A geometric
-    world's checks stop after about 1.5 points already, so it keeps none.
-    The world it is built from is never written.
-    """
-
-    def __init__(self, world: World):
-        vars(self).update(vars(world))
-        self.units = 0
-        if self._grid is not None:
-            self._probe = []
-
-    def elapsed_s(self) -> float:
-        return self.units / WORK_UNITS_PER_SECOND
-
-    def all_free(self, weights, x: State, y: State) -> bool:
-        self.units += len(weights)
-        # Looked up at call time, without a super() object: a patch of
-        # World.all_free on the class sees every edge check.
-        return World.all_free(self, weights, x, y)
+    probe = None if run is None else run.probe
+    if run is not None:
+        run.units += n
+    return d if world.all_free(_t_weights(n), x, y, probe) else math.inf
 
 
 def load_occupancy_grid(path, meters_per_cell: float, origin: State, threshold: int) -> World:

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from bitplan import Box, Circle, GoalRegion, ProblemDef, World
+from bitplan import Box, Circle, GoalRegion, ProblemDef, StopCondition, World
+from bitplan.anytime import AnytimeRun
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.tree import Tree
 
@@ -27,6 +28,15 @@ def make_demo_world() -> World:
 
 def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
     return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), GoalRegion(DEMO_GOAL, goal_radius))
+
+
+def make_run(world: World, problem: ProblemDef | None = None,
+             c_sol: float = math.inf) -> AnytimeRun:
+    """A fresh run on world (of the demo problem by default) whose incumbent
+    cost is c_sol, for tests of its clock, its probe and the sampler."""
+    run = AnytimeRun(problem or make_demo_problem(), world, StopCondition(max_batches=0))
+    run.c_sol = c_sol
+    return run
 
 
 def tree_lists_audit(tree) -> None:

@@ -54,7 +54,7 @@ def test_improve_takes_only_a_strictly_cheaper_goal_vertex():
     assert run.c_sol == 10.0 and run.path == [(0.0, -8.0), (2.0, 0.0)]
     # An equal cost is no improvement, even from a lower id.
     run.v_sol.add(a)
-    run.world.units += 5
+    run.units += 5
     run.improve()
     assert run.path == [(0.0, -8.0), (2.0, 0.0)] and len(run.records) == 1
     run.v_sol.add(tree.add_child(a, (3.0, 0.0), 0.5))  # dearer: 10.5
@@ -95,15 +95,26 @@ def test_result_adds_a_final_record_only_when_the_clock_moved():
     run = _run()
     tree = run.tree
     run.v_sol.add(tree.add_child(tree.root_id, (1.0, 0.0), 7.0))
-    run.world.units += 10
+    run.units += 10
     run.improve()
     assert len(run.result().convergence) == 1
-    run.world.units += 10
+    run.units += 10
     run.batch = run.samples_drawn = 3
     convergence = run.result().convergence
     assert len(convergence) == 2
     assert convergence[-1].elapsed_s > convergence[0].elapsed_s
     assert convergence[-1][1:] == (7.0, 3, 2, 3)
+
+
+def test_a_stop_needs_a_bound_that_always_fires():
+    # A target below the optimum is never met: alone, it would never end a run.
+    with pytest.raises(ValueError,
+                       match="^a target cost alone may never be met: set time_budget_s or max_batches$"):
+        StopCondition(target_cost=16.0)
+    with pytest.raises(ValueError, match="^at least one stop bound must be set$"):
+        StopCondition()
+    for bound in ({"max_batches": 3}, {"time_budget_s": 1.0}):
+        assert StopCondition(**bound, target_cost=16.0).target_cost == 16.0
 
 
 def test_rrtstar_stops_at_target_cost(demo_world):

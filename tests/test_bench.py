@@ -127,6 +127,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
      ":10: bad obstacle: circle needs a finite 2-D center and a positive finite radius", ValueError),
     ("root = 0 -8", "root = 0 0", ": problem: root lies inside an obstacle", ValueError),
     ("max_batches = 10", "", ": [stop]: at least one stop bound must be set", ValueError),
+    ("max_batches = 10", "target_cost = 16",
+     ": [stop]: a target cost alone may never be met: set time_budget_s or max_batches", ValueError),
     ("[problem]", "[grid]\nfile = map.pgm\n[problem]", ": give either [obstacles] or [grid], not both",
      None),
     ("rho = 8", "rho = abc", ":21: rho: invalid value 'abc'", None),
@@ -136,7 +138,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive", None),
 ], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box", "bounds-overflow",
         "time-budget", "max-batches", "bench-section", "obstacle-shape", "bad-obstacle",
-        "blocked-root", "no-stop", "obstacles-and-grid",
+        "blocked-root", "no-stop", "target-only-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
 def test_scenario_error_messages(tmp_path, old, new, message, cause):
     text = builtin_scenario_path("demo").read_text()

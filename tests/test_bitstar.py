@@ -724,9 +724,9 @@ def test_expand_edge_drops_a_stale_rewire_before_its_edge_check(g_far):
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
     ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
-    units, parents, costs = ctx.world.units, list(ctx.tree.parents), list(ctx.tree.costs)
+    units, parents, costs = ctx.units, list(ctx.tree.parents), list(ctx.tree.costs)
     expand_edge(ctx)
-    assert ctx.world.units == units
+    assert ctx.units == units
     assert list(ctx.tree.parents) == parents and list(ctx.tree.costs) == costs
 
 
@@ -756,9 +756,9 @@ def test_the_clock_is_draws_plus_edge_points_plus_scanned_candidates(monkeypatch
         work["draws"] += 1
         return point(self, bounds)
 
-    def counted_all_free(self, weights, x, y):
+    def counted_all_free(self, weights, x, y, probe=None):
         work["points"] += len(weights)
-        return all_free(self, weights, x, y)
+        return all_free(self, weights, x, y, probe)
 
     def counted_expand(*args):
         scanned = expand(*args)
@@ -773,4 +773,4 @@ def test_the_clock_is_draws_plus_edge_points_plus_scanned_candidates(monkeypatch
     ctx = runs[-1]
     assert ctx.batch == 3 and math.isfinite(result.cost)
     assert all(work.values()), work
-    assert ctx.world.units == work["draws"] + work["points"] + work["scanned"]
+    assert ctx.units == work["draws"] + work["points"] + work["scanned"]

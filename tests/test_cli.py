@@ -60,6 +60,17 @@ def test_a_scenario_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
     assert f"error: {bad}: " in capsys.readouterr().err
 
 
+def test_a_target_only_stop_is_runtime_error(tmp_path, capsys):
+    # Such a run could never end: the target may lie below the optimum.
+    scn = tmp_path / "s.scn"
+    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+        "[stop]\nmax_batches = 10", "[stop]\ntarget_cost = 16"))
+    assert cli_main(["plan", "--scenario", str(scn), "--planner", "bitstar"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {scn}: [stop]: a target cost alone may never be met: "
+                   "set time_budget_s or max_batches\n")
+
+
 def test_non_finite_time_budget_is_usage_error(capsys):
     # A NaN budget never runs out; --max-batches keeps a run that starts short.
     rc = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", "--seed", "1",

@@ -12,8 +12,8 @@ import pytest
 import bitplan.space as space
 from bitplan import Box, GoalRegion, ProblemDef, RngStream, SamplerStarvedError, World
 from bitplan.space import h_hat, h_hat_rows, informed_box, informed_test, sample_batch, sq_dists
-from bitplan.world import CountingWorld, OccupancyGrid
-from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world
+from bitplan.world import OccupancyGrid
+from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, make_run
 
 
 # The paper's edge heuristic c_hat(x, y) is math.dist(x, y), and its
@@ -224,7 +224,7 @@ def test_informed_box_covers_the_farther_goal():
 def test_sample_batch_uniform_in_bounds_without_rejection():
     p = make_demo_problem()
     empty = World(DEMO_BOUNDS, [])
-    out = sample_batch(5, p, CountingWorld(empty), math.inf, RngStream(1))
+    out = sample_batch(5, p, make_run(empty, p), RngStream(1))
     assert len(out) == 5
     assert all(DEMO_BOUNDS.contains(x) for x in out)
 
@@ -232,19 +232,19 @@ def test_sample_batch_uniform_in_bounds_without_rejection():
 def test_sample_batch_respects_world_and_acceptance_rate():
     p = make_demo_problem()
     w = make_demo_world()
-    cw = CountingWorld(w)
-    out = sample_batch(1000, p, cw, math.inf, RngStream(42))
+    run = make_run(w, p)
+    out = sample_batch(1000, p, run, RngStream(42))
     assert len(out) == 1000
     assert all(w.is_free(x) for x in out)
     # Free-area fraction of the demo box: 1 - 3*pi*1.5^2 / 400 ~= 0.947.
-    rate = 1000 / cw.units
+    rate = 1000 / run.units
     assert abs(rate - 0.947) < 0.03
 
 
 def test_sample_batch_respects_informed_set():
     p = make_demo_problem()
     w = make_demo_world()
-    out = sample_batch(1000, p, CountingWorld(w), 20.0, RngStream(3))
+    out = sample_batch(1000, p, make_run(w, p, 20.0), RngStream(3))
     assert all(map(informed_test(p, 20.0), out))
     assert all(w.is_free(x) for x in out)
 
@@ -252,8 +252,8 @@ def test_sample_batch_respects_informed_set():
 def test_sample_batch_deterministic():
     p = make_demo_problem()
     w = make_demo_world()
-    a = sample_batch(50, p, CountingWorld(w), 20.0, RngStream(9))
-    b = sample_batch(50, p, CountingWorld(w), 20.0, RngStream(9))
+    a = sample_batch(50, p, make_run(w, p, 20.0), RngStream(9))
+    b = sample_batch(50, p, make_run(w, p, 20.0), RngStream(9))
     assert a == b
 
 
@@ -262,7 +262,7 @@ def test_sample_batch_starves_on_empty_informed_set():
     w = make_demo_world()
     # c_sol below the root-goal distance makes the informed set empty.
     with pytest.raises(SamplerStarvedError, match="acceptance rate"):
-        sample_batch(1, p, CountingWorld(w), 10.0, RngStream(1))
+        sample_batch(1, p, make_run(w, p, 10.0), RngStream(1))
 
 
 class _CountingRng(RngStream):
@@ -281,36 +281,37 @@ def test_sample_batch_charges_one_unit_per_draw():
     # Draws outside the informed set never reach is_free; they must still
     # cost their unit on the work clock.
     p = make_demo_problem()
-    cw = CountingWorld(make_demo_world())
+    run = make_run(make_demo_world(), p, 18.0)
     rng = _CountingRng(5)
-    out = sample_batch(200, p, cw, 18.0, rng)
+    out = sample_batch(200, p, run, rng)
     assert len(out) == 200
     assert rng.draws > 200
-    assert cw.units == rng.draws
+    assert run.units == rng.draws
 
 
 def test_sample_batch_charges_every_draw_before_starving(monkeypatch):
     monkeypatch.setattr(space, "REJECTION_BUDGET", 300)
     p = make_demo_problem()
-    cw = CountingWorld(make_demo_world())
+    run = make_run(make_demo_world(), p, 16.01)
     rng = _CountingRng(1)
     # A sliver of an ellipse around the root-goal segment: samples land now
     # and then, until 300 draws in a row miss it.
     with pytest.raises(SamplerStarvedError):
-        sample_batch(1000, p, cw, 16.01, rng)
+        sample_batch(1000, p, run, rng)
     assert rng.draws > 300
-    assert cw.units == rng.draws
+    assert run.units == rng.draws
 
 
 def test_sample_batch_rejects_bad_count():
     p = make_demo_problem()
     with pytest.raises(ValueError):
-        sample_batch(0, p, make_demo_world(), math.inf, RngStream(1))
+        sample_batch(0, p, make_run(make_demo_world(), p), RngStream(1))
 
 
-def _reference_sample_batch(m, problem, world, c_sol, rng):
+def _reference_sample_batch(m, problem, run, rng):
     """sample_batch before informed_test: a generator-expression draw and
     c_hat + h_hat < c_sol per draw; every draw costs one unit."""
+    world, c_sol = run.world, run.c_sol
     bounds = world.bounds
     r = rng._rng.random
     out = []
@@ -325,13 +326,13 @@ def _reference_sample_batch(m, problem, world, c_sol, rng):
                 out.append(x)
                 break
         else:
-            world.units += attempts
+            run.units += attempts
             raise SamplerStarvedError(
                 f"no acceptable sample in {space.REJECTION_BUDGET} consecutive draws "
                 f"(acceptance rate estimate {len(out) / attempts:.3g}); the informed set is "
                 f"empty or vanishingly small"
             )
-    world.units += attempts
+    run.units += attempts
     return out
 
 
@@ -385,12 +386,12 @@ def _sampler_cases():
                                   "grid-uninformed", "grid-tight"])
 def test_sample_batch_is_bitwise_the_reference_sampler(case):
     world, problem, c_sol, m, seed = _sampler_cases()[case]
-    got_world, got_rng = CountingWorld(world), RngStream(seed)
-    want_world, want_rng = CountingWorld(world), RngStream(seed)
-    got = sample_batch(m, problem, got_world, c_sol, got_rng)
-    want = _reference_sample_batch(m, problem, want_world, c_sol, want_rng)
+    got_run, got_rng = make_run(world, problem, c_sol), RngStream(seed)
+    want_run, want_rng = make_run(world, problem, c_sol), RngStream(seed)
+    got = sample_batch(m, problem, got_run, got_rng)
+    want = _reference_sample_batch(m, problem, want_run, want_rng)
     assert [tuple(map(float.hex, x)) for x in got] == [tuple(map(float.hex, x)) for x in want]
-    assert got_world.units == want_world.units > m
+    assert got_run.units == want_run.units > m
     assert got_rng._rng.getstate() == want_rng._rng.getstate()
 
 
@@ -399,10 +400,10 @@ def test_sample_batch_starves_like_the_reference_sampler(monkeypatch):
     p = make_demo_problem()
     runs = []
     for sampler in (sample_batch, _reference_sample_batch):
-        cw, rng = CountingWorld(make_demo_world()), RngStream(1)
+        run, rng = make_run(make_demo_world(), p, 16.01), RngStream(1)
         with pytest.raises(SamplerStarvedError) as err:
-            sampler(1000, p, cw, 16.01, rng)
-        runs.append((str(err.value), cw.units, rng._rng.getstate()))
+            sampler(1000, p, run, rng)
+        runs.append((str(err.value), run.units, rng._rng.getstate()))
     assert runs[0] == runs[1]
     assert "in 300 consecutive draws" in runs[0][0]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 import random
@@ -15,7 +16,6 @@ from bitplan.anytime import StopCondition
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.space import GoalRegion, ProblemDef
 from bitplan.world import (
-    CountingWorld,
     GridLoadError,
     OccupancyGrid,
     _bisection_order,
@@ -24,7 +24,7 @@ from bitplan.world import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from conftest import DEMO_BOUNDS, make_demo_world
+from conftest import DEMO_BOUNDS, make_demo_world, make_run
 
 
 def _rows(a, b, n):
@@ -93,14 +93,14 @@ def test_true_cost_is_length_or_inf(demo_world):
 def test_true_cost_refuses_an_edge_longer_than_any_in_bounds(demo_world):
     """A NaN, infinite, or longer than twice the bounds' diagonal edge costs
     inf at once: no exception, no point charged, no weights cached for it."""
-    cw = CountingWorld(demo_world)
+    run = make_run(demo_world)
     cached = _t_weights.cache_info().currsize
     # Non-finite endpoints first: before the check they raised at once.
     for a, b in [((math.inf, 0.0), (0.0, -8.0)), ((math.nan, 0.0), (0.0, -8.0)),
                  ((0.0, -8.0), (-math.inf, math.inf)), ((0.0, -8.0), (1e5, -8.0))]:
         assert demo_world.true_cost(a, b) == math.inf
-        assert cw.true_cost(b, a) == math.inf
-    assert cw.units == 0
+        assert demo_world.true_cost(b, a, run) == math.inf
+    assert run.units == 0
     assert _t_weights.cache_info().currsize == cached
 
 
@@ -399,20 +399,20 @@ def test_grid_world_bounds_derived(tmp_path):
     assert w.bounds.hi == (3.0, 3.0)
 
 
-def test_counting_world_tracks_work(demo_world):
-    cw = CountingWorld(demo_world)
+def test_a_run_tracks_work(demo_world):
+    run = make_run(demo_world)
     # A point test is not metered: the sampler charges its draws itself.
-    assert cw.is_free((0.0, -8.0))
-    assert cw.units == 0
-    cost = cw.true_cost((0.0, -8.0), (0.0, -4.0))
+    assert demo_world.is_free((0.0, -8.0))
+    assert run.units == 0
+    cost = demo_world.true_cost((0.0, -8.0), (0.0, -4.0), run)
     assert cost == 4.0
-    assert cw.units == math.ceil(4.0 * 4.0) + 1
-    cw.units += 10
-    assert cw.units == 27
-    assert cw.elapsed_s() == 27 / 250_000.0
+    assert run.units == math.ceil(4.0 * 4.0) + 1
+    run.units += 10
+    assert run.units == 27
+    assert run.elapsed_s() == 27 / 250_000.0
     # A zero-length edge checks its one point, x itself, at one unit.
-    assert cw.true_cost((0.0, -8.0), (0.0, -8.0)) == 0.0
-    assert cw.units == 28
+    assert demo_world.true_cost((0.0, -8.0), (0.0, -8.0), run) == 0.0
+    assert run.units == 28
 
 
 
@@ -450,22 +450,20 @@ def test_probe_order_never_changes_a_verdict():
     segments += [(*far, n) for n in (1, 2, 9)]
     rng.shuffle(segments)
     nan_segment = ((math.nan, 3.0), (2.0, 4.0), 9)
-    cw = CountingWorld(world)
+    probe = make_run(world).probe
     verdicts = set()
     for a, b, n in segments + [nan_segment, segments[0]]:
         if n is None:
             n = math.ceil(math.dist(a, b) * world.checks_per_meter) + 1
         weights = _t_weights(n)
-        units = cw.units
-        verdict = cw.all_free(weights, a, b)
-        assert cw.units == units + len(weights) == units + n
+        assert len(weights) == n
+        verdict = world.all_free(weights, a, b, probe)
         assert verdict == world.all_free(weights, a, b) == _reference_all_free(world, a, b, n), (a, b, n)
         verdicts.add(verdict)
         # The probe is the last blocked point found inside the bounds.
-        probe = cw._probe
         assert probe == [] or (x0 <= probe[0] <= x1 and y0 <= probe[1] <= y1
                                 and not world.is_free(tuple(probe))), probe
-    assert verdicts == {True, False} and cw._probe
+    assert verdicts == {True, False} and probe
 
 
 def _fields(world):
@@ -485,14 +483,52 @@ def test_planning_never_writes_the_scenario_world(which):
     for planner, batches in (("bitstar", 3), ("rrtstar", 400)):
         run_single(replace(scenario, stop=StopCondition(max_batches=batches)), planner, 1)
         assert _fields(scenario.world) == before, planner
-    a, b = CountingWorld(scenario.world), CountingWorld(scenario.world)
+    a, b = make_run(scenario.world), make_run(scenario.world)
     if which == "grid":
-        assert a._probe == b._probe == [] and a._probe is not b._probe
-        a.all_free(_t_weights(50), problem.root, problem.goal_samples[0])
-        assert a._probe and b._probe == []
+        assert a.probe == b.probe == [] and a.probe is not b.probe
+        scenario.world.all_free(_t_weights(50), problem.root, problem.goal_samples[0], a.probe)
+        assert a.probe and b.probe == []
     else:
-        assert a._probe is b._probe is None  # a geometric world keeps no probe
-    assert "_probe" not in vars(scenario.world)
+        assert a.probe is b.probe is None  # a geometric world keeps no probe
+    assert _fields(scenario.world) == before
+
+
+@pytest.mark.parametrize("which", ["circles", "rects", "grid"])
+def test_metered_and_plain_checks_agree(which):
+    """world.true_cost(a, b, run) is world.true_cost(a, b) plus metering:
+    it adds the edge's point count to run.units and, on a grid only, keeps
+    the run's probe. Neither writes the world."""
+    world = {"circles": make_demo_world(), "rects": _agreement_worlds()[1][0],
+             "grid": _walled_grid_world(3)}[which]
+    (x0, y0), (x1, y1) = world.bounds.lo, world.bounds.hi
+    diagonal = math.dist(world.bounds.lo, world.bounds.hi)
+    rng = random.Random(29)
+
+    def point():
+        return (rng.uniform(x0 - 0.5, x1 + 0.5), rng.uniform(y0 - 0.5, y1 + 0.5))
+
+    segments = [(point(), point()) for _ in range(400)]
+    segments += [(p, p) for p in (point() for _ in range(20))]  # zero-length
+    segments += [((v, rng.uniform(y0, y1)), point()) for v in (math.nan, math.inf, -math.inf)]
+    segments += [(point(), (rng.uniform(x0, x1), v)) for v in (math.nan, math.inf, -math.inf)]
+    segments += [((x0, y0), (x1 + 2.0 * diagonal, y1)), ((x0 - 3.0 * diagonal, y0), (x1, y1))]
+    before = _fields(world)
+    run, other = make_run(world), make_run(world)
+    for a, b in segments:
+        units, probe = run.units, copy.copy(run.probe)
+        plain = world.true_cost(a, b)
+        assert run.units == units and run.probe == probe
+        assert world.true_cost(a, b, run) == plain
+        d = math.dist(a, b)
+        n = math.ceil(d * world.checks_per_meter) + 1 if d <= 2.0 * diagonal else 0
+        assert run.units == units + n, (a, b)
+        assert (run.probe is None) == (which != "grid")
+    assert _fields(world) == before
+    assert run.units > 0 and other.units == 0
+    if which == "grid":
+        # The walls block some edges, so the run's probe holds a point, and
+        # a second run on the same world keeps its own, still empty.
+        assert run.probe and other.probe == [] and run.probe is not other.probe
 
 def _agreement_worlds():
     circles = make_demo_world()
