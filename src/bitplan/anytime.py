@@ -43,20 +43,16 @@ class StopCondition:
     time_budget_s counts planner seconds on the deterministic work clock
     and must be finite (an infinite budget never fires);
     max_batches bounds the number of sampled batches (0 allows only the
-    direct root-to-goal attempt); target_cost stops at the first solution
-    at or below the target. A target below the optimum is never met, so it
-    cannot be the only bound.
+    direct root-to-goal attempt). A run's time to its first solution, or to
+    any cost, is read from its convergence records.
     """
 
     time_budget_s: float | None = None
     max_batches: int | None = None
-    target_cost: float | None = None
 
     def __post_init__(self):
         if self.time_budget_s is None and self.max_batches is None:
-            if self.target_cost is None:
-                raise ValueError("at least one stop bound must be set")
-            raise ValueError("a target cost alone may never be met: set time_budget_s or max_batches")
+            raise ValueError("at least one stop bound must be set")
         # Negated comparisons, so that NaN fails them too.
         if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
             raise ValueError("time budget must be non-negative and finite")
@@ -64,8 +60,6 @@ class StopCondition:
             raise ValueError(f"max_batches must be an integer, got {self.max_batches!r}")
         if self.max_batches is not None and not self.max_batches >= 0:
             raise ValueError("max batches must be non-negative")
-        if self.target_cost is not None and math.isnan(self.target_cost):
-            raise ValueError("target cost must not be NaN")
 
 
 class ConvergencePoint(NamedTuple):
@@ -135,12 +129,9 @@ class AnytimeRun:
         return vid
 
     def should_stop(self) -> bool:
-        """True once the time budget is spent or a solution meets the target cost."""
-        stop = self.stop
-        if stop.time_budget_s is not None and self.elapsed_s() >= stop.time_budget_s:
-            return True
-        # A path first: with none, c_sol is inf, which an infinite target passes.
-        return stop.target_cost is not None and self.path is not None and self.c_sol <= stop.target_cost
+        """True once the time budget, if any, is spent on the work clock."""
+        budget = self.stop.time_budget_s
+        return budget is not None and self.elapsed_s() >= budget
 
     def batch_limit_reached(self) -> bool:
         """True once max_batches batches (RRT*: iterations) have run."""

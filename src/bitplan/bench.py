@@ -55,8 +55,7 @@ _KEYS: dict[str | None, dict[str, tuple]] = {
                 "alpha": (True, 1, int, "positive"),
                 "goal_period": (True, 1, int, "positive")},
     "stop": {"max_batches": (False, 1, int, "non-negative"),
-             "time_budget_s": (False, 1, float, "positive"),
-             "target_cost": (False, 1, float, "positive")},
+             "time_budget_s": (False, 1, float, "non-negative")},
 }
 
 

@@ -94,10 +94,9 @@ def _snapshot_hook(svg_dir: Path, scenario):
         states = ctx.tree.states
         edges = [(states[p], s) for p, s in zip(ctx.tree.parents, states) if p is not None]
         # The informed set g_hat + h_hat < c_sol is the union of one ellipse
-        # per goal sample, each with the root and that sample as foci.
-        ellipses = []
-        if math.isfinite(ctx.c_sol):
-            ellipses = [(problem.root, g, ctx.c_sol) for g in problem.goal_samples]
+        # per goal sample, each with the root and that sample as foci;
+        # render_svg draws none while c_sol is inf.
+        ellipses = [(problem.root, g, ctx.c_sol) for g in problem.goal_samples]
         render_svg(scenario.world, edges, ctx.path, ellipses, list(ctx.x_ncon.rows),
                    svg_dir / f"batch_{batch:03d}.svg")
 

@@ -28,7 +28,8 @@ def render_svg(world: World, edges, path, ellipses, samples, out_path) -> None:
     edges: iterable of (parent_state, child_state) segments.
     path: incumbent solution as a state sequence, or None.
     ellipses: (focus_a, focus_b, major_axis_length) per informed-set
-        ellipse; empty when there is no incumbent yet.
+        ellipse; one whose major axis is not finite (no incumbent yet) or
+        not longer than its focal distance is not drawn.
     samples: iterable of unconnected sample states.
     """
     lo, hi = world.bounds.lo, world.bounds.hi

@@ -116,8 +116,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
      ": bounds: box needs 2-D corners with lo < hi componentwise", ValueError),
     ("bounds = -10 -10 10 10", "bounds = -1e308 -1e308 1e308 1e308",
      ": [world] the bounds' diagonal times checks_per_meter must be finite", ValueError),
-    ("max_batches = 10", "max_batches = 10\ntime_budget_s = 0", ":30: time_budget_s: must be positive",
-     None),
+    ("max_batches = 10", "max_batches = 10\ntime_budget_s = -1",
+     ":30: time_budget_s: must be non-negative", None),
     ("max_batches = 10", "max_batches = -1", ":29: max_batches: must be non-negative", None),
     # The trial count and seeds are the command line's.
     ("max_batches = 10", "max_batches = 10\n[bench]", ":30: unknown section [bench]", None),
@@ -127,8 +127,6 @@ def test_parse_errors_carry_line_numbers(tmp_path):
      ":10: bad obstacle: circle needs a finite 2-D center and a positive finite radius", ValueError),
     ("root = 0 -8", "root = 0 0", ": problem: root lies inside an obstacle", ValueError),
     ("max_batches = 10", "", ": [stop]: at least one stop bound must be set", ValueError),
-    ("max_batches = 10", "target_cost = 16",
-     ": [stop]: a target cost alone may never be met: set time_budget_s or max_batches", ValueError),
     ("[problem]", "[grid]\nfile = map.pgm\n[problem]", ": give either [obstacles] or [grid], not both",
      None),
     ("rho = 8", "rho = abc", ":21: rho: invalid value 'abc'", None),
@@ -138,7 +136,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     ("goal_period = 50", "goal_period = 0", ":26: goal_period: must be positive", None),
 ], ids=["no-equals", "empty-key", "missing-root", "bounds-count", "bounds-box", "bounds-overflow",
         "time-budget", "max-batches", "bench-section", "obstacle-shape", "bad-obstacle",
-        "blocked-root", "no-stop", "target-only-stop", "obstacles-and-grid",
+        "blocked-root", "no-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
 def test_scenario_error_messages(tmp_path, old, new, message, cause):
     text = builtin_scenario_path("demo").read_text()
@@ -152,6 +150,35 @@ def test_scenario_error_messages(tmp_path, old, new, message, cause):
         assert chained is None
     else:
         assert type(chained) is cause and message.endswith(f" {chained}"), repr(chained)
+
+
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError:  # a ScenarioError is one too
+        return False
+    return True
+
+
+# A stop bound has three entry points, and they accept the same values: the
+# library's StopCondition, a scenario's [stop] line and the command line's flag.
+STOP_VALUES = [("time_budget_s", "--time-budget", text, ok) for text, ok in
+               [("0", True), ("0.5", True), ("-1", False), ("nan", False), ("inf", False)]]
+STOP_VALUES += [("max_batches", "--max-batches", text, ok) for text, ok in
+                [("0", True), ("3", True), ("-1", False), ("2.5", False), ("nan", False)]]
+
+
+@pytest.mark.parametrize("key, flag, text, ok", STOP_VALUES,
+                         ids=[f"{key}={text}" for key, _, text, _ in STOP_VALUES])
+def test_the_three_stop_entry_points_agree(tmp_path, capsys, key, flag, text, ok):
+    value = int(text) if text.lstrip("-").isdigit() else float(text)
+    library = _accepts(lambda: StopCondition(**{key: value}))
+    path = _write(tmp_path, builtin_scenario_path("demo").read_text().replace(
+        "max_batches = 10", f"{key} = {text}"))
+    scenario_file = _accepts(lambda: load_scenario(path))
+    command_line = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", flag, text]) == 0
+    capsys.readouterr()
+    assert (library, scenario_file, command_line) == (ok, ok, ok)
 
 
 # A file with several faults is refused at the first in file order: the

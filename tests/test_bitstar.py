@@ -151,14 +151,6 @@ def test_plan_respects_time_budget(demo_world):
     assert all(p.elapsed_s <= result.convergence[-1].elapsed_s for p in result.convergence)
 
 
-def test_plan_stops_at_target_cost(demo_world):
-    params = PlannerParams(batch_size=100, radius=8.0)
-    stop = StopCondition(max_batches=50, target_cost=17.0)
-    result = plan(make_demo_problem(), demo_world, params, stop, RngStream(1))
-    assert result.cost <= 17.0
-    assert result.convergence[-1].batch < 50
-
-
 @pytest.mark.parametrize("batch_size", [2.5, 100.0, "100"])
 def test_planner_params_reject_a_non_integer_batch_size(batch_size):
     with pytest.raises(ValueError, match="batch_size"):
@@ -178,8 +170,7 @@ def test_planner_params_reject_nan():
 
 
 def test_stop_condition_rejects_nan():
-    for kwargs in [{"time_budget_s": math.nan}, {"max_batches": math.nan},
-                   {"max_batches": 5, "target_cost": math.nan}]:
+    for kwargs in [{"time_budget_s": math.nan}, {"max_batches": math.nan}]:
         with pytest.raises(ValueError):
             StopCondition(**kwargs)
 

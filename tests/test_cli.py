@@ -61,14 +61,12 @@ def test_a_scenario_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
 
 
 def test_a_target_only_stop_is_runtime_error(tmp_path, capsys):
-    # Such a run could never end: the target may lie below the optimum.
+    # A stop is a time budget or a batch cap: a target cost is no key at all.
     scn = tmp_path / "s.scn"
     scn.write_text(builtin_scenario_path("demo").read_text().replace(
         "[stop]\nmax_batches = 10", "[stop]\ntarget_cost = 16"))
     assert cli_main(["plan", "--scenario", str(scn), "--planner", "bitstar"]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: {scn}: [stop]: a target cost alone may never be met: "
-                   "set time_budget_s or max_batches\n")
+    assert capsys.readouterr().err == f"error: {scn}:29: unknown key 'target_cost' in [stop]\n"
 
 
 def test_non_finite_time_budget_is_usage_error(capsys):
@@ -204,12 +202,11 @@ def test_bench_reproducible_bytes(tmp_path):
 
 
 def test_a_stop_flag_replaces_the_scenario_files_whole_stop(tmp_path):
-    # Every bound of this [stop] ends a run at once: at batch 1, at 0.001
-    # planner-seconds, or at the first solution.
+    # Both bounds of this [stop] end a run at once: at batch 1, or at 0.001
+    # planner-seconds.
     scn = tmp_path / "s.scn"
     scn.write_text(builtin_scenario_path("demo").read_text().replace(
-        "[stop]\nmax_batches = 10",
-        "[stop]\ntime_budget_s = 0.001\nmax_batches = 1\ntarget_cost = 1000"))
+        "[stop]\nmax_batches = 10", "[stop]\ntime_budget_s = 0.001\nmax_batches = 1"))
     out = tmp_path / "run.csv"
 
     def run(*argv):
@@ -218,10 +215,9 @@ def test_a_stop_flag_replaces_the_scenario_files_whole_stop(tmp_path):
         return out.read_text().splitlines()[1:]
 
     assert [r.split(",")[1:3] for r in run("plan")] == [["inf", "1"]]
-    # Batch 3 is reached past the budget, and after a solution under the target.
+    # Batch 3 is reached past the budget.
     rows = [r.split(",") for r in run("plan", "--max-batches", "3")]
-    assert [r[2] for r in rows] == ["1", "2", "3"] and float(rows[0][1]) < 1000
-    assert float(rows[-1][0]) > 0.001
+    assert [r[2] for r in rows] == ["1", "2", "3"] and float(rows[-1][0]) > 0.001
     # A budget alone lifts the batch cap.
     rows = [r.split(",") for r in run("plan", "--time-budget", "0.3")]
     assert rows[-1][2] == "3" and float(rows[-1][0]) >= 0.3
