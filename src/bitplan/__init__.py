@@ -8,14 +8,13 @@ documents; everything else is imported from its own module (say,
 from .anytime import ConvergencePoint, PlanResult, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
-from .space import Box, GoalRegion, ProblemDef, RngStream, SamplerStarvedError
+from .space import Box, ProblemDef, RngStream, SamplerStarvedError
 from .world import Circle, World
 
 __all__ = [
     "Box",
     "Circle",
     "ConvergencePoint",
-    "GoalRegion",
     "PlanResult",
     "PlannerParams",
     "ProblemDef",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .anytime import ConvergencePoint, StopCondition
 from .bitstar import PlannerParams, plan
 from .rrtstar import RrtParams, rrt_plan
-from .space import Box, GoalRegion, ProblemDef, RngStream
+from .space import Box, ProblemDef, RngStream
 from .world import Circle, World, load_occupancy_grid
 
 PLANNERS = ("bitstar", "rrtstar")
@@ -194,9 +194,10 @@ def load_scenario(path) -> Scenario:
         w.update(obstacles=None, grid=grid)
     world = made(": [world] ", World, **w)
 
-    # The table enforces every rule of the goal region and both parameter types.
+    # The table has already refused every value that the goal's Circle,
+    # PlannerParams or RrtParams would refuse, so none of them needs `made`.
     p = got["problem"]
-    goal = GoalRegion(p["goal_center"], p["goal_radius"])
+    goal = Circle(p["goal_center"], p["goal_radius"])
     problem = made(": problem: ", ProblemDef, p["root"], p.get("goal_sample", (goal.center,)), goal)
     made(": problem: ", problem.validate, world)
     stop = made(": [stop]: ", StopCondition, **got.get("stop", {}))

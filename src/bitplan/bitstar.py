@@ -203,10 +203,9 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     span = samples.new if vid in ctx.v_exp else slice(0, None)
     ctx.v_exp.add(vid)
     admit, d, h = near(samples.mat[:, span], samples.h[span])
+    # x_ncon and the tree are disjoint, so no sample is vstate.
     for r, dx, hx in zip((admit + span.start).tolist(), d, h):
-        x = samples.states[r]
-        if x != vstate:
-            ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, x, dx, hx))
+        ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, samples.states[r], dx, hx))
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)

@@ -21,6 +21,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .anytime import AnytimeRun
+    from .world import Circle
 
 State = tuple[float, ...]
 
@@ -44,27 +45,11 @@ class Box:
             raise ValueError("box needs 2-D corners with lo < hi componentwise")
 
     def contains(self, x: State) -> bool:
-        # A root or goal sample from user input may have any length.
+        # ProblemDef refuses a non-planar state before this runs; the length
+        # check stays because Box.contains is public.
         return len(x) == 2 and all(
             l <= a <= h for a, l, h in zip(x, self.lo, self.hi)
         )
-
-
-@dataclass(frozen=True)
-class GoalRegion:
-    """Disc-shaped target set: all states within `radius` of `center`."""
-
-    center: State
-    radius: float
-
-    def __post_init__(self):
-        # Negated comparisons, so that NaN fails them too.
-        if not (len(self.center) == 2 and all(-math.inf < c < math.inf for c in self.center)
-                and 0 < self.radius < math.inf):
-            raise ValueError("goal region needs a finite 2-D center and a positive finite radius")
-
-    def contains(self, x: State) -> bool:
-        return math.dist(x, self.center) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -73,7 +58,7 @@ class ProblemDef:
 
     root: State
     goal_samples: tuple[State, ...]
-    goal_region: GoalRegion
+    goal_region: Circle
 
     def __post_init__(self):
         if not self.goal_samples:

@@ -25,6 +25,8 @@ class GridLoadError(ValueError):
 
 @dataclass(frozen=True)
 class Circle:
+    """A closed disc: an obstacle of a World, or a ProblemDef's goal region."""
+
     center: State
     radius: float
 
@@ -32,6 +34,15 @@ class Circle:
         if not (len(self.center) == 2 and all(-math.inf < c < math.inf for c in self.center)
                 and 0 < self.radius < math.inf):
             raise ValueError("circle needs a finite 2-D center and a positive finite radius")
+
+    def contains(self, x: State) -> bool:
+        """The goal rule: x is within radius of center, by math.dist.
+
+        A World tests its obstacle circles with its own squared-distance
+        kernel, `_free_run`, which may disagree with this by an ulp on the
+        boundary.
+        """
+        return math.dist(x, self.center) <= self.radius
 
 
 @dataclass(eq=False)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from bitplan import Box, Circle, GoalRegion, ProblemDef, StopCondition, World
+from bitplan import Box, Circle, ProblemDef, StopCondition, World
 from bitplan.anytime import AnytimeRun
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.tree import Tree
@@ -27,7 +27,7 @@ def make_demo_world() -> World:
 
 
 def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
-    return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), GoalRegion(DEMO_GOAL, goal_radius))
+    return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), Circle(DEMO_GOAL, goal_radius))
 
 
 def make_run(world: World, problem: ProblemDef | None = None,

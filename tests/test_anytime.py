@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bitplan import GoalRegion, ProblemDef, RngStream, World
+from bitplan import Circle, ProblemDef, RngStream, World
 from bitplan.anytime import AnytimeRun, ConvergencePoint, StopCondition
 from bitplan.bench import resolve_scenario, run_single
 from bitplan.bitstar import PlannerParams, plan
@@ -30,7 +30,7 @@ def test_a_fresh_run_has_no_incumbent_and_no_records():
 
 @pytest.mark.parametrize("planner", ["run", "bitstar", "rrtstar"])
 def test_a_root_inside_the_goal_region_is_the_first_record(planner):
-    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5))
+    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5))
     world = World(DEMO_BOUNDS, [])
     if planner == "run":
         result = AnytimeRun(problem, world, STOP).result()

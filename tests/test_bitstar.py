@@ -12,7 +12,6 @@ import bitplan.space as space
 from bitplan import (
     Box,
     Circle,
-    GoalRegion,
     ProblemDef,
     RngStream,
     SamplerStarvedError,
@@ -52,7 +51,7 @@ def _context(problem, samples=(), world=None) -> PlannerContext:
 
 def _queued_targets(x, samples, radius):
     """Edge targets expand_vertex queues for a lone root vertex at x, no solution yet."""
-    problem = ProblemDef(x, ((9.5, 9.5),), GoalRegion((9.5, 9.5), 0.1))
+    problem = ProblemDef(x, ((9.5, 9.5),), Circle((9.5, 9.5), 0.1))
     ctx = PlannerContext(problem, World(DEMO_BOUNDS, []), DEMO_STOP)
     ctx.x_ncon = Samples(problem.goal_samples, samples)
     ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
@@ -74,9 +73,29 @@ def test_near_empty_when_nothing_close():
     assert _queued_targets((0.0, 0.0), [(1.0, 1.0)], 0.001) == []
 
 
-def test_near_excludes_the_query_point():
-    cands = [(0.0, 0.0), (1.0, 0.0)]
-    assert _queued_targets((0.0, 0.0), cands, 5.0) == [(1.0, 0.0)]
+def test_near_excludes_the_query_point(demo_world, monkeypatch):
+    # No vertex queues an edge to its own state. expand_vertex needs no
+    # filter for it, since x_ncon never holds a tree state (see
+    # test_no_state_in_both_tree_and_samples); checked here on every edge
+    # that a short demo run queues.
+    run, not_self = [], []
+    orig_expand, orig_insert = bitstar.expand_vertex, CostQueue.insert
+
+    def expand(ctx, problem, params):
+        run[:] = [ctx]
+        return orig_expand(ctx, problem, params)
+
+    def insert(queue, key, tiebreak, item):
+        if isinstance(item, tuple):  # an edge (vid, target, c_hat, h_hat)
+            not_self.append(run[0].tree.states[item[0]] != item[1])
+        orig_insert(queue, key, tiebreak, item)
+
+    monkeypatch.setattr(bitstar, "expand_vertex", expand)
+    monkeypatch.setattr(CostQueue, "insert", insert)
+    stop = StopCondition(max_batches=3)
+    plan(make_demo_problem(), demo_world, PlannerParams(batch_size=50, radius=8.0), stop,
+         RngStream(11))
+    assert not_self and all(not_self)
 
 
 def test_near_matches_linear_scan_oracle():
@@ -176,7 +195,7 @@ def test_stop_condition_rejects_nan():
 
 
 def test_plan_root_inside_goal_region():
-    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5))
+    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5))
     result = plan(problem, World(DEMO_BOUNDS, []), DEMO_PARAMS, DEMO_STOP, RngStream(1))
     assert result.cost == 0.0
     assert result.path == [(0.0, 8.0)]
@@ -190,7 +209,7 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
     monkeypatch.setattr(space, "REJECTION_BUDGET", 2000)
     bounds = Box((-30.0, -30.0), (30.0, 30.0))
     world = World(bounds, [Circle((0.0, 0.0), 0.05)])
-    problem = ProblemDef((-1.0, 0.0), ((1.0, 0.0),), GoalRegion((1.0, 0.0), 0.1))
+    problem = ProblemDef((-1.0, 0.0), ((1.0, 0.0),), Circle((1.0, 0.0), 0.1))
     params = PlannerParams(batch_size=50, radius=100.0)
     stop = StopCondition(max_batches=20)
     result = plan(problem, world, params, stop, RngStream(1))
@@ -201,7 +220,7 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
     assert last.batch < 20
     # With no solution to return, starvation is still an error.
     walled = World(bounds, [Box((-29.99, -31.0), (29.99, 31.0))])
-    problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), GoalRegion((29.995, 0.0), 0.1))
+    problem = ProblemDef((-29.995, 0.0), ((29.995, 0.0),), Circle((29.995, 0.0), 0.1))
     with pytest.raises(SamplerStarvedError):
         plan(problem, walled, params, stop, RngStream(1))
 
@@ -223,23 +242,31 @@ def test_queue_selection_trace(monkeypatch, demo_world):
     assert sound and all(sound)
 
 
-def test_no_state_in_both_tree_and_samples(demo_world):
-    seen = []
+def test_no_state_in_both_tree_and_samples(demo_world, monkeypatch):
+    # expand_vertex queues every admitted sample without comparing it with
+    # the vertex's own state; this invariant is why that is safe. It is
+    # checked at every batch boundary and before every expansion.
+    disjoint = []
+    orig = bitstar.expand_vertex
+
+    def spy(ctx, problem, params):
+        disjoint.append(set(ctx.x_ncon.rows).isdisjoint(ctx.tree.by_state))
+        return orig(ctx, problem, params)
 
     def hook(batch, ctx):
         samples_audit(ctx.x_ncon)
         tree_lists_audit(ctx.tree)
-        tree_states = set(ctx.tree.states) - {None}
-        seen.append(tree_states & set(ctx.x_ncon.rows))
+        disjoint.append(set(ctx.x_ncon.rows).isdisjoint(ctx.tree.by_state))
 
+    monkeypatch.setattr(bitstar, "expand_vertex", spy)
     params = PlannerParams(batch_size=50, radius=8.0)
     stop = StopCondition(max_batches=3)
     plan(make_demo_problem(), demo_world, params, stop, RngStream(11), batch_hook=hook)
-    assert seen and all(not overlap for overlap in seen)
+    assert disjoint and all(disjoint)
 
 
 def test_plan_with_multiple_goal_samples(demo_world):
-    region = GoalRegion((0.0, 8.0), 1.5)
+    region = Circle((0.0, 8.0), 1.5)
     problem = ProblemDef((0.0, -8.0), ((0.9, 8.0), (-0.9, 8.0)), region)
     result = plan(problem, demo_world, DEMO_PARAMS, DEMO_STOP, RngStream(6))
     assert result.path is not None
@@ -286,7 +313,7 @@ def test_plan_through_occupancy_grid_gap():
     blocked[10, :] = True
     blocked[10, 15:18] = False  # off-center gap forces a detour
     world = World(grid=OccupancyGrid(20, 20, 1.0, (0.0, 0.0), blocked))
-    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0))
+    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), Circle((10.0, 18.0), 1.0))
     params = PlannerParams(batch_size=50, radius=10.0)
     stop = StopCondition(max_batches=5)
     result = plan(problem, world, params, stop, RngStream(2))

@@ -32,6 +32,10 @@ def test_every_package_export_is_named_in_library_use():
     section = _library_use()
     missing = [name for name in bitplan.__all__ if not re.search(rf"\b{name}\b", section)]
     assert missing == []
+    # The section's export list names exactly the exports, in order.
+    listed = re.search(r"exports exactly the names this section documents: (.*?\.)\s",
+                       section, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == bitplan.__all__
 
 
 def test_the_scenario_block_names_exactly_the_loaders_keys():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bitplan import GoalRegion, ProblemDef, RngStream, World
+from bitplan import Circle, ProblemDef, RngStream, World
 from bitplan.anytime import StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from conftest import DEMO_BOUNDS, make_demo_problem
@@ -79,7 +79,7 @@ def test_rrt_time_budget(demo_world):
 
 
 def test_rrt_root_inside_goal_region():
-    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5))
+    problem = ProblemDef((0.0, 8.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5))
     params = RrtParams(eta=2.0, alpha=5, goal_period=50)
     result = rrt_plan(problem, World(DEMO_BOUNDS, []), params, StopCondition(max_batches=10),
                       RngStream(1))
@@ -95,7 +95,7 @@ def test_rrt_through_occupancy_grid_gap():
     blocked[10, :] = True
     blocked[10, 15:18] = False
     world = World(grid=OccupancyGrid(20, 20, 1.0, (0.0, 0.0), blocked))
-    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), GoalRegion((10.0, 18.0), 1.0))
+    problem = ProblemDef((10.0, 2.0), ((10.0, 18.0),), Circle((10.0, 18.0), 1.0))
     params = RrtParams(eta=3.0, alpha=10, goal_period=20)
     result = rrt_plan(problem, world, params, StopCondition(max_batches=1500), RngStream(2))
     assert result.path is not None

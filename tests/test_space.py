@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bitplan.space as space
-from bitplan import Box, GoalRegion, ProblemDef, RngStream, SamplerStarvedError, World
+from bitplan import Box, Circle, ProblemDef, RngStream, SamplerStarvedError, World
 from bitplan.space import h_hat, h_hat_rows, informed_box, informed_test, sample_batch, sq_dists
 from bitplan.world import OccupancyGrid
 from conftest import DEMO_BOUNDS, make_demo_problem, make_demo_world, make_run
@@ -39,7 +39,7 @@ def test_g_hat_examples():
     p = make_demo_problem()
     assert math.dist(p.root, (0.0, -8.0)) == 0.0
     assert math.dist(p.root, (0.0, 8.0)) == 16.0
-    p2 = ProblemDef((0.0, 0.0), ((3.0, 4.0),), GoalRegion((3.0, 4.0), 0.5))
+    p2 = ProblemDef((0.0, 0.0), ((3.0, 4.0),), Circle((3.0, 4.0), 0.5))
     assert math.dist(p2.root, (3.0, 4.0)) == 5.0
 
 
@@ -195,7 +195,7 @@ def test_informed_box_holds_every_state_the_informed_test_accepts():
             goals.append((root[0] - r2 * math.cos(theta), root[1] - r2 * math.sin(theta)))
         if case % 3 == 2:
             goals.append((rng.uniform(-10, 10), rng.uniform(-10, 10)))
-        p = ProblemDef(root, tuple(goals), GoalRegion(goals[0], 1.0))
+        p = ProblemDef(root, tuple(goals), Circle(goals[0], 1.0))
         d = min(math.dist(root, g) for g in goals)
         for c in (d, math.nextafter(d, math.inf), d * (1 + 1e-12), d * (1 + 1e-6), d * 1.01,
                   d * 1.5, d * 3):
@@ -215,7 +215,7 @@ def test_informed_box_holds_every_state_the_informed_test_accepts():
 def test_informed_box_covers_the_farther_goal():
     # Goals on opposite sides of the root, 16 m apart: c_sol = 9 leaves each
     # goal's ellipse outside the other goal's box, so the box must span both.
-    p = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), GoalRegion((0.0, 8.0), 8.5))
+    p = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), Circle((0.0, 8.0), 8.5))
     lo0, lo1, hi0, hi1 = informed_box(p, 9.0)
     assert lo0 < -8.0 and hi0 > 8.0 and lo1 < 6.0 and hi1 > 8.0
     assert informed_test(p, 9.0)((-8.0, 7.9)) and informed_test(p, 9.0)((8.0, 7.9))
@@ -345,7 +345,7 @@ def _generated_grid():
     gw = module.GridWorld(1)
     world = World(grid=OccupancyGrid(module.CELLS, module.CELLS, module.METERS_PER_CELL,
                                      (0.0, 0.0), gw.blocked), checks_per_meter=10)
-    problem = ProblemDef(gw.root, (gw.goal,), GoalRegion(gw.goal, module.GOAL_RADIUS_M))
+    problem = ProblemDef(gw.root, (gw.goal,), Circle(gw.goal, module.GOAL_RADIUS_M))
     return world, problem, gw.detour_cost()
 
 
@@ -361,12 +361,12 @@ def _sampler_cases():
     demo, p = make_demo_world(), make_demo_problem()
     # A second goal sample off the root-goal axis: its ellipse pokes out of
     # the first one, so h_hat's minimum over both goals decides some draws.
-    two = ProblemDef(p.root, ((0.0, 8.0), (0.3, 7.7)), GoalRegion((0.0, 8.0), 0.5))
+    two = ProblemDef(p.root, ((0.0, 8.0), (0.3, 7.7)), Circle((0.0, 8.0), 0.5))
     # Goals 16 m apart with the root between them: the draws near either goal
     # lie outside the other goal's box (from the demo root they do not).
-    far = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), GoalRegion((0.0, 8.0), 8.5))
+    far = ProblemDef((0.0, 6.0), ((-8.0, 8.0), (8.0, 8.0)), Circle((0.0, 8.0), 8.5))
     # A root by the corner: its box reaches past the bounds.
-    corner = ProblemDef((-9.5, -9.5), ((-6.0, -7.0),), GoalRegion((-6.0, -7.0), 0.5))
+    corner = ProblemDef((-9.5, -9.5), ((-6.0, -7.0),), Circle((-6.0, -7.0), 0.5))
     grid, gp, detour = _generated_grid()
     return {
         "demo-uninformed": (demo, p, math.inf, 500, 1),
@@ -441,26 +441,26 @@ def test_rng_stream_point_is_bitwise_random_uniform(box):
 
 def test_problem_validation(demo_world):
     with pytest.raises(ValueError, match="outside the planning bounds"):
-        ProblemDef((0.0, -11.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
+        ProblemDef((0.0, -11.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="inside an obstacle"):
-        ProblemDef((0.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
+        ProblemDef((0.0, 0.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="outside the goal region"):
-        ProblemDef((0.0, -8.0), ((0.0, 6.0),), GoalRegion((0.0, 8.0), 0.5)).validate(demo_world)
+        ProblemDef((0.0, -8.0), ((0.0, 6.0),), Circle((0.0, 8.0), 0.5)).validate(demo_world)
     with pytest.raises(ValueError, match="^at least one goal sample is required$"):
-        ProblemDef((0.0, -8.0), (), GoalRegion((0.0, 8.0), 0.5))
+        ProblemDef((0.0, -8.0), (), Circle((0.0, 8.0), 0.5))
     # Every goal sample is checked: here the second fails, inside the region.
     for goal, message in [((0.0, 11.0), "goal sample lies outside the planning bounds"),
                           ((0.0, 0.0), "goal sample lies inside an obstacle")]:
-        problem = ProblemDef((0.0, -8.0), ((0.0, 8.0), goal), GoalRegion((0.0, 8.0), 12.0))
+        problem = ProblemDef((0.0, -8.0), ((0.0, 8.0), goal), Circle((0.0, 8.0), 12.0))
         with pytest.raises(ValueError, match=f"^{message}$"):
             problem.validate(demo_world)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ProblemDef((0.0, -8.0, 0.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)),
-    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0), (0.0, 8.0, 0.0)), GoalRegion((0.0, 8.0), 0.5)),
-    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0),), GoalRegion((0.0, 8.0, 0.0), 0.5)),
-    lambda: ProblemDef((0.0,), ((0.0, 8.0),), GoalRegion((0.0, 8.0), 0.5)),
+    lambda: ProblemDef((0.0, -8.0, 0.0), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5)),
+    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0), (0.0, 8.0, 0.0)), Circle((0.0, 8.0), 0.5)),
+    lambda: ProblemDef((0.0, -8.0), ((0.0, 8.0),), Circle((0.0, 8.0, 0.0), 0.5)),
+    lambda: ProblemDef((0.0,), ((0.0, 8.0),), Circle((0.0, 8.0), 0.5)),
 ], ids=["3-D root", "3-D goal sample", "3-D goal region center", "1-D root"])
 def test_a_problem_off_the_plane_is_refused_at_construction(build):
     # The planners are planar, so a problem off the plane is refused where it
@@ -480,5 +480,6 @@ def test_a_problem_off_the_plane_is_refused_at_construction(build):
 ], ids=["radius nan", "radius inf", "radius zero", "radius negative", "center nan",
         "center inf", "center -inf"])
 def test_goal_region_rejects_non_finite_or_non_positive_input(center, radius):
-    with pytest.raises(ValueError, match="goal region"):
-        GoalRegion(center, radius)
+    # The goal region is a world.Circle: it refuses a disc it could not test.
+    with pytest.raises(ValueError, match="circle needs a finite 2-D center"):
+        Circle(center, radius)

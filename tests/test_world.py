@@ -14,7 +14,7 @@ import pytest
 from bitplan import Box, Circle, World
 from bitplan.anytime import StopCondition
 from bitplan.bench import resolve_scenario, run_single
-from bitplan.space import GoalRegion, ProblemDef
+from bitplan.space import ProblemDef
 from bitplan.world import (
     GridLoadError,
     OccupancyGrid,
@@ -476,7 +476,7 @@ def test_planning_never_writes_the_scenario_world(which):
     scenario = resolve_scenario("demo")
     if which == "grid":
         world = _walled_grid_world(7)
-        problem = ProblemDef((-0.875, 2.125), ((8.875, 9.375),), GoalRegion((8.875, 9.375), 0.3))
+        problem = ProblemDef((-0.875, 2.125), ((8.875, 9.375),), Circle((8.875, 9.375), 0.3))
         problem.validate(world)
         scenario = replace(scenario, world=world, problem=problem)
     before = _fields(scenario.world)
@@ -757,6 +757,14 @@ _FREE_2X2 = np.zeros((2, 2), dtype=bool)
 def test_world_types_reject_non_finite_numbers(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_circle_contains_is_the_closed_disc_by_math_dist():
+    # The goal rule: math.dist(x, center) <= radius, boundary included.
+    disc = Circle((1.0, 2.0), 5.0)
+    assert disc.contains((4.0, 6.0)) and disc.contains((1.0, 2.0))
+    assert not disc.contains((4.0, 6.000001))
+    assert not disc.contains((math.nan, 2.0))
 
 
 def test_pgm_load_rejects_non_finite_cell_size(tmp_path):
