@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -127,10 +126,9 @@ def _cmd_bench(args, scenario) -> int:
     rows = aggregate(traces, args.grid_step, scenario.stop.time_budget_s)
     if args.out is not None:
         write_convergence_csv(rows, args.out, AggregatePoint)
-    final = [trace[-1].cost for trace in traces]
-    solved = [c for c in final if math.isfinite(c)]
-    med = statistics.median(solved) if solved else math.nan
-    print(f"{args.planner} trials={args.trials} solved={len(solved)} median_final_cost={med:.6f}")
+    # The summary is the CSV's last row: on a timed run, the row at the horizon.
+    print(f"{args.planner} trials={args.trials} solved={rows[-1].n_solved} "
+          f"median_cost={rows[-1].median_cost:.6f}")
     return 0
 
 

@@ -23,8 +23,10 @@ from .world import World
 class RrtParams:
     """Steering length eta, neighbor cap alpha, and goal-bias period.
 
-    Every goal_period-th sample is the first goal sample instead of a uniform
-    draw, which is what lets the tree actually hit a measure-zero goal.
+    Every goal_period-th sample is a goal sample instead of a uniform draw,
+    which is what lets the tree actually hit a measure-zero goal. The goal
+    draws cycle through the goal samples in order, so the tree targets each
+    of them, as BIT*'s heuristics do.
     """
 
     eta: float
@@ -68,12 +70,12 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
     run = AnytimeRun(problem, world, stop)
     tree = run.tree
     states, costs = tree.states, tree.costs
-    goal_state = problem.goal_samples[0]
+    goals = problem.goal_samples
     eta2 = params.eta * params.eta
     while not run.should_stop() and not run.batch_limit_reached():
         run.batch = run.samples_drawn = run.batch + 1
         if run.batch % params.goal_period == 0:
-            sample = goal_state
+            sample = goals[(run.batch // params.goal_period - 1) % len(goals)]
         else:
             sample = rng.point(world.bounds)
 

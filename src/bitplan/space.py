@@ -127,11 +127,13 @@ def h_hat(x: State, goal_samples: tuple[State, ...]) -> float:
 
     Defined as a minimum over all goal samples at all times, so it is an
     admissible cost-to-go bound both before and after the first solution.
-    Tree-vertex keys and prune use this form, not h_hat_rows: it is
-    math.dist, the metric world.segment_cost prices edges with, so on a
-    one-goal problem the incumbent goal's parent keys at exactly c_sol and
-    stays. h_hat_rows may differ from it by an ulp, and it keys only sample
-    rows and rewiring edges.
+    BIT* keys the root, requeues every tree vertex at a new batch and
+    prunes with this form, not h_hat_rows: it is math.dist, the metric
+    world.segment_cost prices edges with, so on a one-goal problem the
+    incumbent goal's parent keys at exactly c_sol and stays. h_hat_rows may
+    differ from it by an ulp; it keys sample rows and rewiring edges, and a
+    vertex that an edge connects within a batch is queued at g + h_x, its
+    sample row's h_hat_rows value, until the next batch requeues it.
     """
     if not goal_samples:
         raise ValueError("goal sample set is empty")

@@ -39,8 +39,8 @@ class Circle:
         """The goal rule: x is within radius of center, by math.dist.
 
         A World tests its obstacle circles with its own squared-distance
-        kernel, `_free_run`, which may disagree with this by an ulp on the
-        boundary.
+        kernel, `World.all_free`, which may disagree with this by an ulp on
+        the boundary.
         """
         return math.dist(x, self.center) <= self.radius
 
@@ -74,12 +74,13 @@ class World:
     """Immutable planar obstacle model over a 2-D axis-aligned bounding box.
 
     Exactly one obstacle representation is active: a list of 2-D Circles and
-    Boxes (possibly empty) or one occupancy grid. `is_free` and
-    `all_free` share one kernel, `_free_run`, which computes and tests the
-    points of a segment in one loop, so a point costs no Python call or
-    object of its own. Nothing writes a World after construction; per-run
-    state (the work clock, a grid's probe) lives on the run, an
-    `anytime.AnytimeRun`, which `true_cost` takes to meter an edge check.
+    Boxes (possibly empty) or one occupancy grid. `all_free` is the one
+    kernel: it computes and tests the points of a segment in one loop, so a
+    point costs no Python call or object of its own, and `is_free` tests a
+    point as the one-point segment x..x. Nothing writes a World after
+    construction; per-run state (the work clock, a grid's probe) lives on
+    the run, an `anytime.AnytimeRun`, which `true_cost` takes to meter an
+    edge check.
     """
 
     def __init__(self, bounds: Box | None = None, obstacles=None, grid: OccupancyGrid | None = None,
@@ -112,7 +113,7 @@ class World:
         self._max_edge = 2.0 * math.dist(bounds.lo, bounds.hi)
         if not math.isfinite(self._max_edge * checks_per_meter):
             raise ValueError("the bounds' diagonal times checks_per_meter must be finite")
-        # Plain floats, so that `_free_run` compares IEEE doubles as float64 arrays did.
+        # Plain floats, so that `all_free` compares IEEE doubles as float64 arrays did.
         self._box = tuple(float(v) for v in bounds.lo + bounds.hi)
         self._circles, self._rects = [], []
         for ob in obstacles or []:
@@ -131,12 +132,14 @@ class World:
             int(grid.width), int(grid.height),
             np.ascontiguousarray(grid.blocked, dtype=bool).tobytes())
 
-    def _free_run(self, x: State, y: State, weights, probe=None) -> bool:
-        """The one point test, over the points o * x + t * y of a segment for
-        the weight pairs (o, t) in order: True iff each is inside the closed
-        bounds, outside every closed circle and rectangle, or in a free
-        half-open grid cell (so the grid's max edge is blocked). Stops at the
-        first blocked point. NaN fails every comparison, so it is blocked.
+    def all_free(self, weights, x: State, y: State, probe=None) -> bool:
+        """True iff every point o * x + t * y of the edge x..y is free, for
+        the weight pairs (o, t) of `weights` in order (an edge check passes
+        `_t_weights(n)`, bisection order): each point must be inside the
+        closed bounds, outside every closed circle and rectangle, or in a
+        free half-open grid cell (so the grid's max edge is blocked). Stops
+        at the first blocked point. NaN fails every comparison, so it is
+        blocked.
 
         On a grid, a `probe` list holding the last blocked point [a, b] puts
         the segment point nearest it (projection, clamped) first, and each
@@ -180,20 +183,15 @@ class World:
                     return False
         return True
 
+    # is_free's own name for the kernel, bound once here: a wrapper set on
+    # World.all_free from outside (perfbench's tracer, a test's counter)
+    # then sees edge checks only, never a point test.
+    _free_run = all_free
+
     def is_free(self, x: State) -> bool:
         """Point-freeness: a 2-D point inside bounds and outside every obstacle."""
         # 1.0 * a + 0.0 * a is a itself when finite, and NaN (blocked) when not.
-        return len(x) == 2 and self._free_run(x, x, ((1.0, 0.0),))
-
-    def all_free(self, weights, x: State, y: State, probe=None) -> bool:
-        """True iff every point o * x + t * y of the edge x..y is free, for
-        the weight pairs (o, t) of `_t_weights(n)`.
-
-        The points are tested in bisection order up to the first blocked
-        one (on a grid, given a run's `probe`, the one nearest its last
-        blocked point first); any order gives the same verdict.
-        """
-        return self._free_run(x, y, weights, probe)
+        return len(x) == 2 and self._free_run(((1.0, 0.0),), x, x)
 
     def true_cost(self, x: State, y: State, run=None) -> float:
         return segment_cost(self, x, y, run)

@@ -119,6 +119,19 @@ def test_bitstar_at_seeds_34_and_40_never_beats_the_analytic_optimum(demo_scenar
     assert lowest >= ANALYTIC_OPTIMUM - 1e-9, f"cost {lowest!r} beats the optimum"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="goal disc: ROADMAP item 1")
+def test_rrtstar_at_8_planner_seconds_never_beats_the_analytic_optimum(demo_scenario):
+    # RRT*'s side of the goal-disc defect: on seeds 1-5 at 8 planner-s,
+    # seeds 1, 4 and 5 end at 16.1830, 16.1754 and 16.0835, below the
+    # optimum, and four of the five paths end off the goal sample.
+    scenario = dataclasses.replace(demo_scenario, stop=StopCondition(time_budget_s=8.0))
+    goals = scenario.problem.goal_samples
+    results = [run_single(scenario, "rrtstar", seed) for seed in range(1, 6)]
+    assert all(r.path is not None and r.path[-1] in goals for r in results)
+    lowest = min(r.cost for r in results)
+    assert lowest >= ANALYTIC_OPTIMUM - 1e-9, f"cost {lowest!r} beats the optimum"
+
+
 def test_criterion_2_anytime_monotonicity(ten_batch_results, one_second_results):
     trials = list(ten_batch_results)
     for results in one_second_results.values():

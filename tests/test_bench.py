@@ -22,6 +22,7 @@ from bitplan.bench import (
 )
 from bitplan.anytime import ConvergencePoint, StopCondition
 from bitplan.cli import cli_main
+from bitplan.space import Box
 from bitplan.world import Circle, GridLoadError
 
 DEMO_SCN = """
@@ -73,6 +74,14 @@ def test_load_builtin_demo_scenario():
     assert scn.bitstar.batch_size == 100
     assert scn.bitstar.radius == 8.0
     assert scn.rrtstar.eta == 2.0
+
+
+def test_load_builtin_rects_scenario():
+    scn = resolve_scenario("rects")
+    assert scn.name == "rects"
+    assert [type(ob) for ob in scn.world.obstacles] == [Box, Box, Circle]
+    assert scn.problem.goal_samples == ((-0.5, 8.0), (0.5, 8.5))
+    scn.problem.validate(scn.world)
 
 
 def test_load_scenario_file(tmp_path):

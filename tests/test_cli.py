@@ -165,9 +165,19 @@ def test_an_untimed_bench_grid_reaches_the_slowest_trials_last_record(tmp_path, 
     out = tmp_path / "agg.csv"
     assert cli_main(["bench", "--scenario", "demo", "--planner", "bitstar", "--trials", "1",
                      "--max-batches", "9", "--grid-step", "0.3", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == "bitstar trials=1 solved=1 median_final_cost=19.000000\n"
+    assert capsys.readouterr().out == "bitstar trials=1 solved=1 median_cost=19.000000\n"
     assert out.read_text().splitlines()[-2:] == ["124.200000,1,20.000000,20.000000",
                                                  "124.500000,1,19.000000,19.000000"]
+
+
+def test_a_timed_bench_prints_its_csvs_last_row(tmp_path, capsys):
+    # Some trials improve past the budget; the CSV's row at the horizon
+    # leaves those improvements out, and so does the summary line.
+    out = tmp_path / "agg.csv"
+    assert cli_main(["bench", "--scenario", "demo", "--planner", "rrtstar", "--trials", "6",
+                     "--time-budget", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "rrtstar trials=6 solved=6 median_cost=17.962795\n"
+    assert out.read_text().splitlines()[-1].startswith("0.500000,6,17.962795,")
 
 
 def test_bench_runs_20_trials_from_seed_1_by_default(monkeypatch, capsys):

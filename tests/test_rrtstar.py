@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+import bitplan.rrtstar as rrtstar
 from bitplan import Circle, ProblemDef, RngStream, World
-from bitplan.anytime import StopCondition
+from bitplan.anytime import AnytimeRun, StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from conftest import DEMO_BOUNDS, make_demo_problem
 
@@ -51,6 +52,25 @@ def test_rrt_direct_goal_in_empty_world():
     assert result.cost >= 16.0 - 1e-9
     first = result.convergence[0]
     assert first.batch <= 50
+
+
+def test_rrt_goal_bias_cycles_through_every_goal_sample(monkeypatch):
+    # Every iteration is goal-biased: the first draws goal sample 0, the
+    # second goal sample 1, and each connects straight from the tree.
+    goals = ((-0.3, 8.0), (0.3, 7.8))
+    problem = ProblemDef((0.0, -8.0), goals, Circle((0.0, 8.0), 0.5))
+    runs = []
+
+    def kept_run(*args):
+        runs.append(AnytimeRun(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(rrtstar, "AnytimeRun", kept_run)
+    params = RrtParams(eta=20.0, alpha=10, goal_period=1)
+    result = rrt_plan(problem, World(DEMO_BOUNDS, []), params, StopCondition(max_batches=2),
+                      RngStream(1))
+    assert set(goals) <= runs[0].tree.by_state.keys()
+    assert result.convergence[-1].tree_vertices == 3
 
 
 def test_rrt_demo_world(demo_world):

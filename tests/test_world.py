@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bitplan.world as world_module
 from bitplan import Box, Circle, World
 from bitplan.anytime import StopCondition
 from bitplan.bench import resolve_scenario, run_single
@@ -529,6 +530,47 @@ def test_metered_and_plain_checks_agree(which):
         # The walls block some edges, so the run's probe holds a point, and
         # a second run on the same world keeps its own, still empty.
         assert run.probe and other.probe == [] and run.probe is not other.probe
+
+
+@pytest.mark.parametrize("planner", ["bitstar", "rrtstar"])
+def test_a_wrapper_on_all_free_sees_every_edge_check_and_no_point_test(planner, monkeypatch):
+    # perfbench's tracer counts edge-check points with a wrapper set on
+    # World.all_free. is_free reaches the kernel by its own class-body name,
+    # so the wrapper sees every metered and plain edge check and no point test.
+    seen, costs, points = [], [], []
+    all_free, cost, is_free = World.all_free, world_module.segment_cost, World.is_free
+
+    def counted_all_free(self, weights, x, y, probe=None):
+        seen.append(len(weights))
+        return all_free(self, weights, x, y, probe)
+
+    def counted_cost(*args):
+        costs.append(args[1:3])
+        return cost(*args)
+
+    def counted_is_free(self, x):
+        points.append(x)
+        return is_free(self, x)
+
+    monkeypatch.setattr(World, "all_free", counted_all_free)
+    monkeypatch.setattr(world_module, "segment_cost", counted_cost)
+    monkeypatch.setattr(World, "is_free", counted_is_free)
+    world = make_demo_world()
+    run = make_run(world)
+    assert world.is_free((0.0, -8.0)) and not world.is_free((0.0, 0.0))
+    assert seen == []
+    a, b = (0.0, -8.0), (0.0, -6.0)
+    assert world.true_cost(a, b) == world.true_cost(a, b, run) == 2.0
+    assert seen == [9, 9] and run.units == 9
+
+    del seen[:], costs[:], points[:]
+    scenario = replace(resolve_scenario("demo"), world=world, stop=StopCondition(max_batches=2))
+    run_single(scenario, planner, 1)
+    # No demo edge is longer than the bounds allow, so each check reaches
+    # the kernel. The scenario's problem check (and BIT*'s sampler) test
+    # points, which the kernel's wrapper must not see.
+    assert len(seen) == len(costs) > 0 and points
+
 
 def _agreement_worlds():
     circles = make_demo_world()
