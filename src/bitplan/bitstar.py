@@ -109,18 +109,20 @@ class PlannerContext(AnytimeRun):
 
 
 def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
-    """Drop everything that provably cannot improve the incumbent solution.
+    """Drop everything that provably cannot improve the incumbent solution,
+    and queue every tree vertex it keeps (the paper's Q_V <- V).
 
     Unconnected samples go when g_hat + h_hat >= c_sol. Tree vertices go when
     their tree key g_T + h_hat exceeds c_sol; the key is monotone along any
     root path, so whole subtrees are removed root-first, which matches the
-    per-vertex rule exactly. Removed states that still pass the g_hat + h_hat
-    test are returned for reuse as unconnected samples (this keeps sample
-    density uniform inside the informed set). The root is never removed.
+    per-vertex rule exactly. Each vertex kept is queued at the key just
+    tested, the root first and the rest breadth first; with no incumbent
+    nothing is removed and every vertex is queued. Removed states that still
+    pass the g_hat + h_hat test are returned for reuse as unconnected samples
+    (this keeps sample density uniform inside the informed set). The root is
+    never removed.
     """
     c = ctx.c_sol
-    if math.isinf(c):
-        return []
     goals = problem.goal_samples
     informed = informed_test(problem, c)
     for x in [x for x in ctx.x_ncon.rows if not informed(x)]:
@@ -128,20 +130,25 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     x_reuse: list[State] = []
     tree = ctx.tree
     states, costs = tree.states, tree.costs
+    ctx.qv.insert(h_hat(states[tree.root_id], goals), 0.0, tree.root_id)
     queue = deque([tree.root_id])
     while queue:
         vid = queue.popleft()
         for ch in tree.children(vid):
-            if costs[ch] + h_hat(states[ch], goals) > c:
+            g = costs[ch]
+            key = g + h_hat(states[ch], goals)
+            if key > c:
                 x_reuse += [s for _, s in tree.remove_subtree(ch) if informed(s)]
             else:
+                ctx.qv.insert(key, g, ch)
                 queue.append(ch)
     return x_reuse
 
 
 def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerParams,
                     rng: RngStream) -> None:
-    """Prune, draw a fresh batch, rebuild x_ncon and requeue every tree vertex.
+    """Prune (which queues every tree vertex kept), draw a fresh batch and
+    rebuild x_ncon.
 
     New samples are informed once an incumbent exists. x_ncon is rebuilt here,
     once per batch, from the surviving samples, the new ones and the reused
@@ -156,13 +163,8 @@ def start_new_batch(ctx: PlannerContext, problem: ProblemDef, params: PlannerPar
         raise ValueError("a new batch may only start when both queues are empty")
     x_reuse = prune(ctx, problem)
     fresh = sample_batch(params.batch_size, problem, ctx, rng)
-    goals = problem.goal_samples
     x_new = [x for x in fresh if x not in ctx.tree.by_state]  # keep tree and samples disjoint
-    ctx.x_ncon = Samples(goals, ctx.x_ncon.rows, x_new, x_reuse)
-    tree = ctx.tree
-    for vid, (state, g) in enumerate(zip(tree.states, tree.costs)):
-        if state is not None:
-            ctx.qv.insert(g + h_hat(state, goals), g, vid)
+    ctx.x_ncon = Samples(problem.goal_samples, ctx.x_ncon.rows, x_new, x_reuse)
 
 
 def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParams) -> int:

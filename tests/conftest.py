@@ -39,6 +39,46 @@ def make_run(world: World, problem: ProblemDef | None = None,
     return run
 
 
+def sq_dist_to_segment(x, y, c) -> float:
+    """Squared distance from the point c to the closed segment x..y: to the
+    projection of c onto the segment's line, clamped to the segment."""
+    dx, dy = y[0] - x[0], y[1] - x[1]
+    l2 = dx * dx + dy * dy
+    t = 0.0 if l2 == 0.0 else min(1.0, max(0.0, ((c[0] - x[0]) * dx + (c[1] - x[1]) * dy) / l2))
+    px, py = x[0] + t * dx - c[0], x[1] + t * dy - c[1]
+    return px * px + py * py
+
+
+def segment_blocked(world: World, x, y) -> bool:
+    """The exact answer, independent of World's point kernel: whether the
+    closed segment x..y leaves a geometric world's closed bounds or meets
+    one of its closed obstacles. The bounds are convex, so both endpoints
+    inside means the segment is; a circle is met when the segment comes
+    within its radius; a Box is met when Liang-Barsky clipping of the
+    segment to it leaves a nonempty parameter interval."""
+    assert world.grid is None, "the reference covers geometric worlds only"
+    lo, hi = world.bounds.lo, world.bounds.hi
+    if not all(lo[i] <= p[i] <= hi[i] for p in (x, y) for i in (0, 1)):
+        return True
+    for ob in world.obstacles:
+        if isinstance(ob, Circle):
+            if sq_dist_to_segment(x, y, ob.center) <= ob.radius ** 2:
+                return True
+            continue
+        t0, t1 = 0.0, 1.0
+        for i in (0, 1):
+            d = y[i] - x[i]
+            if d == 0.0:
+                if not ob.lo[i] <= x[i] <= ob.hi[i]:
+                    t0, t1 = 1.0, 0.0
+            else:
+                a, b = sorted(((ob.lo[i] - x[i]) / d, (ob.hi[i] - x[i]) / d))
+                t0, t1 = max(t0, a), min(t1, b)
+        if t0 <= t1:
+            return True
+    return False
+
+
 def tree_lists_audit(tree) -> None:
     """The per-id lists agree with each other: every live id's cached cost is
     bitwise its parent's plus its edge's, and every removed id reads state

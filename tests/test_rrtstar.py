@@ -8,6 +8,7 @@ import bitplan.rrtstar as rrtstar
 from bitplan import Circle, ProblemDef, RngStream, World
 from bitplan.anytime import AnytimeRun, StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
+from bitplan.space import sq_dists
 from conftest import DEMO_BOUNDS, make_demo_problem
 
 DEMO_RRT = RrtParams(eta=2.0, alpha=20, goal_period=50)
@@ -145,3 +146,43 @@ def test_rrt_params_reject_nan():
     for args in [(math.nan, 5, 10), (1.0, math.nan, 10), (1.0, 5, math.nan)]:
         with pytest.raises(ValueError):
             RrtParams(*args)
+
+
+def test_every_insertion_chooses_its_parent_and_rewires_its_near_set(demo_scenario, monkeypatch):
+    # RRT*'s definition at each insertion, checked on its own near set (the
+    # alpha nearest older vertices within eta, ties to the lower id): the new
+    # vertex costs at most any member plus a free edge from it (choose-parent),
+    # and after the rewires no member costs more than the new vertex plus a
+    # free edge to it (rewire). The edges run in the directions rrt_plan
+    # checks them. AnytimeRun.improve runs once per iteration, after rewiring.
+    world, params = demo_scenario.world, demo_scenario.rrtstar
+    eta2 = params.eta * params.eta
+    improve = AnytimeRun.improve
+    seen = {"vertices": 1, "insertions": 0, "members": 0}
+    worst = 0.0
+
+    def checked_improve(run):
+        nonlocal worst
+        states, costs = run.tree.states, run.tree.costs
+        if len(states) == seen["vertices"] + 1:
+            seen["insertions"] += 1
+            new, g_new = states[-1], costs[-1]
+            d2 = sq_dists(run.tree.states_matrix()[:, :-1], new)
+            within = (d2 <= eta2).nonzero()[0]
+            for v in within[d2[within].argsort(kind="stable")][: params.alpha].tolist():
+                seen["members"] += 1
+                into, out = world.true_cost(states[v], new), world.true_cost(new, states[v])
+                if math.isfinite(into):
+                    worst = max(worst, g_new - (costs[v] + into))
+                if math.isfinite(out):
+                    worst = max(worst, costs[v] - (g_new + out))
+        seen["vertices"] = len(states)
+        improve(run)
+
+    monkeypatch.setattr(AnytimeRun, "improve", checked_improve)
+    for seed in (1, 2, 3):
+        seen["vertices"] = 1
+        rrt_plan(demo_scenario.problem, world, params, StopCondition(max_batches=1500),
+                 RngStream(seed))
+    assert seen["insertions"] > 0 and seen["members"] > 0
+    assert worst <= 1e-12, f"{seen}: worst violation {worst}"

@@ -25,23 +25,13 @@ from bitplan.world import (
     load_occupancy_grid,
     save_occupancy_grid,
 )
-from conftest import DEMO_BOUNDS, make_demo_world, make_run
+from conftest import DEMO_BOUNDS, make_demo_world, make_run, segment_blocked, sq_dist_to_segment
 
 
 def _rows(a, b, n):
     """The n points of the edge a..b in `_t_weights(n)` order, as the kernel computes them."""
     (x0, x1), (y0, y1) = a, b
     return [(o * x0 + t * y0, o * x1 + t * y1) for o, t in _t_weights(n)]
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def test_is_free_examples(demo_world):
@@ -70,8 +60,38 @@ def test_true_cost_segment_clearance_oracle(demo_world):
     # distance oracle, so its cost must equal its length.
     a, b = (-3.0, -3.0), (-3.0, 4.0)
     for ob in demo_world.obstacles:
-        assert _point_segment_distance(ob.center, a, b) > ob.radius
+        assert sq_dist_to_segment(a, b, ob.center) > ob.radius ** 2
     assert demo_world.true_cost(a, b) == math.dist(a, b)
+
+
+def test_a_point_checked_edge_tunnels_into_the_centre_circle(demo_world):
+    # An edge of demo seed 1's tree: its 15 check points all miss the centre
+    # circle, so its cost is finite, yet the segment enters the circle by
+    # 1.53 mm. The exact reference sees it. ROADMAP item 13 makes the kernel
+    # exact.
+    a, b = (0.9018760379477904, -3.2672570860533696), (1.5411212723037409, 0.08172882435119533)
+    assert math.ceil(math.dist(a, b) * demo_world.checks_per_meter) + 1 == 15
+    assert demo_world.true_cost(a, b) == 3.409448796761008
+    assert segment_blocked(demo_world, a, b)
+    depth = 1.5 - math.sqrt(sq_dist_to_segment(a, b, (0.0, 0.0)))
+    assert 0.00153 < depth < 0.00154
+
+
+@pytest.mark.parametrize("which", ["demo", "rects"])
+def test_the_point_kernel_blocks_only_edges_the_reference_blocks(which):
+    # Soundness of the point kernel: a check point that is blocked lies on
+    # the segment, so the exact reference must block the edge too. The
+    # converse fails where an edge tunnels (see the test above).
+    world = resolve_scenario(which).world
+    rng = random.Random(41)
+    blocked = 0
+    for _ in range(2000):
+        a = (rng.uniform(-10.5, 10.5), rng.uniform(-10.5, 10.5))
+        b = (rng.uniform(-10.5, 10.5), rng.uniform(-10.5, 10.5))
+        if world.true_cost(a, b) == math.inf:
+            blocked += 1
+            assert segment_blocked(world, a, b), (a, b)
+    assert 0 < blocked < 2000
 
 
 def test_true_cost_symmetric_random(demo_world):
