@@ -3,13 +3,16 @@
 Vertex ids are list indices, handed out in creation order and never reused,
 and the tree is one list per field that the planners index directly:
 `states[v]`, `parents[v]` (None for the root) and `costs[v]`, the cached
-cost-to-come. Edges live on the child (parent id + edge cost). A removed id
-reads state None, parent None and cost inf, so a stale id is an unreachable
-vertex. `states_matrix()` is the same rule for the neighbour scans: an
-append-only (d, n) array whose column v is vertex v's state, and a removed
-id's column is all inf, so its squared distance to any state is inf and no
-radius query admits it. Cost-to-come is updated by subtree traversal on
-rewire, because queue keys read it far more often than rewires write it.
+cost-to-come. Edges live on the child (parent id + edge cost). A private
+list per vertex holds its child ids in insertion order: a re-parented child
+goes last, and removing one keeps the others' order, at the cost of one
+`list.remove` pass over its parent's children (a handful of ids here). A
+removed id reads state None, parent None and cost inf, so a stale id is an
+unreachable vertex. `states_matrix()` is the same rule for the neighbour
+scans: an append-only (d, n) array whose column v is vertex v's state, and a
+removed id's column is all inf, so its squared distance to any state is inf
+and no radius query admits it. Cost-to-come is updated by subtree traversal
+on rewire, because queue keys read it far more often than rewires write it.
 `by_state` maps each live state to its id, so `x in tree.by_state` asks
 whether x is a vertex. Only `add_child`, `rewire` and `remove_subtree` write
 the lists (the first and last the dict too), and they check their arguments.
@@ -31,7 +34,7 @@ class Tree:
         self.parents: list[int | None] = [None]
         self.costs: list[float] = [0.0]
         self._edge_costs: list[float] = [0.0]  # cost of the edge from the parent
-        self._children: list[dict[int, None] | None] = [{}]  # insertion-ordered id sets
+        self._children: list[list[int] | None] = [[]]  # child ids, insertion order
         self.by_state: dict[State, int] = {root_state: 0}
         # The states_matrix() store, column-major (d, capacity) as
         # space.sq_dists reads it: column v is vertex v's state.
@@ -62,8 +65,8 @@ class Tree:
         self.parents.append(parent)
         self.costs.append(self.costs[parent] + edge_cost)
         self._edge_costs.append(edge_cost)
-        self._children.append({})
-        self._children[parent][vid] = None
+        self._children.append([])
+        self._children[parent].append(vid)
         self.by_state[state] = vid
         return vid
 
@@ -82,10 +85,10 @@ class Tree:
             if anc == child:
                 raise ValueError("rewiring under a descendant would create a cycle")
             anc = parents[anc]
-        del children[parents[child]][child]
+        children[parents[child]].remove(child)
         parents[child] = new_parent
         edge_costs[child] = new_edge_cost
-        children[new_parent][child] = None
+        children[new_parent].append(child)
         costs[child] = costs[new_parent] + new_edge_cost
         stack = list(children[child])
         while stack:
@@ -98,7 +101,7 @@ class Tree:
         if vid == self.root_id:
             raise ValueError("cannot remove the root")
         self._check(vid)
-        del self._children[self.parents[vid]][vid]
+        self._children[self.parents[vid]].remove(vid)
         removed: list[tuple[int, State]] = []
         stack = [vid]
         while stack:

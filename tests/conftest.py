@@ -118,19 +118,27 @@ def samples_audit(samples) -> None:
 
 def tree_audit(tree, tol: float = 1e-9) -> None:
     """Full structural audit: the lists agree (tree_lists_audit), a single
-    root, mutual parent/child consistency, acyclicity, and cached
-    cost-to-come equal to the parent-walk sum."""
+    root, each live vertex's children exactly the live ids whose parent it
+    is, each once, acyclicity, and cached cost-to-come equal to the
+    parent-walk sum."""
     tree_lists_audit(tree)
     parents, costs = tree.parents, tree.costs
     ids = [vid for vid, state in enumerate(tree.states) if state is not None]
     roots = [v for v in ids if parents[v] is None]
     assert roots == [tree.root_id], f"expected exactly one root, found {roots}"
+    # A child list can hold an id twice, or a stale or foreign one: compare
+    # each vertex's children, as a sorted list, with the ids pointing to it.
+    pointing = {vid: [] for vid in ids}
     for vid in ids:
         p = parents[vid]
         if p is not None:
-            assert vid in tree.children(p), f"{vid} missing from children of {p}"
-        for ch in tree.children(vid):
-            assert parents[ch] == vid, f"child {ch} does not point back to {vid}"
+            assert p in pointing, f"{vid}'s parent {p} is not a live vertex"
+            pointing[p].append(vid)
+    for vid in ids:
+        kids = tree.children(vid)
+        assert sorted(kids) == pointing[vid], (
+            f"children of {vid} are {kids}, but the ids whose parent is {vid} are {pointing[vid]}"
+        )
     for vid in ids:
         seen = set()
         cur = vid

@@ -131,6 +131,35 @@ def test_remove_subtree():
     tree_audit(t)
 
 
+def test_child_order_through_add_rewire_and_remove():
+    # Output bytes rest on this order: prune queues vertices breadth first
+    # and remove_subtree walks each vertex's children in order.
+    t = Tree((0.0, 0.0))
+    r = t.root_id
+    a, b, c, d = (t.add_child(r, (float(i), 0.0), 1.0) for i in range(1, 5))
+    assert t.children(r) == [a, b, c, d]
+    # Re-parented under its own parent, a child still goes last.
+    t.rewire(b, r, 0.5)
+    assert t.children(r) == [a, c, d, b]
+    # A moved child goes last under its new parent, and the old parent's
+    # other children keep their order.
+    e = t.add_child(a, (0.0, 1.0), 1.0)
+    t.rewire(c, a, 1.0)
+    assert t.children(a) == [e, c]
+    assert t.children(r) == [a, d, b]
+    t.remove_subtree(d)
+    assert t.children(r) == [a, b]
+    f = t.add_child(r, (0.0, 2.0), 1.0)
+    assert t.children(r) == [a, b, f]
+    g = t.add_child(c, (0.0, 3.0), 1.0)
+    h = t.add_child(a, (0.0, 4.0), 1.0)
+    tree_audit(t)
+    # A removal lists its subtree depth first, each vertex's children in order.
+    assert [vid for vid, _ in t.remove_subtree(a)] == [a, e, c, g, h]
+    assert t.children(r) == [b, f]
+    tree_audit(t)
+
+
 def test_removed_ids_are_not_reused():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
