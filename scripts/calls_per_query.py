@@ -13,7 +13,12 @@ An object address in a builtin's name (`... at 0x7f...`) is dropped: it
 differs from one process to the next.
 The count is exact for one commit under a fixed PYTHONHASHSEED, so running
 this script on two trees shows the calls a change adds or removes per query,
-and which functions they are, free of timing noise. It imports a copy of
+and which functions they are, free of timing noise. It counts calls only,
+not the bytecode run between them: a builtin call counts one however much
+work it does, and inline code counts nothing. So the total can rise on a
+change that removes work, say one that replaces a dict store, which
+cProfile does not see, with a `list.append` call; read it as where calls
+moved, not as the work done. It imports a copy of
 REPO_ROOT's `src/` and `perfbench/`, made in a temporary directory and
 removed at the end, because path handling in a query (`pathlib`, `sys.intern`)
 makes calls that vary with the depth of the checkout's path. It writes
@@ -47,19 +52,24 @@ def calls_by_function(stats: pstats.Stats) -> Counter:
     return calls
 
 
-def main(argv: list[str]) -> int:
+@contextlib.contextmanager
+def imported_copy(argv: list[str]):
+    """Put a temporary copy of REPO_ROOT's `src/` and `perfbench/` (argv[1],
+    default the repository that holds this script) first on sys.path; the
+    copy is deleted on exit."""
     root = (Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent).resolve()
     with tempfile.TemporaryDirectory() as copy:
         for part in ("src", "perfbench"):
             shutil.copytree(root / part, Path(copy) / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         sys.path[:0] = [str(Path(copy) / "src"), str(Path(copy) / "perfbench")]
-        return count_calls()
+        yield
 
 
-def count_calls() -> int:
-    """Print the rows of every workload, importing bitplan from sys.path."""
-    from bitplan.cli import cli_main
+def first_queries():
+    """Yield (workload name, argv) for the first query of every workload at
+    WORKLOAD_SEED, its inputs prepared in a temporary directory that lives
+    until the next item; imports the workloads from sys.path."""
     from workloads import WORKLOADS
 
     for name, workload in WORKLOADS.items():
@@ -67,17 +77,29 @@ def count_calls() -> int:
             workdir = Path(tmp)
             scenario, _ = workload.prepare(WORKLOAD_SEED, workdir)
             query_seed = workload.query_seeds(WORKLOAD_SEED, 1.0)[0]
-            query = workload.argv(scenario, query_seed, workdir)
-            profile = cProfile.Profile()
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes = (cli_main(query), profile.runcall(cli_main, query))
-            if codes != (0, 0):
-                print(f"{name}: query {query} exited {codes}", file=sys.stderr)
-                return 1
-            stats = pstats.Stats(profile)
-            for function, calls in sorted(calls_by_function(stats).items()):
-                print(name, function, calls)
-            print(name, "total", stats.total_calls)
+            yield name, workload.argv(scenario, query_seed, workdir)
+
+
+def main(argv: list[str]) -> int:
+    with imported_copy(argv):
+        return count_calls()
+
+
+def count_calls() -> int:
+    """Print the rows of every workload, importing bitplan from sys.path."""
+    from bitplan.cli import cli_main
+
+    for name, query in first_queries():
+        profile = cProfile.Profile()
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = (cli_main(query), profile.runcall(cli_main, query))
+        if codes != (0, 0):
+            print(f"{name}: query {query} exited {codes}", file=sys.stderr)
+            return 1
+        stats = pstats.Stats(profile)
+        for function, calls in sorted(calls_by_function(stats).items()):
+            print(name, function, calls)
+        print(name, "total", stats.total_calls)
     return 0
 
 

@@ -53,7 +53,8 @@ class Samples:
     """The unconnected samples x_ncon, held as one (2, n) matrix per batch.
 
     Row i of the set is column i of `mat`, `h[i]` its h_hat and `states[i]`
-    its state. Rows keep insertion order: the old samples, then this batch's
+    its state; `h_list` is `h` as Python floats, which the queued edges to a
+    sample share. Rows keep insertion order: the old samples, then this batch's
     new ones (the slice `new`), then the reused ones, and a state given twice
     keeps its first row. The rows are fixed when the set is built: by
     `PlannerContext` at set-up and by `start_new_batch` once per batch.
@@ -77,6 +78,7 @@ class Samples:
         self.rows = {x: i for i, x in enumerate(self.states)}  # live samples only
         self.mat = np.array(self.states, dtype=float).reshape(-1, 2).T.copy()
         self.h = h_hat_rows(self.mat, goal_samples)
+        self.h_list = self.h.tolist()
 
     def discard(self, x: State) -> None:
         """Remove the live sample x."""
@@ -176,13 +178,16 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     views of the matrix and h_hat values x_ncon computed when the batch
     began, and only the admitted samples' states are looked up. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
-    solution exists. Queue entries memoize the edge and cost-to-go
-    heuristics (pure functions of the states) as plain floats; only
-    cost-to-come can go stale and is re-read at pop time. Returns the number
-    of live candidates scanned so the caller can charge the work clock.
+    solution exists. An edge entry is the flat tuple (key, tiebreak, seq,
+    vid, target, c_hat, h_hat): it memoizes the edge and cost-to-go
+    heuristics (pure functions of the states) as plain floats, and an edge
+    to a sample holds that sample's one h_hat float from `x_ncon.h_list`;
+    only cost-to-come can go stale and is re-read at pop time. Returns the
+    number of live candidates scanned so the caller can charge the work
+    clock.
     """
     scanned = 0
-    _, _, vid = ctx.qv.pop_best()
+    vid = ctx.qv.pop_best()[3]
     tree = ctx.tree
     states, costs = tree.states, tree.costs
     vstate = states[vid]
@@ -191,35 +196,39 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
 
     def near(cols: np.ndarray, h: np.ndarray):
         # Columns within the radius whose edge could still beat the
-        # incumbent, with their edge and cost-to-go heuristics. A removed
-        # state's column is inf, so it is never admitted and the scan is
-        # charged only the live (finite) columns. Only Python floats leave:
-        # the queues compare them far faster than numpy scalars.
+        # incumbent, with their edge heuristics. A removed state's column is
+        # inf, so it is never admitted and the scan is charged only the live
+        # (finite) columns. Only Python floats leave: the queues compare them
+        # far faster than numpy scalars.
         nonlocal scanned
         d = np.sqrt(sq_dists(cols, vstate))
         scanned += int(np.count_nonzero(d < math.inf))
         admit = ((d <= params.radius) & (gh_v + d + h < ctx.c_sol)).nonzero()[0]
-        return admit, d[admit].tolist(), h[admit].tolist()
+        return admit, d[admit].tolist()
 
     samples = ctx.x_ncon
     span = samples.new if vid in ctx.v_exp else slice(0, None)
     ctx.v_exp.add(vid)
-    admit, d, h = near(samples.mat[:, span], samples.h[span])
+    admit, d = near(samples.mat[:, span], samples.h[span])
+    sample_states, sample_h = samples.states, samples.h_list
     # x_ncon and the tree are disjoint, so no sample is vstate.
-    for r, dx, hx in zip((admit + span.start).tolist(), d, h):
-        ctx.qe.insert(gt_v + dx + hx, gt_v + dx, (vid, samples.states[r], dx, hx))
+    for r, dx in zip((admit + span.start).tolist(), d):
+        tb, hx = gt_v + dx, sample_h[r]
+        ctx.qe.insert(tb + hx, tb, vid, sample_states[r], dx, hx)
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
         # Column w is vertex w; a removed w's column is inf and never admitted.
         cols = tree.states_matrix()
-        admit, d, h = near(cols, h_hat_rows(cols, problem.goal_samples))
-        for wid, dw, hw in zip(admit.tolist(), d, h):
+        h = h_hat_rows(cols, problem.goal_samples)
+        admit, d = near(cols, h)
+        for wid, dw, hw in zip(admit.tolist(), d, h[admit].tolist()):
             wstate = states[wid]
             if wstate == vstate or tree.parents[wid] == vid:
                 continue
             if gh_v + dw < costs[wid]:
-                ctx.qe.insert(gt_v + dw + hw, gt_v + dw, (vid, wstate, dw, hw))
+                tb = gt_v + dw
+                ctx.qe.insert(tb + hw, tb, vid, wstate, dw, hw)
     return scanned
 
 
@@ -238,7 +247,7 @@ def expand_edge(ctx: PlannerContext) -> None:
     connects the sample or rewires the vertex. Either may improve the
     incumbent, so both end with `ctx.improve()`.
     """
-    _, _, (vid, x, edge, h_x) = ctx.qe.pop_best()
+    _, _, _, vid, x, edge, h_x = ctx.qe.pop_best()
     tree = ctx.tree
     costs = tree.costs
     gt_v = costs[vid]
@@ -278,10 +287,11 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     """
     ctx = PlannerContext(problem, world, stop)
     ctx.qv.insert(h_hat(problem.root, problem.goal_samples), 0.0, ctx.tree.root_id)
-    while not ctx.should_stop():
-        # CostQueue keys are finite, so an infinite best value means empty.
-        kv, ke = ctx.qv.best_value(), ctx.qe.best_value()
-        if kv == ke == math.inf:
+    # The heaps are read in place: heap[0][0] is a queue's best key.
+    qv, qe = ctx.qv.heap, ctx.qe.heap
+    timed = stop.time_budget_s is not None
+    while not (timed and ctx.should_stop()):
+        if not qv and not qe:
             if batch_hook is not None:
                 batch_hook(ctx.batch, ctx)
             # The informed set is empty iff the root lies outside it; then no
@@ -297,7 +307,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
                 break
             ctx.batch += 1
             ctx.samples_drawn += params.batch_size
-        elif kv <= ke:
+        elif qv and (not qe or qv[0][0] <= qe[0][0]):
             ctx.units += expand_vertex(ctx, problem, params)
         else:
             expand_edge(ctx)

@@ -105,8 +105,14 @@ def samples_audit(samples) -> None:
     rows maps each live state to its own row in row order, and mat is
     (2, len(states)) with contiguous rows, where a live row's column is
     bitwise its state and every other column is inf in both coordinates,
-    as the tree's states_matrix() keeps a removed vertex."""
+    as the tree's states_matrix() keeps a removed vertex. h_list holds one
+    Python float per row, element for element the numpy h_hat values h,
+    whose form (h_hat_rows, not the scalar h_hat) it must keep: the two
+    can differ by an ulp."""
     states, rows = samples.states, samples.rows
+    assert len(samples.h_list) == len(states) == samples.h.shape[0]
+    assert all(type(v) is float for v in samples.h_list)
+    assert samples.h_list == samples.h.tolist()
     assert len(set(states)) == len(states)
     assert all(states[r] == x for x, r in rows.items())
     assert list(rows.values()) == sorted(rows.values())

@@ -59,7 +59,7 @@ def _queued_targets(x, samples, radius):
     assert expand_vertex(ctx, problem, params) == len(samples)
     targets = []
     while ctx.qe:
-        _, _, (_, target, _, _) = ctx.qe.pop_best()
+        _, _, _, _, target, _, _ = ctx.qe.pop_best()
         targets.append(target)
     return sorted(targets)
 
@@ -85,10 +85,10 @@ def test_near_excludes_the_query_point(demo_world, monkeypatch):
         run[:] = [ctx]
         return orig_expand(ctx, problem, params)
 
-    def insert(queue, key, tiebreak, item):
-        if isinstance(item, tuple):  # an edge (vid, target, c_hat, h_hat)
+    def insert(queue, key, tiebreak, *item):
+        if len(item) == 4:  # an edge (vid, target, c_hat, h_hat)
             not_self.append(run[0].tree.states[item[0]] != item[1])
-        orig_insert(queue, key, tiebreak, item)
+        orig_insert(queue, key, tiebreak, *item)
 
     monkeypatch.setattr(bitstar, "expand_vertex", expand)
     monkeypatch.setattr(CostQueue, "insert", insert)
@@ -238,12 +238,15 @@ def test_sampler_starvation_keeps_the_best_path(monkeypatch):
 
 def test_queue_selection_trace(monkeypatch, demo_world):
     # The planner may only expand a vertex while the vertex queue's best key
-    # does not exceed the edge queue's best key.
+    # does not exceed the edge queue's best key (an empty queue's is inf).
     orig = bitstar.expand_vertex
     sound = []
 
+    def best_key(queue):
+        return queue.heap[0][0] if queue.heap else math.inf
+
     def spy(ctx, problem, params):
-        sound.append(ctx.qv.best_value() <= ctx.qe.best_value())
+        sound.append(best_key(ctx.qv) <= best_key(ctx.qe))
         return orig(ctx, problem, params)
 
     monkeypatch.setattr(bitstar, "expand_vertex", spy)
@@ -355,7 +358,8 @@ def test_prune_queues_every_vertex_it_keeps():
     prune(ctx, problem)
     queued = []
     while ctx.qv:
-        queued.append(ctx.qv.pop_best())
+        key, tiebreak, _, vid = ctx.qv.pop_best()
+        queued.append((key, tiebreak, vid))
     assert queued == [(h_hat(problem.root, goals), 0.0, root), (16.0, 8.0, b)]
     assert ctx.tree.states[a] is None
 
@@ -367,7 +371,7 @@ def test_prune_queues_every_vertex_it_keeps():
     prune(ctx, problem)
     queued = []
     while ctx.qv:
-        queued.append(ctx.qv.pop_best()[2])
+        queued.append(ctx.qv.pop_best()[3])
     assert sorted(queued) == ids and len(ctx.tree) == len(ids)
 
 
@@ -496,7 +500,7 @@ def test_expand_vertex_rewiring_after_incumbent():
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert root in ctx.v_rewire
     assert len(ctx.qe) == 1
-    _, _, (src, target, _, _) = ctx.qe.pop_best()
+    _, _, _, src, target, _, _ = ctx.qe.pop_best()
     assert src == root and target == (3.0, -6.0)
     assert ctx.tree.states[detour] is not None
 
@@ -518,7 +522,7 @@ def test_expand_vertex_never_queues_a_removed_vertex():
     assert scanned == len(ctx.x_ncon.rows) + len(ctx.tree) == 4
     targets = []
     while ctx.qe:
-        targets.append(ctx.qe.pop_best()[2][1])
+        targets.append(ctx.qe.pop_best()[4])
     assert targets == [ctx.tree.states[kept]]
 
 
@@ -574,7 +578,7 @@ def test_the_scan_charge_counts_live_candidates_only():
     def queued_targets():
         targets = []
         while ctx.qe:
-            targets.append(ctx.qe.pop_best()[2][1])
+            targets.append(ctx.qe.pop_best()[4])
         return sorted(targets)
 
     # First expansion of the root: every sample row, then every tree column.
@@ -601,9 +605,9 @@ def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypa
     inserted = []
     insert = CostQueue.insert
 
-    def recording_insert(queue, key, tiebreak, item):
+    def recording_insert(queue, key, tiebreak, *item):
         inserted.append((queue, key, tiebreak, item))
-        insert(queue, key, tiebreak, item)
+        insert(queue, key, tiebreak, *item)
 
     orig = bitstar.expand_vertex
     edges = {False: 0, True: 0}  # edges queued before and after a solution exists
@@ -717,7 +721,7 @@ def test_expand_edge_blocked_by_obstacle(demo_world):
     problem = make_demo_problem()
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
-    ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
     expand_edge(ctx)
     assert len(ctx.tree) == 1
     assert (0.0, 8.0) in ctx.x_ncon.rows
@@ -729,7 +733,7 @@ def test_expand_edge_connects_goal():
     problem = make_demo_problem()
     ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
-    ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
     expand_edge(ctx)
     assert ctx.c_sol == 16.0
     assert len(ctx.v_sol) == 1
@@ -746,7 +750,7 @@ def test_expand_edge_clears_queues_when_best_cannot_help(demo_world):
     root = ctx.tree.root_id
     ctx.c_sol = 10.0
     ctx.qv.insert(0.0, 0.0, root)
-    ctx.qe.insert(16.0, 16.0, (root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
     expand_edge(ctx)
     assert len(ctx.qe) == 0
     assert len(ctx.qv) == 0
@@ -761,7 +765,7 @@ def test_expand_edge_rewires_connected_vertex():
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
+    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, mid, (3.0, 0.0), edge, h)
     expand_edge(ctx)
     assert ctx.tree.parents[far] == mid
     assert ctx.tree.costs[far] == 11.0
@@ -780,7 +784,7 @@ def test_expand_edge_drops_a_stale_rewire_before_its_edge_check(g_far):
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, (mid, (3.0, 0.0), edge, h))
+    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, mid, (3.0, 0.0), edge, h)
     units, parents, costs = ctx.units, list(ctx.tree.parents), list(ctx.tree.costs)
     expand_edge(ctx)
     assert ctx.units == units
@@ -796,7 +800,7 @@ def test_expand_edge_refuses_a_target_it_does_not_know():
     x = (5.0, 5.0)
     assert x not in ctx.x_ncon.rows and x not in ctx.tree.by_state
     edge, h = math.dist(problem.root, x), h_hat(x, problem.goal_samples)
-    ctx.qe.insert(edge + h, edge, (root, x, edge, h))
+    ctx.qe.insert(edge + h, edge, root, x, edge, h)
     with pytest.raises(AssertionError, match="^edge target is neither unconnected nor in the tree$"):
         expand_edge(ctx)
 
