@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
-from .queues import CostQueue
+from .queues import CostQueue, EdgeEntry, VertexEntry
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, h_hat, h_hat_rows,
                     informed_test, sample_batch, sq_dists)
 from .world import World
@@ -132,7 +132,9 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     x_reuse: list[State] = []
     tree = ctx.tree
     states, costs = tree.states, tree.costs
-    ctx.qv.insert(h_hat(states[tree.root_id], goals), 0.0, tree.root_id)
+    root = VertexEntry(h_hat(states[tree.root_id], goals))
+    root.g, root.vid = 0.0, tree.root_id
+    ctx.qv.insert(root)
     queue = deque([tree.root_id])
     while queue:
         vid = queue.popleft()
@@ -142,7 +144,9 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
             if key > c:
                 x_reuse += [s for _, s in tree.remove_subtree(ch) if informed(s)]
             else:
-                ctx.qv.insert(key, g, ch)
+                entry = VertexEntry(key)
+                entry.g, entry.vid = g, ch
+                ctx.qv.insert(entry)
                 queue.append(ch)
     return x_reuse
 
@@ -178,16 +182,17 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     views of the matrix and h_hat values x_ncon computed when the batch
     began, and only the admitted samples' states are looked up. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
-    solution exists. An edge entry is the flat tuple (key, tiebreak, seq,
-    vid, target, c_hat, h_hat): it memoizes the edge and cost-to-go
-    heuristics (pure functions of the states) as plain floats, and an edge
-    to a sample holds that sample's one h_hat float from `x_ncon.h_list`;
-    only cost-to-come can go stale and is re-read at pop time. Returns the
-    number of live candidates scanned so the caller can charge the work
-    clock.
+    solution exists. An edge entry is a `queues.EdgeEntry`, the float
+    (g + c_hat) + h_hat with the vertex's g and vid, the target x and the
+    edge and cost-to-go heuristics c_hat and h_hat (pure functions of the
+    states) as plain floats. All edges of one expansion share the one g
+    float, and an edge to a sample holds that sample's one h_hat float from
+    `x_ncon.h_list`; only cost-to-come can go stale and is re-read at pop
+    time. Returns the number of live candidates scanned so the caller can
+    charge the work clock.
     """
     scanned = 0
-    vid = ctx.qv.pop_best()[3]
+    vid = ctx.qv.pop_best().vid
     tree = ctx.tree
     states, costs = tree.states, tree.costs
     vstate = states[vid]
@@ -213,8 +218,10 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     sample_states, sample_h = samples.states, samples.h_list
     # x_ncon and the tree are disjoint, so no sample is vstate.
     for r, dx in zip((admit + span.start).tolist(), d):
-        tb, hx = gt_v + dx, sample_h[r]
-        ctx.qe.insert(tb + hx, tb, vid, sample_states[r], dx, hx)
+        hx = sample_h[r]
+        entry = EdgeEntry(gt_v + dx + hx)
+        entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = gt_v, vid, sample_states[r], dx, hx
+        ctx.qe.insert(entry)
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
@@ -227,8 +234,9 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
             if wstate == vstate or tree.parents[wid] == vid:
                 continue
             if gh_v + dw < costs[wid]:
-                tb = gt_v + dw
-                ctx.qe.insert(tb + hw, tb, vid, wstate, dw, hw)
+                entry = EdgeEntry(gt_v + dw + hw)
+                entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = gt_v, vid, wstate, dw, hw
+                ctx.qe.insert(entry)
     return scanned
 
 
@@ -238,16 +246,19 @@ def expand_edge(ctx: PlannerContext) -> None:
     vertex alike.
 
     All admission conditions are re-checked with fresh cost-to-come values,
-    which is what makes lazily keyed (possibly stale) queue entries safe. If
-    even the best edge cannot beat the incumbent, nothing in either queue
-    can, and both are cleared to end the batch. Otherwise the target's
+    which is what makes lazily keyed (possibly stale) queue entries safe: of
+    the popped `EdgeEntry`, only vid, x, c_hat and h_hat are read, never its
+    g. If even the best edge cannot beat the incumbent, nothing in either
+    queue can, and both are cleared to end the batch. Otherwise the target's
     cost-to-come g_x is inf for a sample and its tree cost for a vertex; an
     edge whose heuristic cannot lower g_x is dropped before its collision
     check, and one whose true cost lowers g_x and can beat the incumbent
-    connects the sample or rewires the vertex. Either may improve the
-    incumbent, so both end with `ctx.improve()`.
+    connects the sample, queued as a `VertexEntry` keyed g_new + h_x, or
+    rewires the vertex. Either may improve the incumbent, so both end with
+    `ctx.improve()`.
     """
-    _, _, _, vid, x, edge, h_x = ctx.qe.pop_best()
+    entry = ctx.qe.pop_best()
+    vid, x, edge, h_x = entry.vid, entry.x, entry.c_hat, entry.h_hat
     tree = ctx.tree
     costs = tree.costs
     gt_v = costs[vid]
@@ -270,7 +281,9 @@ def expand_edge(ctx: PlannerContext) -> None:
                 ctx.x_ncon.discard(x)
                 new_id = ctx.add_vertex(vid, x, cost)
                 g_new = costs[new_id]
-                ctx.qv.insert(g_new + h_x, g_new, new_id)
+                entry = VertexEntry(g_new + h_x)
+                entry.g, entry.vid = g_new, new_id
+                ctx.qv.insert(entry)
             else:
                 tree.rewire(xid, vid, cost)
             ctx.improve()
@@ -286,8 +299,10 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     ctx) fires at every batch boundary, with the PlannerContext as ctx.
     """
     ctx = PlannerContext(problem, world, stop)
-    ctx.qv.insert(h_hat(problem.root, problem.goal_samples), 0.0, ctx.tree.root_id)
-    # The heaps are read in place: heap[0][0] is a queue's best key.
+    root = VertexEntry(h_hat(problem.root, problem.goal_samples))
+    root.g, root.vid = 0.0, ctx.tree.root_id
+    ctx.qv.insert(root)
+    # The heaps are read in place: heap[0], as a float, is a queue's best key.
     qv, qe = ctx.qv.heap, ctx.qe.heap
     timed = stop.time_budget_s is not None
     while not (timed and ctx.should_stop()):
@@ -307,7 +322,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
                 break
             ctx.batch += 1
             ctx.samples_drawn += params.batch_size
-        elif qv and (not qe or qv[0][0] <= qe[0][0]):
+        elif qv and (not qe or qv[0] <= qe[0]):
             ctx.units += expand_vertex(ctx, problem, params)
         else:
             expand_edge(ctx)

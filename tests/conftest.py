@@ -9,6 +9,7 @@ import pytest
 from bitplan import Box, Circle, ProblemDef, StopCondition, World
 from bitplan.anytime import AnytimeRun
 from bitplan.bench import resolve_scenario, run_single
+from bitplan.queues import EdgeEntry, VertexEntry
 from bitplan.tree import Tree
 
 DEMO_BOUNDS = Box((-10.0, -10.0), (10.0, 10.0))
@@ -28,6 +29,20 @@ def make_demo_world() -> World:
 
 def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
     return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), Circle(DEMO_GOAL, goal_radius))
+
+
+def vertex_entry(key: float, g: float, vid) -> VertexEntry:
+    """A vertex queue entry, built as the planner builds one."""
+    entry = VertexEntry(key)
+    entry.g, entry.vid = g, vid
+    return entry
+
+
+def edge_entry(key: float, g: float, vid, x, c_hat: float, h_hat: float) -> EdgeEntry:
+    """An edge queue entry, built as the planner builds one."""
+    entry = EdgeEntry(key)
+    entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = g, vid, x, c_hat, h_hat
+    return entry
 
 
 def make_run(world: World, problem: ProblemDef | None = None,

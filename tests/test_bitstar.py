@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -29,12 +31,12 @@ from bitplan.bitstar import (
     prune,
     start_new_batch,
 )
-from bitplan.queues import CostQueue
+from bitplan.queues import CostQueue, EdgeEntry
 from bitplan.rrtstar import RrtParams, rrt_plan
 from bitplan.space import h_hat, h_hat_rows, informed_test, sq_dists
 from bitplan.tree import Tree
-from conftest import (DEMO_BOUNDS, SEEDS, make_demo_problem, make_demo_world, samples_audit,
-                      segment_blocked, tree_audit, tree_lists_audit)
+from conftest import (DEMO_BOUNDS, SEEDS, edge_entry, make_demo_problem, make_demo_world,
+                      samples_audit, segment_blocked, tree_audit, tree_lists_audit, vertex_entry)
 
 DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
 DEMO_STOP = StopCondition(max_batches=10)
@@ -54,13 +56,12 @@ def _queued_targets(x, samples, radius):
     problem = ProblemDef(x, ((9.5, 9.5),), Circle((9.5, 9.5), 0.1))
     ctx = PlannerContext(problem, World(DEMO_BOUNDS, []), DEMO_STOP)
     ctx.x_ncon = Samples(problem.goal_samples, samples)
-    ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, ctx.tree.root_id))
     params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
     targets = []
     while ctx.qe:
-        _, _, _, _, target, _, _ = ctx.qe.pop_best()
-        targets.append(target)
+        targets.append(ctx.qe.pop_best().x)
     return sorted(targets)
 
 
@@ -85,10 +86,10 @@ def test_near_excludes_the_query_point(demo_world, monkeypatch):
         run[:] = [ctx]
         return orig_expand(ctx, problem, params)
 
-    def insert(queue, key, tiebreak, *item):
-        if len(item) == 4:  # an edge (vid, target, c_hat, h_hat)
-            not_self.append(run[0].tree.states[item[0]] != item[1])
-        orig_insert(queue, key, tiebreak, *item)
+    def insert(queue, entry):
+        if isinstance(entry, EdgeEntry):
+            not_self.append(run[0].tree.states[entry.vid] != entry.x)
+        orig_insert(queue, entry)
 
     monkeypatch.setattr(bitstar, "expand_vertex", expand)
     monkeypatch.setattr(CostQueue, "insert", insert)
@@ -243,7 +244,7 @@ def test_queue_selection_trace(monkeypatch, demo_world):
     sound = []
 
     def best_key(queue):
-        return queue.heap[0][0] if queue.heap else math.inf
+        return queue.heap[0] if queue.heap else math.inf
 
     def spy(ctx, problem, params):
         sound.append(best_key(ctx.qv) <= best_key(ctx.qe))
@@ -254,6 +255,71 @@ def test_queue_selection_trace(monkeypatch, demo_world):
     stop = StopCondition(max_batches=3)
     plan(make_demo_problem(), demo_world, params, stop, RngStream(7))
     assert sound and all(sound)
+
+
+def _rank(entry):
+    return float(entry), entry.g + entry.c_hat, entry.seq
+
+
+class SortedListQueue:
+    """A reference CostQueue: the same entries in one list sorted by their
+    rank (key, tiebreak, seq), kept with bisect.insort; heap[0] is the next
+    entry to pop."""
+
+    def __init__(self):
+        self.heap = []
+        self._counter = itertools.count()
+
+    def __len__(self):
+        return len(self.heap)
+
+    def insert(self, entry):
+        entry.seq = next(self._counter)
+        bisect.insort(self.heap, entry, key=_rank)
+
+    def pop_best(self):
+        return self.heap.pop(0)
+
+    def clear(self):
+        self.heap.clear()
+
+
+def _popped_fields(entry):
+    return (type(entry).__name__, *_rank(entry), entry.g, entry.vid,
+            *((entry.x, entry.c_hat, entry.h_hat) if isinstance(entry, EdgeEntry) else ()))
+
+
+def test_bitstar_pops_in_the_order_of_a_sorted_list_queue(monkeypatch):
+    # CostQueue's heap orders entries by key alone and settles a key tie by
+    # (tiebreak, seq) only when the tie reaches the top; the reference ranks
+    # every entry in full as it is inserted. On the demo queries both must pop
+    # the same entries and give the same answer, and ties must occur.
+    scenario = replace(resolve_scenario("demo"), stop=StopCondition(max_batches=10))
+    ties = {CostQueue: 0, SortedListQueue: 0}
+
+    def run(queue_type, seed):
+        popped = []
+
+        class Recording(queue_type):
+            def pop_best(self):
+                # Count the pops at which another entry holds the least key:
+                # on CostQueue, those that take the settle path.
+                ties[queue_type] += self.heap[0] in self.heap[1:3]
+                entry = super().pop_best()
+                popped.append(_popped_fields(entry))
+                return entry
+
+        monkeypatch.setattr(bitstar, "CostQueue", Recording)
+        result = run_single(scenario, "bitstar", seed)
+        return popped, result.cost, result.path, result.convergence
+
+    for seed in (1000, 1001, 1002):
+        popped, *answer = run(CostQueue, seed)
+        ref_popped, *ref_answer = run(SortedListQueue, seed)
+        assert len(popped) > 0
+        assert popped == ref_popped
+        assert answer == ref_answer
+    assert ties[CostQueue] == ties[SortedListQueue] > 0
 
 
 def test_no_state_in_both_tree_and_samples(demo_world, monkeypatch):
@@ -358,8 +424,8 @@ def test_prune_queues_every_vertex_it_keeps():
     prune(ctx, problem)
     queued = []
     while ctx.qv:
-        key, tiebreak, _, vid = ctx.qv.pop_best()
-        queued.append((key, tiebreak, vid))
+        entry = ctx.qv.pop_best()
+        queued.append((float(entry), entry.g, entry.vid))
     assert queued == [(h_hat(problem.root, goals), 0.0, root), (16.0, 8.0, b)]
     assert ctx.tree.states[a] is None
 
@@ -371,7 +437,7 @@ def test_prune_queues_every_vertex_it_keeps():
     prune(ctx, problem)
     queued = []
     while ctx.qv:
-        queued.append(ctx.qv.pop_best()[3])
+        queued.append(ctx.qv.pop_best().vid)
     assert sorted(queued) == ids and len(ctx.tree) == len(ids)
 
 
@@ -460,7 +526,7 @@ def test_start_new_batch_refills_queues(demo_world):
 def test_start_new_batch_requires_empty_queues(demo_world):
     problem = make_demo_problem()
     ctx = _context(problem, world=demo_world)
-    ctx.qv.insert(0.0, 0.0, ctx.tree.root_id)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, ctx.tree.root_id))
     with pytest.raises(ValueError, match="empty"):
         start_new_batch(ctx, problem, DEMO_PARAMS, RngStream(1))
 
@@ -470,7 +536,7 @@ def test_expand_vertex_no_neighbors_in_range():
     # the root adds nothing to the edge queue.
     problem = make_demo_problem()
     ctx = _context(problem)
-    ctx.qv.insert(16.0, 0.0, ctx.tree.root_id)
+    ctx.qv.insert(vertex_entry(16.0, 0.0, ctx.tree.root_id))
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
     assert ctx.tree.root_id in ctx.v_exp
@@ -480,7 +546,7 @@ def test_expand_vertex_skips_rewiring_without_incumbent():
     problem = make_demo_problem()
     ctx = _context(problem)
     ctx.tree.add_child(ctx.tree.root_id, (1.0, -7.0), math.dist((0.0, -8.0), (1.0, -7.0)))
-    ctx.qv.insert(16.0, 0.0, ctx.tree.root_id)
+    ctx.qv.insert(vertex_entry(16.0, 0.0, ctx.tree.root_id))
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert ctx.v_rewire == set()
     assert len(ctx.qe) == 0
@@ -496,12 +562,12 @@ def test_expand_vertex_rewiring_after_incumbent():
     # rewiring candidates.
     detour = ctx.tree.add_child(mid, (3.0, -6.0), 20.0)
     ctx.c_sol = 40.0
-    ctx.qv.insert(0.0, 0.0, root)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert root in ctx.v_rewire
     assert len(ctx.qe) == 1
-    _, _, _, src, target, _, _ = ctx.qe.pop_best()
-    assert src == root and target == (3.0, -6.0)
+    entry = ctx.qe.pop_best()
+    assert entry.vid == root and entry.x == (3.0, -6.0)
     assert ctx.tree.states[detour] is not None
 
 
@@ -516,13 +582,13 @@ def test_expand_vertex_never_queues_a_removed_vertex():
     ctx.tree.add_child(gone, (-1.0, -6.0), 1.0)
     ctx.tree.remove_subtree(gone)
     ctx.c_sol = 40.0
-    ctx.qv.insert(0.0, 0.0, root)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
     scanned = expand_vertex(ctx, problem, DEMO_PARAMS)
     # The goal sample is out of range; the scan is charged the live count.
     assert scanned == len(ctx.x_ncon.rows) + len(ctx.tree) == 4
     targets = []
     while ctx.qe:
-        targets.append(ctx.qe.pop_best()[4])
+        targets.append(ctx.qe.pop_best().x)
     assert targets == [ctx.tree.states[kept]]
 
 
@@ -534,7 +600,7 @@ def test_expand_vertex_second_expansion_sees_only_new_samples():
     ctx.v_exp.add(root)
     # The goal and an old sample within radius, neither of them new.
     ctx.x_ncon = Samples(goals, [*goals, (1.0, -7.0)])
-    ctx.qv.insert(16.0, 0.0, root)
+    ctx.qv.insert(vertex_entry(16.0, 0.0, root))
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
 
@@ -578,19 +644,19 @@ def test_the_scan_charge_counts_live_candidates_only():
     def queued_targets():
         targets = []
         while ctx.qe:
-            targets.append(ctx.qe.pop_best()[4])
+            targets.append(ctx.qe.pop_best().x)
         return sorted(targets)
 
     # First expansion of the root: every sample row, then every tree column.
     # Only samples are queued: mid is the root's child.
-    ctx.qv.insert(0.0, 0.0, root)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
     assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live) + 2 == 6
     assert queued_targets() == sorted(x for x in live if math.dist(problem.root, x) <= 8.0)
     # A repeat expansion of mid, whose rewiring edges were never queued: the
     # new slice, then every tree column. Only the new slice's live sample is
     # queued: the root's cost cannot be beaten.
     ctx.v_exp.add(mid)
-    ctx.qv.insert(0.0, 4.0, mid)
+    ctx.qv.insert(vertex_entry(0.0, 4.0, mid))
     assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live_new) + 2 == 3
     assert queued_targets() == live_new
     assert ctx.v_rewire == {root, mid}
@@ -605,9 +671,9 @@ def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypa
     inserted = []
     insert = CostQueue.insert
 
-    def recording_insert(queue, key, tiebreak, *item):
-        inserted.append((queue, key, tiebreak, item))
-        insert(queue, key, tiebreak, *item)
+    def recording_insert(queue, entry):
+        inserted.append((queue, entry))
+        insert(queue, entry)
 
     orig = bitstar.expand_vertex
     edges = {False: 0, True: 0}  # edges queued before and after a solution exists
@@ -618,15 +684,15 @@ def test_expand_vertex_queues_plain_floats_that_dominate_the_vertex_key(monkeypa
         nonlocal worst
         inserted.clear()
         scanned = orig(ctx, problem, params)
-        for queue, key, tiebreak, (vid, x, edge, h) in inserted:
+        for queue, entry in inserted:
             if queue is not ctx.qe:
                 continue
             edges[ctx.c_sol < math.inf] += 1
-            numbers = (key, tiebreak, edge, h, *x)
+            numbers = (entry.g, entry.c_hat, entry.h_hat, *entry.x)
             not_float.extend(n for n in numbers if type(n) is not float)
             tree = ctx.tree
-            vertex_key = tree.costs[vid] + h_hat(tree.states[vid], goals)
-            worst = max(worst, vertex_key - key)
+            vertex_key = tree.costs[entry.vid] + h_hat(tree.states[entry.vid], goals)
+            worst = max(worst, vertex_key - entry)
         return scanned
 
     monkeypatch.setattr(CostQueue, "insert", recording_insert)
@@ -721,7 +787,7 @@ def test_expand_edge_blocked_by_obstacle(demo_world):
     problem = make_demo_problem()
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
-    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
+    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
     expand_edge(ctx)
     assert len(ctx.tree) == 1
     assert (0.0, 8.0) in ctx.x_ncon.rows
@@ -733,7 +799,7 @@ def test_expand_edge_connects_goal():
     problem = make_demo_problem()
     ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
-    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
+    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
     expand_edge(ctx)
     assert ctx.c_sol == 16.0
     assert len(ctx.v_sol) == 1
@@ -749,8 +815,8 @@ def test_expand_edge_clears_queues_when_best_cannot_help(demo_world):
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
     ctx.c_sol = 10.0
-    ctx.qv.insert(0.0, 0.0, root)
-    ctx.qe.insert(16.0, 16.0, root, (0.0, 8.0), 16.0, 0.0)
+    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
+    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
     expand_edge(ctx)
     assert len(ctx.qe) == 0
     assert len(ctx.qv) == 0
@@ -765,7 +831,7 @@ def test_expand_edge_rewires_connected_vertex():
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, mid, (3.0, 0.0), edge, h)
+    ctx.qe.insert(edge_entry(8.0 + edge + h, 8.0, mid, (3.0, 0.0), edge, h))
     expand_edge(ctx)
     assert ctx.tree.parents[far] == mid
     assert ctx.tree.costs[far] == 11.0
@@ -784,7 +850,7 @@ def test_expand_edge_drops_a_stale_rewire_before_its_edge_check(g_far):
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(8.0 + edge + h, 8.0 + edge, mid, (3.0, 0.0), edge, h)
+    ctx.qe.insert(edge_entry(8.0 + edge + h, 8.0, mid, (3.0, 0.0), edge, h))
     units, parents, costs = ctx.units, list(ctx.tree.parents), list(ctx.tree.costs)
     expand_edge(ctx)
     assert ctx.units == units
@@ -800,7 +866,7 @@ def test_expand_edge_refuses_a_target_it_does_not_know():
     x = (5.0, 5.0)
     assert x not in ctx.x_ncon.rows and x not in ctx.tree.by_state
     edge, h = math.dist(problem.root, x), h_hat(x, problem.goal_samples)
-    ctx.qe.insert(edge + h, edge, root, x, edge, h)
+    ctx.qe.insert(edge_entry(edge + h, 0.0, root, x, edge, h))
     with pytest.raises(AssertionError, match="^edge target is neither unconnected nor in the tree$"):
         expand_edge(ctx)
 
