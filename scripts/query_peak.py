@@ -19,7 +19,16 @@ the allocator's page reuse. Like scripts/calls_per_query.py, it imports a
 copy of REPO_ROOT's `src/` and `perfbench/` made in a temporary directory
 and removed at the end, and writes nothing into REPO_ROOT.
 
-Usage: PYTHONHASHSEED=0 scripts/query_peak.py [REPO_ROOT]
+With `--sites N`, each workload's row is followed by N rows
+`workload file:line bytes count`: the allocation sites that hold the most
+bytes when the traced query's planner returns its result (a tracemalloc
+snapshot taken in a wrapper on `AnytimeRun.result`), largest first, with
+the live bytes and blocks allocated at each line; file is the source file's
+base name. The snapshot's own tables are not traced; only its small Python
+object stays live to the query's end, within the few hundred bytes the peaks
+vary by anyway.
+
+Usage: PYTHONHASHSEED=0 scripts/query_peak.py [--sites N] [REPO_ROOT]
 (default REPO_ROOT: the repository that holds this script)
 """
 
@@ -30,14 +39,33 @@ import gc
 import io
 import sys
 import tracemalloc
+from pathlib import Path
 
 from calls_per_query import first_queries, imported_copy
 
 
 def main(argv: list[str]) -> int:
+    sites = 0
+    if argv[1:2] == ["--sites"]:
+        sites = int(argv[2])
+        argv = argv[:1] + argv[3:]
     with imported_copy(argv):
         from bitplan import bench
+        from bitplan.anytime import AnytimeRun
         from bitplan.cli import cli_main
+
+        snapshots = []
+        result = AnytimeRun.result
+
+        def result_then_snapshot(run):
+            # Only the traced query is seen: tracing is off in the warm-up.
+            planned = result(run)
+            if tracemalloc.is_tracing():
+                snapshots.append(tracemalloc.take_snapshot())
+            return planned
+
+        if sites:
+            AnytimeRun.result = result_then_snapshot
 
         load_peaks = []
         load_scenario = bench.load_scenario
@@ -54,6 +82,7 @@ def main(argv: list[str]) -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 warm = cli_main(query)
                 load_peaks.clear()
+                snapshots.clear()
                 # A full collection empties the interpreter's free lists, so
                 # the query cannot reuse, untraced, tuples and floats that
                 # the warm-up freed; those would hide up to 2,000 tuples of
@@ -65,11 +94,15 @@ def main(argv: list[str]) -> int:
                     planning = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            if (warm, code) != (0, 0) or len(load_peaks) != 1:
+            if (warm, code) != (0, 0) or len(load_peaks) != 1 or len(snapshots) != bool(sites):
                 print(f"{name}: query {query} exited {(warm, code)} after "
-                      f"{len(load_peaks)} scenario loads", file=sys.stderr)
+                      f"{len(load_peaks)} scenario loads and {len(snapshots)} "
+                      f"snapshots", file=sys.stderr)
                 return 1
             print(name, max(load_peaks[0], planning), planning)
+            for stat in snapshots[0].statistics("lineno")[:sites] if sites else ():
+                frame = stat.traceback[0]
+                print(name, f"{Path(frame.filename).name}:{frame.lineno}", stat.size, stat.count)
     return 0
 
 

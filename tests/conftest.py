@@ -99,13 +99,26 @@ def tree_lists_audit(tree) -> None:
     bitwise its parent's plus its edge's, and every removed id reads state
     None, parent None and cost inf. by_state maps exactly the live states to
     their ids. states_matrix() is (2, len(states)) with contiguous rows;
-    column v is bitwise states[v] for a live v and all inf for a removed v."""
-    assert tree.by_state == {s: v for v, s in enumerate(tree.states) if s is not None}
+    column v is bitwise states[v] for a live v and all inf for a removed v.
+    The storage holds nothing empty or duplicated: a vertex's child list is
+    None exactly when no live id has it as parent, and every stored parent
+    id and child id is that vertex's own id object, by_state[states[v]]."""
+    by_state, states = tree.by_state, tree.states
+    assert by_state == {s: v for v, s in enumerate(states) if s is not None}
+    with_child = {p for s, p in zip(states, tree.parents) if s is not None and p is not None}
+    for vid, kids in enumerate(tree._children):
+        assert (kids is None) == (vid not in with_child), (
+            f"vertex {vid} has child list {kids!r} and {'a' if vid in with_child else 'no'} "
+            f"live child"
+        )
+        for ch in kids or ():
+            assert ch is by_state.get(states[ch]), f"child id {ch} of {vid} is not the tree's own"
     edge_costs = tree._edge_costs
-    for vid, (state, p, cost) in enumerate(zip(tree.states, tree.parents, tree.costs)):
+    for vid, (state, p, cost) in enumerate(zip(states, tree.parents, tree.costs)):
         if state is None:
             assert p is None and cost == math.inf, f"removed id {vid} reads {p}, {cost}"
         elif p is not None:
+            assert p is by_state.get(states[p]), f"parent id {p} of {vid} is not the tree's own"
             assert cost == tree.costs[p] + edge_costs[vid], (
                 f"cached cost {cost} of {vid} is not its parent's plus its edge's"
             )

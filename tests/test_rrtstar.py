@@ -9,7 +9,7 @@ from bitplan import Circle, ProblemDef, RngStream, World
 from bitplan.anytime import AnytimeRun, StopCondition
 from bitplan.rrtstar import RrtParams, rrt_plan, steer
 from bitplan.space import sq_dists
-from conftest import DEMO_BOUNDS, make_demo_problem
+from conftest import DEMO_BOUNDS, make_demo_problem, tree_audit
 
 DEMO_RRT = RrtParams(eta=2.0, alpha=20, goal_period=50)
 DEMO_STOP = StopCondition(max_batches=2000)
@@ -186,3 +186,25 @@ def test_every_insertion_chooses_its_parent_and_rewires_its_near_set(demo_scenar
                  RngStream(seed))
     assert seen["insertions"] > 0 and seen["members"] > 0
     assert worst <= 1e-12, f"{seen}: worst violation {worst}"
+
+
+def test_the_tree_rrt_plan_builds_passes_the_audit(demo_scenario, monkeypatch):
+    # rrt_plan hands the tree ids fresh from numpy (order.tolist()), so its
+    # tree is the one where a caller's int could be stored beside the tree's
+    # own; the audit checks that none is, and that only vertices with a
+    # child hold a child list. The run is captured as it returns its result.
+    result = AnytimeRun.result
+    trees = []
+
+    def captured_result(run):
+        trees.append(run.tree)
+        return result(run)
+
+    monkeypatch.setattr(AnytimeRun, "result", captured_result)
+    for seed in (1, 2, 3):
+        rrt_plan(demo_scenario.problem, demo_scenario.world, demo_scenario.rrtstar,
+                 StopCondition(max_batches=1500), RngStream(seed))
+    assert len(trees) == 3
+    for tree in trees:
+        assert len(tree) > 1000
+        tree_audit(tree)

@@ -160,6 +160,19 @@ def test_child_order_through_add_rewire_and_remove():
     tree_audit(t)
 
 
+def test_the_tree_stores_its_own_id_objects_not_the_callers():
+    # Above 256 an int parsed from text is an equal copy, not the object
+    # add_child returned; the audit checks every stored id by identity.
+    t = Tree((0.0, 0.0))
+    ids = [t.add_child(t.root_id, (float(i), 1.0), 1.0) for i in range(1, 300)]
+    a, b = ids[-1], ids[-2]
+    assert int(str(a)) is not a
+    c = t.add_child(int(str(a)), (0.0, 2.0), 1.0)
+    t.rewire(int(str(b)), int(str(c)), 1.0)
+    assert t.parents[c] is a and t.parents[b] is c and t.children(c)[0] is b
+    tree_audit(t)
+
+
 def test_removed_ids_are_not_reused():
     t = Tree((0.0, 0.0))
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
