@@ -15,7 +15,7 @@ end, so a scenario load that outweighs the planning (a large grid map) does
 not hide the planner's heap. The peaks repeat within a few hundred bytes
 across processes and hash seeds, so running this script on two trees shows
 what a change does to a query's heap, which `peak_rss_mb` sees only through
-the allocator's page reuse. Like scripts/calls_per_query.py, it imports a
+the allocator's page reuse. Like scripts/work_ledger.py, it imports a
 copy of REPO_ROOT's `src/` and `perfbench/` made in a temporary directory
 and removed at the end, and writes nothing into REPO_ROOT.
 
@@ -41,7 +41,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from calls_per_query import first_queries, imported_copy
+from work_ledger import first_queries, imported_copy
 
 
 def main(argv: list[str]) -> int:

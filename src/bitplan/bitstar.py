@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .anytime import AnytimeRun, PlanResult, StopCondition
-from .queues import CostQueue, EdgeEntry, VertexEntry
+from .queues import CostQueue
 from .space import (ProblemDef, RngStream, SamplerStarvedError, State, h_hat, h_hat_rows,
                     informed_test, sample_batch, sq_dists)
 from .world import World
@@ -132,21 +132,16 @@ def prune(ctx: PlannerContext, problem: ProblemDef) -> list[State]:
     x_reuse: list[State] = []
     tree = ctx.tree
     states, costs = tree.states, tree.costs
-    root = VertexEntry(h_hat(states[tree.root_id], goals))
-    root.g, root.vid = 0.0, tree.root_id
-    ctx.qv.insert(root)
+    ctx.qv.push_vertex(0.0, h_hat(states[tree.root_id], goals), tree.root_id)
     queue = deque([tree.root_id])
     while queue:
         vid = queue.popleft()
         for ch in tree.children(vid):
-            g = costs[ch]
-            key = g + h_hat(states[ch], goals)
-            if key > c:
+            g, h = costs[ch], h_hat(states[ch], goals)
+            if g + h > c:
                 x_reuse += [s for _, s in tree.remove_subtree(ch) if informed(s)]
             else:
-                entry = VertexEntry(key)
-                entry.g, entry.vid = g, ch
-                ctx.qv.insert(entry)
+                ctx.qv.push_vertex(g, h, ch)
                 queue.append(ch)
     return x_reuse
 
@@ -182,14 +177,10 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     views of the matrix and h_hat values x_ncon computed when the batch
     began, and only the admitted samples' states are looked up. Rewiring
     edges to tree neighbors are queued once per vertex and only after a
-    solution exists. An edge entry is a `queues.EdgeEntry`, the float
-    (g + c_hat) + h_hat with the vertex's g and vid, the target x and the
-    edge and cost-to-go heuristics c_hat and h_hat (pure functions of the
-    states) as plain floats. All edges of one expansion share the one g
-    float, and an edge to a sample holds that sample's one h_hat float from
-    `x_ncon.h_list`; only cost-to-come can go stale and is re-read at pop
-    time. Returns the number of live candidates scanned so the caller can
-    charge the work clock.
+    solution exists. Each scan queues its edges in one
+    `CostQueue.push_edges` call, and an edge to a sample carries that
+    sample's one h_hat float from `x_ncon.h_list`. Returns the number of
+    live candidates scanned so the caller can charge the work clock.
     """
     scanned = 0
     vid = ctx.qv.pop_best().vid
@@ -215,13 +206,10 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
     span = samples.new if vid in ctx.v_exp else slice(0, None)
     ctx.v_exp.add(vid)
     admit, d = near(samples.mat[:, span], samples.h[span])
-    sample_states, sample_h = samples.states, samples.h_list
+    rows = (admit + span.start).tolist()
     # x_ncon and the tree are disjoint, so no sample is vstate.
-    for r, dx in zip((admit + span.start).tolist(), d):
-        hx = sample_h[r]
-        entry = EdgeEntry(gt_v + dx + hx)
-        entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = gt_v, vid, sample_states[r], dx, hx
-        ctx.qe.insert(entry)
+    ctx.qe.push_edges(gt_v, vid, zip(map(samples.states.__getitem__, rows), d,
+                                     map(samples.h_list.__getitem__, rows)))
 
     if vid not in ctx.v_rewire and ctx.c_sol < math.inf:
         ctx.v_rewire.add(vid)
@@ -229,14 +217,9 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         cols = tree.states_matrix()
         h = h_hat_rows(cols, problem.goal_samples)
         admit, d = near(cols, h)
-        for wid, dw, hw in zip(admit.tolist(), d, h[admit].tolist()):
-            wstate = states[wid]
-            if wstate == vstate or tree.parents[wid] == vid:
-                continue
-            if gh_v + dw < costs[wid]:
-                entry = EdgeEntry(gt_v + dw + hw)
-                entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = gt_v, vid, wstate, dw, hw
-                ctx.qe.insert(entry)
+        ctx.qe.push_edges(gt_v, vid, [
+            (states[wid], dw, hw) for wid, dw, hw in zip(admit.tolist(), d, h[admit].tolist())
+            if states[wid] != vstate and tree.parents[wid] != vid and gh_v + dw < costs[wid]])
     return scanned
 
 
@@ -253,7 +236,7 @@ def expand_edge(ctx: PlannerContext) -> None:
     cost-to-come g_x is inf for a sample and its tree cost for a vertex; an
     edge whose heuristic cannot lower g_x is dropped before its collision
     check, and one whose true cost lowers g_x and can beat the incumbent
-    connects the sample, queued as a `VertexEntry` keyed g_new + h_x, or
+    connects the sample, queued by `push_vertex` at g_new + h_x, or
     rewires the vertex. Either may improve the incumbent, so both end with
     `ctx.improve()`.
     """
@@ -280,10 +263,7 @@ def expand_edge(ctx: PlannerContext) -> None:
             if xid is None:
                 ctx.x_ncon.discard(x)
                 new_id = ctx.add_vertex(vid, x, cost)
-                g_new = costs[new_id]
-                entry = VertexEntry(g_new + h_x)
-                entry.g, entry.vid = g_new, new_id
-                ctx.qv.insert(entry)
+                ctx.qv.push_vertex(costs[new_id], h_x, new_id)
             else:
                 tree.rewire(xid, vid, cost)
             ctx.improve()
@@ -299,9 +279,7 @@ def plan(problem: ProblemDef, world: World, params: PlannerParams, stop: StopCon
     ctx) fires at every batch boundary, with the PlannerContext as ctx.
     """
     ctx = PlannerContext(problem, world, stop)
-    root = VertexEntry(h_hat(problem.root, problem.goal_samples))
-    root.g, root.vid = 0.0, ctx.tree.root_id
-    ctx.qv.insert(root)
+    ctx.qv.push_vertex(0.0, h_hat(problem.root, problem.goal_samples), ctx.tree.root_id)
     # The heaps are read in place: heap[0], as a float, is a queue's best key.
     qv, qe = ctx.qv.heap, ctx.qe.heap
     timed = stop.time_budget_s is not None

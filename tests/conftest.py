@@ -9,7 +9,6 @@ import pytest
 from bitplan import Box, Circle, ProblemDef, StopCondition, World
 from bitplan.anytime import AnytimeRun
 from bitplan.bench import resolve_scenario, run_single
-from bitplan.queues import EdgeEntry, VertexEntry
 from bitplan.tree import Tree
 
 DEMO_BOUNDS = Box((-10.0, -10.0), (10.0, 10.0))
@@ -31,18 +30,12 @@ def make_demo_problem(goal_radius: float = 0.5) -> ProblemDef:
     return ProblemDef(DEMO_ROOT, (DEMO_GOAL,), Circle(DEMO_GOAL, goal_radius))
 
 
-def vertex_entry(key: float, g: float, vid) -> VertexEntry:
-    """A vertex queue entry, built as the planner builds one."""
-    entry = VertexEntry(key)
-    entry.g, entry.vid = g, vid
-    return entry
-
-
-def edge_entry(key: float, g: float, vid, x, c_hat: float, h_hat: float) -> EdgeEntry:
-    """An edge queue entry, built as the planner builds one."""
-    entry = EdgeEntry(key)
-    entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = g, vid, x, c_hat, h_hat
-    return entry
+def edited(text, old, new):
+    """A scenario text (str or bytes) with its one occurrence of the anchor old
+    replaced by new. An anchor that is absent, or not unique, fails the test
+    here, so an edit cannot quietly leave the text unedited."""
+    assert text.count(old) == 1, f"anchor {old!r} occurs {text.count(old)} times, not once"
+    return text.replace(old, new)
 
 
 def make_run(world: World, problem: ProblemDef | None = None,

@@ -24,6 +24,7 @@ from bitplan.anytime import ConvergencePoint, StopCondition
 from bitplan.cli import cli_main
 from bitplan.space import Box
 from bitplan.world import Circle, GridLoadError
+from conftest import edited
 
 DEMO_SCN = """
 name = tiny
@@ -91,19 +92,19 @@ def test_load_scenario_file(tmp_path):
 
 
 def test_missing_root_names_the_field(tmp_path):
-    text = DEMO_SCN.replace("root = 0 -8\n", "")
+    text = edited(DEMO_SCN, "root = 0 -8\n", "")
     with pytest.raises(ScenarioError, match="root"):
         load_scenario(_write(tmp_path, text))
 
 
 def test_negative_rho_names_the_field(tmp_path):
-    text = DEMO_SCN.replace("rho = 8", "rho = -1")
+    text = edited(DEMO_SCN, "rho = 8", "rho = -1")
     with pytest.raises(ScenarioError, match="rho"):
         load_scenario(_write(tmp_path, text))
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
-    text = DEMO_SCN.replace("circle 0 0 1.5", "circle 0 0")
+    text = edited(DEMO_SCN, "circle 0 0 1.5", "circle 0 0")
     with pytest.raises(ScenarioError, match=r"s\.scn:6"):
         load_scenario(_write(tmp_path, text))
     with pytest.raises(ScenarioError, match="unknown section"):
@@ -148,9 +149,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         "blocked-root", "no-stop", "obstacles-and-grid",
         "rho", "batch-size", "eta", "alpha", "goal-period"])
 def test_scenario_error_messages(tmp_path, old, new, message, cause):
-    text = builtin_scenario_path("demo").read_text()
-    assert text.count(old) == 1
-    path = _write(tmp_path, text.replace(old, new))
+    path = _write(tmp_path, edited(builtin_scenario_path("demo").read_text(), old, new))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert str(excinfo.value) == f"{path}{message}"
@@ -182,8 +181,8 @@ STOP_VALUES += [("max_batches", "--max-batches", text, ok) for text, ok in
 def test_the_three_stop_entry_points_agree(tmp_path, capsys, key, flag, text, ok):
     value = int(text) if text.lstrip("-").isdigit() else float(text)
     library = _accepts(lambda: StopCondition(**{key: value}))
-    path = _write(tmp_path, builtin_scenario_path("demo").read_text().replace(
-        "max_batches = 10", f"{key} = {text}"))
+    path = _write(tmp_path, edited(builtin_scenario_path("demo").read_text(),
+                                  "max_batches = 10", f"{key} = {text}"))
     scenario_file = _accepts(lambda: load_scenario(path))
     command_line = cli_main(["plan", "--scenario", "demo", "--planner", "rrtstar", flag, text]) == 0
     capsys.readouterr()
@@ -201,8 +200,7 @@ def test_the_three_stop_entry_points_agree(tmp_path, capsys, key, flag, text, ok
 def test_the_first_fault_in_file_order_is_reported(tmp_path, edits, message):
     text = builtin_scenario_path("demo").read_text()
     for old, new in edits:
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+        text = edited(text, old, new)
     path = _write(tmp_path, text)
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
@@ -219,7 +217,7 @@ def test_the_first_fault_in_file_order_is_reported(tmp_path, edits, message):
     ("alpha = 10\n", "alpha = 10\nseed = 5\nalso_unknown = 1\n", "[rrtstar]"),
 ], ids=["world", "bitstar", "top-level", "goal-sample-in-stop", "first-of-two"])
 def test_unknown_key_names_file_line_and_key(tmp_path, old, new, where):
-    text = DEMO_SCN.replace(old, new)
+    text = edited(DEMO_SCN, old, new)
     bad_line = new.splitlines()[1]
     line_no = text.splitlines().index(bad_line) + 1
     key = bad_line.split()[0]
@@ -230,7 +228,7 @@ def test_unknown_key_names_file_line_and_key(tmp_path, old, new, where):
 
 def test_unknown_grid_key_is_rejected(tmp_path):
     _write_grid_map(tmp_path)
-    text = GRID_SCN.replace("threshold = 127\n", "threshold = 127\ninvert = 1\n")
+    text = edited(GRID_SCN, "threshold = 127\n", "threshold = 127\ninvert = 1\n")
     with pytest.raises(ScenarioError, match=r"s\.scn:9: unknown key 'invert' in \[grid\]$"):
         load_scenario(_write(tmp_path, text))
 
@@ -246,7 +244,7 @@ def test_unknown_grid_key_is_rejected(tmp_path):
     ("eta = 2", "eta = nan"),
 ], ids=["time_budget_s", "checks_per_meter", "circle", "rho", "eta"])
 def test_non_finite_number_names_file_line_and_field(tmp_path, old, new):
-    text = builtin_scenario_path("demo").read_text().replace(old, new)
+    text = edited(builtin_scenario_path("demo").read_text(), old, new)
     bad_line = new.splitlines()[-1]
     line_no = text.splitlines().index(bad_line) + 1
     field = bad_line.split()[0]
@@ -255,13 +253,13 @@ def test_non_finite_number_names_file_line_and_field(tmp_path, old, new):
 
 
 def test_scenario_requires_a_stop_bound(tmp_path):
-    text = DEMO_SCN.replace("max_batches = 2", "")
+    text = edited(DEMO_SCN, "max_batches = 2", "")
     with pytest.raises(ScenarioError, match="stop"):
         load_scenario(_write(tmp_path, text))
 
 
 def test_scenario_rejects_blocked_root(tmp_path):
-    text = DEMO_SCN.replace("root = 0 -8", "root = 0 0")
+    text = edited(DEMO_SCN, "root = 0 -8", "root = 0 0")
     with pytest.raises(ScenarioError, match="obstacle"):
         load_scenario(_write(tmp_path, text))
 
@@ -306,7 +304,7 @@ def test_scenario_with_grid_world(tmp_path):
 @pytest.mark.parametrize("threshold", ["300", "-1"])
 def test_a_grid_threshold_outside_0_255_names_its_own_line(tmp_path, threshold):
     _write_grid_map(tmp_path)
-    text = GRID_SCN.replace("threshold = 127", f"threshold = {threshold}")
+    text = edited(GRID_SCN, "threshold = 127", f"threshold = {threshold}")
     with pytest.raises(ScenarioError,
                        match=rf"s\.scn:8: threshold: must be in 0\.\.255, got {threshold}$"):
         load_scenario(_write(tmp_path, text))
@@ -314,11 +312,11 @@ def test_a_grid_threshold_outside_0_255_names_its_own_line(tmp_path, threshold):
 
 def test_a_grid_threshold_of_0_or_255_is_accepted(tmp_path):
     _write_grid_map(tmp_path)
-    scn = load_scenario(_write(tmp_path, GRID_SCN.replace("threshold = 127", "threshold = 0")))
+    scn = load_scenario(_write(tmp_path, edited(GRID_SCN, "threshold = 127", "threshold = 0")))
     assert not scn.world.grid.blocked.any()
     # 255 blocks every cell, so what fails is the root, not the threshold.
     with pytest.raises(ScenarioError, match="problem: root lies inside an obstacle"):
-        load_scenario(_write(tmp_path, GRID_SCN.replace("threshold = 127", "threshold = 255")))
+        load_scenario(_write(tmp_path, edited(GRID_SCN, "threshold = 127", "threshold = 255")))
 
 
 # A 400-digit integer is finite: the number check compares it with inf
@@ -343,7 +341,7 @@ def test_a_400_digit_integer_loads_with_its_exact_value(tmp_path, key):
 
 def test_a_400_digit_threshold_is_refused_at_its_line(tmp_path):
     _write_grid_map(tmp_path)
-    text = GRID_SCN.replace("threshold = 127", f"threshold = {HUGE}")
+    text = edited(GRID_SCN, "threshold = 127", f"threshold = {HUGE}")
     path = _write(tmp_path, text)
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
@@ -359,11 +357,13 @@ def test_a_scenario_of_400_digit_integers_plans_from_the_command_line(tmp_path):
 def test_grid_scenario_bounds_may_round_the_map_extent(tmp_path):
     # 7 cells of 0.1 m span 0.7000000000000001 m in floating point.
     (tmp_path / "map.pgm").write_text("P2\n7 7\n255\n" + " ".join(["255"] * 49) + "\n")
-    text = (GRID_SCN.replace("bounds = 0 0 4 4", "bounds = 0 0 0.7 0.7")
-            .replace("meters_per_cell = 1", "meters_per_cell = 0.1")
-            .replace("root = 1 1", "root = 0.1 0.1")
-            .replace("goal_center = 3 3", "goal_center = 0.6 0.6")
-            .replace("goal_radius = 0.5", "goal_radius = 0.05"))
+    text = GRID_SCN
+    for old, new in [("bounds = 0 0 4 4", "bounds = 0 0 0.7 0.7"),
+                     ("meters_per_cell = 1", "meters_per_cell = 0.1"),
+                     ("root = 1 1", "root = 0.1 0.1"),
+                     ("goal_center = 3 3", "goal_center = 0.6 0.6"),
+                     ("goal_radius = 0.5", "goal_radius = 0.05")]:
+        text = edited(text, old, new)
     scn = load_scenario(_write(tmp_path, text))
     assert scn.world.bounds == scn.world.grid.extent()
 
@@ -372,7 +372,7 @@ def test_grid_scenario_bounds_must_match_map_extent(tmp_path):
     # The world's bounds are the planning region, so a 4 x 4 m map declared
     # as 100 x 100 m would send almost every draw off the map.
     _write_grid_map(tmp_path)
-    path = _write(tmp_path, GRID_SCN.replace("bounds = 0 0 4 4", "bounds = 0 0 100 100"))
+    path = _write(tmp_path, edited(GRID_SCN, "bounds = 0 0 4 4", "bounds = 0 0 100 100"))
     with pytest.raises(ScenarioError, match="bounds") as excinfo:
         load_scenario(path)
     assert str(path) in str(excinfo.value)
@@ -381,7 +381,7 @@ def test_grid_scenario_bounds_must_match_map_extent(tmp_path):
 def test_a_grid_map_whose_extent_overflows_names_the_scenario_line_and_the_map(tmp_path):
     # 400 cells of 1e306 m span 4e308 m, past the largest float.
     (tmp_path / "map.pgm").write_text("P2\n400 1\n255\n" + " ".join(["255"] * 400) + "\n")
-    path = _write(tmp_path, GRID_SCN.replace("meters_per_cell = 1", "meters_per_cell = 1e306"))
+    path = _write(tmp_path, edited(GRID_SCN, "meters_per_cell = 1", "meters_per_cell = 1e306"))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     msg = str(excinfo.value)
@@ -390,7 +390,7 @@ def test_a_grid_map_whose_extent_overflows_names_the_scenario_line_and_the_map(t
 
 
 def test_scenario_missing_grid_file(tmp_path):
-    text = DEMO_SCN.replace("[obstacles]\ncircle 0 0 1.5", "[grid]\nfile = nope.pgm\nmeters_per_cell = 1\norigin = 0 0\nthreshold = 127")
+    text = edited(DEMO_SCN, "[obstacles]\ncircle 0 0 1.5", "[grid]\nfile = nope.pgm\nmeters_per_cell = 1\norigin = 0 0\nthreshold = 127")
     with pytest.raises(ScenarioError, match="does not exist"):
         load_scenario(_write(tmp_path, text))
 
@@ -454,7 +454,7 @@ def test_a_byte_order_mark_is_ignored(tmp_path):
 
 def test_a_file_that_is_not_utf8_names_its_path(tmp_path):
     # A Latin-1 e-acute (byte 0xE9) in the demo's first comment.
-    path = _write_bytes(tmp_path, _demo_bytes().replace(b"Three", b"Thr\xe9e", 1))
+    path = _write_bytes(tmp_path, edited(_demo_bytes(), b"Three", b"Thr\xe9e"))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert str(excinfo.value).startswith(f"{path}: ")
@@ -710,3 +710,11 @@ def test_csv_aggregate_format(tmp_path):
         "0.500000,2,15.000000,15.000000\n"
         "3.000000,2,15.000000,15.000000\n"
     )
+
+
+def test_a_scenario_edit_fails_on_an_anchor_that_is_absent_or_repeated():
+    assert edited("a = 1\nb = 2\n", "b = 2", "b = 3") == "a = 1\nb = 3\n"
+    assert edited(b"Three", b"Three", b"Two") == b"Two"
+    for anchor in ("c = 3", " = "):
+        with pytest.raises(AssertionError, match="anchor"):
+            edited("a = 1\nb = 2\n", anchor, "")

@@ -35,8 +35,8 @@ from bitplan.queues import CostQueue, EdgeEntry
 from bitplan.rrtstar import RrtParams, rrt_plan
 from bitplan.space import h_hat, h_hat_rows, informed_test, sq_dists
 from bitplan.tree import Tree
-from conftest import (DEMO_BOUNDS, SEEDS, edge_entry, make_demo_problem, make_demo_world,
-                      samples_audit, segment_blocked, tree_audit, tree_lists_audit, vertex_entry)
+from conftest import (DEMO_BOUNDS, SEEDS, make_demo_problem, make_demo_world, samples_audit,
+                      segment_blocked, tree_audit, tree_lists_audit)
 
 DEMO_PARAMS = PlannerParams(batch_size=100, radius=8.0)
 DEMO_STOP = StopCondition(max_batches=10)
@@ -56,7 +56,7 @@ def _queued_targets(x, samples, radius):
     problem = ProblemDef(x, ((9.5, 9.5),), Circle((9.5, 9.5), 0.1))
     ctx = PlannerContext(problem, World(DEMO_BOUNDS, []), DEMO_STOP)
     ctx.x_ncon = Samples(problem.goal_samples, samples)
-    ctx.qv.insert(vertex_entry(0.0, 0.0, ctx.tree.root_id))
+    ctx.qv.push_vertex(0.0, 0.0, ctx.tree.root_id)
     params = PlannerParams(batch_size=1, radius=radius)
     assert expand_vertex(ctx, problem, params) == len(samples)
     targets = []
@@ -282,6 +282,10 @@ class SortedListQueue:
 
     def clear(self):
         self.heap.clear()
+
+    # CostQueue's push methods, which enter each entry through this insert.
+    push_vertex = CostQueue.push_vertex
+    push_edges = CostQueue.push_edges
 
 
 def _popped_fields(entry):
@@ -526,7 +530,7 @@ def test_start_new_batch_refills_queues(demo_world):
 def test_start_new_batch_requires_empty_queues(demo_world):
     problem = make_demo_problem()
     ctx = _context(problem, world=demo_world)
-    ctx.qv.insert(vertex_entry(0.0, 0.0, ctx.tree.root_id))
+    ctx.qv.push_vertex(0.0, 0.0, ctx.tree.root_id)
     with pytest.raises(ValueError, match="empty"):
         start_new_batch(ctx, problem, DEMO_PARAMS, RngStream(1))
 
@@ -536,7 +540,7 @@ def test_expand_vertex_no_neighbors_in_range():
     # the root adds nothing to the edge queue.
     problem = make_demo_problem()
     ctx = _context(problem)
-    ctx.qv.insert(vertex_entry(16.0, 0.0, ctx.tree.root_id))
+    ctx.qv.push_vertex(0.0, 16.0, ctx.tree.root_id)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
     assert ctx.tree.root_id in ctx.v_exp
@@ -546,7 +550,7 @@ def test_expand_vertex_skips_rewiring_without_incumbent():
     problem = make_demo_problem()
     ctx = _context(problem)
     ctx.tree.add_child(ctx.tree.root_id, (1.0, -7.0), math.dist((0.0, -8.0), (1.0, -7.0)))
-    ctx.qv.insert(vertex_entry(16.0, 0.0, ctx.tree.root_id))
+    ctx.qv.push_vertex(0.0, 16.0, ctx.tree.root_id)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert ctx.v_rewire == set()
     assert len(ctx.qe) == 0
@@ -562,7 +566,7 @@ def test_expand_vertex_rewiring_after_incumbent():
     # rewiring candidates.
     detour = ctx.tree.add_child(mid, (3.0, -6.0), 20.0)
     ctx.c_sol = 40.0
-    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
+    ctx.qv.push_vertex(0.0, 0.0, root)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert root in ctx.v_rewire
     assert len(ctx.qe) == 1
@@ -582,7 +586,7 @@ def test_expand_vertex_never_queues_a_removed_vertex():
     ctx.tree.add_child(gone, (-1.0, -6.0), 1.0)
     ctx.tree.remove_subtree(gone)
     ctx.c_sol = 40.0
-    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
+    ctx.qv.push_vertex(0.0, 0.0, root)
     scanned = expand_vertex(ctx, problem, DEMO_PARAMS)
     # The goal sample is out of range; the scan is charged the live count.
     assert scanned == len(ctx.x_ncon.rows) + len(ctx.tree) == 4
@@ -600,7 +604,7 @@ def test_expand_vertex_second_expansion_sees_only_new_samples():
     ctx.v_exp.add(root)
     # The goal and an old sample within radius, neither of them new.
     ctx.x_ncon = Samples(goals, [*goals, (1.0, -7.0)])
-    ctx.qv.insert(vertex_entry(16.0, 0.0, root))
+    ctx.qv.push_vertex(0.0, 16.0, root)
     expand_vertex(ctx, problem, DEMO_PARAMS)
     assert len(ctx.qe) == 0
 
@@ -649,14 +653,14 @@ def test_the_scan_charge_counts_live_candidates_only():
 
     # First expansion of the root: every sample row, then every tree column.
     # Only samples are queued: mid is the root's child.
-    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
+    ctx.qv.push_vertex(0.0, 0.0, root)
     assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live) + 2 == 6
     assert queued_targets() == sorted(x for x in live if math.dist(problem.root, x) <= 8.0)
     # A repeat expansion of mid, whose rewiring edges were never queued: the
     # new slice, then every tree column. Only the new slice's live sample is
     # queued: the root's cost cannot be beaten.
     ctx.v_exp.add(mid)
-    ctx.qv.insert(vertex_entry(0.0, 4.0, mid))
+    ctx.qv.push_vertex(4.0, h_hat(tree.states[mid], goals), mid)
     assert expand_vertex(ctx, problem, DEMO_PARAMS) == len(live_new) + 2 == 3
     assert queued_targets() == live_new
     assert ctx.v_rewire == {root, mid}
@@ -787,7 +791,7 @@ def test_expand_edge_blocked_by_obstacle(demo_world):
     problem = make_demo_problem()
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
-    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qe.push_edges(0.0, root, [((0.0, 8.0), 16.0, 0.0)])
     expand_edge(ctx)
     assert len(ctx.tree) == 1
     assert (0.0, 8.0) in ctx.x_ncon.rows
@@ -799,7 +803,7 @@ def test_expand_edge_connects_goal():
     problem = make_demo_problem()
     ctx = _context(problem, world=World(DEMO_BOUNDS, []))
     root = ctx.tree.root_id
-    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qe.push_edges(0.0, root, [((0.0, 8.0), 16.0, 0.0)])
     expand_edge(ctx)
     assert ctx.c_sol == 16.0
     assert len(ctx.v_sol) == 1
@@ -815,8 +819,8 @@ def test_expand_edge_clears_queues_when_best_cannot_help(demo_world):
     ctx = _context(problem, world=demo_world)
     root = ctx.tree.root_id
     ctx.c_sol = 10.0
-    ctx.qv.insert(vertex_entry(0.0, 0.0, root))
-    ctx.qe.insert(edge_entry(16.0, 0.0, root, (0.0, 8.0), 16.0, 0.0))
+    ctx.qv.push_vertex(0.0, 0.0, root)
+    ctx.qe.push_edges(0.0, root, [((0.0, 8.0), 16.0, 0.0)])
     expand_edge(ctx)
     assert len(ctx.qe) == 0
     assert len(ctx.qv) == 0
@@ -831,7 +835,7 @@ def test_expand_edge_rewires_connected_vertex():
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(edge_entry(8.0 + edge + h, 8.0, mid, (3.0, 0.0), edge, h))
+    ctx.qe.push_edges(8.0, mid, [((3.0, 0.0), edge, h)])
     expand_edge(ctx)
     assert ctx.tree.parents[far] == mid
     assert ctx.tree.costs[far] == 11.0
@@ -850,7 +854,7 @@ def test_expand_edge_drops_a_stale_rewire_before_its_edge_check(g_far):
     ctx.c_sol = 40.0
     edge = math.dist((0.0, 0.0), (3.0, 0.0))
     h = h_hat((3.0, 0.0), problem.goal_samples)
-    ctx.qe.insert(edge_entry(8.0 + edge + h, 8.0, mid, (3.0, 0.0), edge, h))
+    ctx.qe.push_edges(8.0, mid, [((3.0, 0.0), edge, h)])
     units, parents, costs = ctx.units, list(ctx.tree.parents), list(ctx.tree.costs)
     expand_edge(ctx)
     assert ctx.units == units
@@ -866,7 +870,7 @@ def test_expand_edge_refuses_a_target_it_does_not_know():
     x = (5.0, 5.0)
     assert x not in ctx.x_ncon.rows and x not in ctx.tree.by_state
     edge, h = math.dist(problem.root, x), h_hat(x, problem.goal_samples)
-    ctx.qe.insert(edge_entry(edge + h, 0.0, root, x, edge, h))
+    ctx.qe.push_edges(0.0, root, [(x, edge, h)])
     with pytest.raises(AssertionError, match="^edge target is neither unconnected nor in the tree$"):
         expand_edge(ctx)
 

@@ -9,6 +9,7 @@ from bitplan import cli
 from bitplan.anytime import ConvergencePoint
 from bitplan.bench import builtin_scenario_path, run_trials
 from bitplan.cli import cli_main
+from conftest import edited
 
 
 def test_plan_writes_csv_and_svgs(tmp_path):
@@ -54,7 +55,7 @@ def test_broken_scenario_is_runtime_error(tmp_path, capsys):
 def test_a_scenario_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
     # A Latin-1 e-acute (byte 0xE9) in the demo's first comment.
     bad = tmp_path / "latin1.scn"
-    bad.write_bytes(builtin_scenario_path("demo").read_bytes().replace(b"Three", b"Thr\xe9e", 1))
+    bad.write_bytes(edited(builtin_scenario_path("demo").read_bytes(), b"Three", b"Thr\xe9e"))
     rc = cli_main(["plan", "--scenario", str(bad), "--planner", "bitstar"])
     assert rc == 2
     assert f"error: {bad}: " in capsys.readouterr().err
@@ -63,7 +64,7 @@ def test_a_scenario_that_is_not_utf8_is_runtime_error(tmp_path, capsys):
 def test_a_target_only_stop_is_runtime_error(tmp_path, capsys):
     # A stop is a time budget or a batch cap: a target cost is no key at all.
     scn = tmp_path / "s.scn"
-    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+    scn.write_text(edited(builtin_scenario_path("demo").read_text(),
         "[stop]\nmax_batches = 10", "[stop]\ntarget_cost = 16"))
     assert cli_main(["plan", "--scenario", str(scn), "--planner", "bitstar"]) == 2
     assert capsys.readouterr().err == f"error: {scn}:29: unknown key 'target_cost' in [stop]\n"
@@ -215,7 +216,7 @@ def test_a_stop_flag_replaces_the_scenario_files_whole_stop(tmp_path):
     # Both bounds of this [stop] end a run at once: at batch 1, or at 0.001
     # planner-seconds.
     scn = tmp_path / "s.scn"
-    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+    scn.write_text(edited(builtin_scenario_path("demo").read_text(),
         "[stop]\nmax_batches = 10", "[stop]\ntime_budget_s = 0.001\nmax_batches = 1"))
     out = tmp_path / "run.csv"
 
@@ -341,7 +342,7 @@ def test_snapshot_ellipse_has_the_goal_sample_as_focus(tmp_path):
     # The informed set is g_hat + h_hat < c_sol over the goal samples, so an
     # off-centre goal sample, not the goal region's centre, is the focus.
     scn = tmp_path / "offset.scn"
-    scn.write_text(builtin_scenario_path("demo").read_text().replace(
+    scn.write_text(edited(builtin_scenario_path("demo").read_text(),
         "goal_radius = 0.5", "goal_radius = 0.5\ngoal_sample = 0.45 8"))
     svg_dir = tmp_path / "svg"
     assert cli_main(["plan", "--scenario", str(scn), "--planner", "bitstar", "--seed", "1",
@@ -432,7 +433,7 @@ def test_plan_outputs_match_pinned_bytes(tmp_path):
     assert hashlib.sha256(last_svg).hexdigest() == PINNED_BITSTAR_LAST_SVG_SHA256
 
     two_goal_scn, two_goal_csv = tmp_path / "two_goal.scn", tmp_path / "two_goal.csv"
-    two_goal_scn.write_text(builtin_scenario_path("demo").read_text().replace(
+    two_goal_scn.write_text(edited(builtin_scenario_path("demo").read_text(),
         "goal_radius = 0.5", "goal_radius = 0.5\ngoal_sample = -0.3 8\ngoal_sample = 0.3 7.8"))
     assert cli_main([
         "plan", "--scenario", str(two_goal_scn), "--planner", "bitstar", "--seed", "1",
@@ -441,7 +442,7 @@ def test_plan_outputs_match_pinned_bytes(tmp_path):
     assert two_goal_csv.read_text() == PINNED_TWO_GOAL_BITSTAR_CSV
 
     steered_scn, steered_csv = tmp_path / "steered.scn", tmp_path / "steered.csv"
-    steered_scn.write_text(builtin_scenario_path("demo").read_text().replace(
+    steered_scn.write_text(edited(builtin_scenario_path("demo").read_text(),
         "eta = 2\n", "eta = 0.25\n"))
     assert cli_main([
         "plan", "--scenario", str(steered_scn), "--planner", "rrtstar", "--seed", "1",

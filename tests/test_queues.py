@@ -6,16 +6,30 @@ import random
 import pytest
 
 from bitplan.queues import CostQueue, EdgeEntry, VertexEntry
-from conftest import edge_entry, vertex_entry
 
 
 def _heap_invariant_holds(heap) -> bool:
     return all(not heap[i] < heap[(i - 1) // 2] for i in range(1, len(heap)))
 
 
+def _pushed_vertex(g, h_hat, vid) -> VertexEntry:
+    """The entry that push_vertex builds."""
+    q = CostQueue()
+    q.push_vertex(g, h_hat, vid)
+    return q.heap[0]
+
+
+def _pushed_edge(g, vid, x, c_hat, h_hat) -> EdgeEntry:
+    """The entry that push_edges builds for one edge."""
+    q = CostQueue()
+    q.push_edges(g, vid, [(x, c_hat, h_hat)])
+    return q.heap[0]
+
+
 def test_insert_then_pop_round_trips():
     q = CostQueue()
-    entry = vertex_entry(5.0, 2.0, "edge")
+    entry = VertexEntry(5.0)
+    entry.g, entry.vid = 2.0, "edge"
     q.insert(entry)
     popped = q.pop_best()
     assert popped is entry
@@ -25,22 +39,22 @@ def test_insert_then_pop_round_trips():
 
 def test_pop_orders_by_key():
     q = CostQueue()
-    q.insert(vertex_entry(7.0, 0.0, "b"))
-    q.insert(vertex_entry(5.0, 0.0, "a"))
+    q.push_vertex(0.0, 7.0, "b")
+    q.push_vertex(0.0, 5.0, "a")
     assert q.pop_best().vid == "a"
 
 
 def test_ties_broken_by_true_cost_to_come():
     q = CostQueue()
-    q.insert(vertex_entry(5.0, 3.0, "later"))
-    q.insert(vertex_entry(5.0, 2.0, "cheaper-to-come"))
+    q.push_vertex(3.0, 2.0, "later")
+    q.push_vertex(2.0, 3.0, "cheaper-to-come")
     assert q.pop_best().vid == "cheaper-to-come"
 
 
 def test_equal_ties_broken_by_insertion_order():
     q = CostQueue()
-    q.insert(vertex_entry(5.0, 3.0, "first"))
-    q.insert(vertex_entry(5.0, 3.0, "second"))
+    q.push_vertex(3.0, 2.0, "first")
+    q.push_vertex(3.0, 2.0, "second")
     assert q.pop_best().vid == "first"
     assert q.pop_best().vid == "second"
 
@@ -60,7 +74,7 @@ def test_full_ties_pop_in_insertion_order_without_comparing_payloads():
     q = CostQueue()
     payloads = [(Incomparable(), Incomparable()) for _ in range(50)]
     for vid, x in payloads:
-        q.insert(edge_entry(5.0, 1.0, vid, x, 2.0, 2.0))
+        q.push_edges(1.0, vid, [(x, 2.0, 2.0)])
     popped = []
     while q:
         entry = q.pop_best()
@@ -72,8 +86,8 @@ def test_full_ties_pop_in_insertion_order_without_comparing_payloads():
 def test_a_multi_field_payload_round_trips_flat():
     q = CostQueue()
     target = (1.0, -7.0)
-    q.insert(edge_entry(9.0, 1.5, 7, target, 2.5, 5.0))
-    q.insert(vertex_entry(3.0, 1.0, "vertex"))
+    q.push_edges(1.5, 7, [(target, 2.5, 5.0)])
+    q.push_vertex(1.0, 2.0, "vertex")
     vertex = q.pop_best()
     assert type(vertex) is VertexEntry and (vertex.vid, vertex.seq) == ("vertex", 1)
     edge = q.pop_best()
@@ -87,7 +101,7 @@ def test_best_value_examples():
     q = CostQueue()
     assert q.heap == []
     for k in (9.0, 4.0, 6.0):
-        q.insert(vertex_entry(k, 0.0, k))
+        q.push_vertex(0.0, k, k)
     assert q.heap[0] == 4.0
     q.pop_best()
     assert q.heap[0] == 6.0
@@ -97,7 +111,7 @@ def test_best_value_equals_next_pop_key():
     rng = random.Random(1)
     q = CostQueue()
     for _ in range(200):
-        q.insert(vertex_entry(rng.uniform(0, 100), rng.uniform(0, 10), None))
+        q.push_vertex(rng.uniform(0, 10), rng.uniform(0, 100), None)
     while q:
         assert float(q.heap[0]) == float(q.pop_best())
 
@@ -112,31 +126,102 @@ def test_clear():
     q.clear()
     assert len(q) == 0
     for i in range(10):
-        q.insert(vertex_entry(float(i), 0.0, i))
+        q.push_vertex(0.0, float(i), i)
     q.clear()
     assert q.heap == []
-    q.insert(vertex_entry(1.0, 0.0, "x"))
+    q.push_vertex(0.0, 1.0, "x")
     assert q.pop_best().vid == "x"
 
 
 def test_rejects_non_finite_keys():
+    # Records built directly, to reach insert's own check: through the
+    # push methods a non-finite tiebreak always makes a non-finite key.
     q = CostQueue()
-    with pytest.raises(ValueError):
-        q.insert(vertex_entry(math.inf, 0.0, None))
-    with pytest.raises(ValueError):
-        q.insert(vertex_entry(1.0, math.nan, None))
+    for key, g in [(math.inf, 0.0), (1.0, math.nan)]:
+        entry = VertexEntry(key)
+        entry.g, entry.vid = g, None
+        with pytest.raises(ValueError):
+            q.insert(entry)
     # An edge's tiebreak is g + c_hat, refused when the sum overflows.
+    entry = EdgeEntry(1.0)
+    entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat = 1e308, None, None, 1e308, 0.0
     with pytest.raises(ValueError):
-        q.insert(edge_entry(1.0, 1e308, None, None, 1e308, 0.0))
+        q.insert(entry)
     assert q.heap == []
 
 
-def _entry(rng: random.Random, key: float, tie: float, seq: int):
-    """A vertex entry with tiebreak tie, or half the time an edge entry
-    whose tiebreak is g + c_hat."""
+def test_the_push_methods_refuse_a_non_finite_key_or_tiebreak():
+    q = CostQueue()
+    with pytest.raises(ValueError):
+        q.push_vertex(0.0, math.inf, None)
+    with pytest.raises(ValueError):
+        q.push_vertex(math.nan, 1.0, None)
+    # A key that overflows, then a tiebreak g + c_hat that does.
+    with pytest.raises(ValueError):
+        q.push_edges(1e308, None, [(None, 0.0, 1e308)])
+    with pytest.raises(ValueError):
+        q.push_edges(1e308, None, [(None, 1e308, -1e308)])
+    assert q.heap == []
+    # Each edge is inserted in turn: those before a refused one stay queued.
+    with pytest.raises(ValueError):
+        q.push_edges(0.0, "v", [("a", 1.0, 1.0), ("b", 1.0, math.inf), ("c", 1.0, 1.0)])
+    assert [entry.x for entry in q.heap] == ["a"]
+
+
+def test_push_vertex_keys_g_plus_h_hat_bitwise():
+    rng = random.Random(5)
+    for _ in range(1000):
+        g, h = rng.uniform(0, 50), rng.uniform(0, 50)
+        entry = _pushed_vertex(g, h, "v")
+        assert type(entry) is VertexEntry and entry.g is g and entry.vid == "v"
+        assert float(entry).hex() == (g + h).hex()
+        assert (entry.g + entry.c_hat).hex() == g.hex()  # the tiebreak
+
+
+def test_push_edges_keys_g_plus_c_hat_then_h_hat_bitwise():
+    rng = random.Random(6)
+    regrouped = 0
+    for _ in range(1000):
+        g, c, h = rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform(0, 50)
+        x = (rng.uniform(-10, 10), rng.uniform(-10, 10))
+        entry = _pushed_edge(g, "v", x, c, h)
+        assert type(entry) is EdgeEntry
+        assert (entry.g, entry.vid, entry.x, entry.c_hat, entry.h_hat) == (g, "v", x, c, h)
+        assert float(entry).hex() == ((g + c) + h).hex()
+        assert (entry.g + entry.c_hat).hex() == (g + c).hex()  # the tiebreak
+        regrouped += g + (c + h) != (g + c) + h
+    # On these floats the grouping of the sum matters, so the key check
+    # tells (g + c_hat) + h_hat from g + (c_hat + h_hat).
+    assert regrouped > 0
+
+
+def test_push_edges_stamps_seq_in_the_given_order():
+    q = CostQueue()
+    q.push_vertex(0.0, 9.0, "v")
+    g = 2.0
+    edges = [((float(i), 0.0), 1.0, 5.0) for i in (3, 1, 4, 0, 2)]
+    q.push_edges(g, "e", edges)
+    queued = {entry.x: entry for entry in q.heap if type(entry) is EdgeEntry}
+    assert [queued[x].seq for x, _, _ in edges] == [1, 2, 3, 4, 5]
+    assert all(entry.g is g for entry in queued.values())
+    # Their keys and tiebreaks all tie, so they pop in the given order,
+    # before the vertex and its greater key.
+    assert [q.pop_best().x for _ in edges] == [x for x, _, _ in edges]
+    assert q.pop_best().vid == "v"
+
+
+def _push(rng: random.Random, q: CostQueue, key: float, tie: float, seq: int):
+    """Queue seq at about key: through push_vertex with tiebreak tie, or half
+    the time through push_edges with tiebreak tie + c_hat. Returns the
+    (key, tiebreak) it must rank by, computed as push_vertex and push_edges do."""
     if rng.random() < 0.5:
-        return vertex_entry(key, tie, seq)
-    return edge_entry(key, tie, seq, None, rng.choice([0.0, 0.5]), 0.0)
+        h = key - tie
+        q.push_vertex(tie, h, seq)
+        return tie + h, tie
+    c = rng.choice([0.0, 0.5])
+    h = key - tie - c
+    q.push_edges(tie, seq, [(None, c, h)])
+    return (tie + c) + h, tie + c
 
 
 def test_matches_sorted_list_oracle():
@@ -155,9 +240,7 @@ def test_matches_sorted_list_oracle():
         else:
             key = rng.choice([1.0, 2.0, 3.0, rng.uniform(0, 10)])
             tie = rng.choice([0.0, 1.0, rng.uniform(0, 3)])
-            entry = _entry(rng, key, tie, seq)
-            q.insert(entry)
-            oracle.append((key, entry.g + entry.c_hat, seq, seq))
+            oracle.append((*_push(rng, q, key, tie, seq), seq, seq))
             seq += 1
     while q:
         oracle.sort()
@@ -169,20 +252,20 @@ def test_matches_sorted_list_oracle():
 def test_key_ties_inserted_in_descending_tiebreak_pop_in_ascending_tiebreak():
     q = CostQueue()
     for g in (9.0, 7.0, 5.0, 3.0, 1.0):
-        q.insert(vertex_entry(10.0, g, g))
-    q.insert(vertex_entry(11.0, 0.0, "after"))
+        q.push_vertex(g, 10.0 - g, g)
+    q.push_vertex(0.0, 11.0, "after")
     assert [q.pop_best().vid for _ in range(6)] == [1.0, 3.0, 5.0, 7.0, 9.0, "after"]
 
 
 def test_full_ties_pop_in_insertion_order_across_interleaved_inserts_and_pops():
     q = CostQueue()
     for i in range(3):
-        q.insert(vertex_entry(2.0, 1.0, i))
+        q.push_vertex(1.0, 1.0, i)
     assert q.pop_best().vid == 0
-    q.insert(vertex_entry(2.0, 1.0, 3))
+    q.push_vertex(1.0, 1.0, 3)
     assert q.pop_best().vid == 1
-    q.insert(vertex_entry(2.0, 1.0, 4))
-    q.insert(vertex_entry(2.0, 1.0, 5))
+    q.push_vertex(1.0, 1.0, 4)
+    q.push_vertex(1.0, 1.0, 5)
     assert [q.pop_best().vid for _ in range(4)] == [2, 3, 4, 5]
 
 
@@ -190,7 +273,8 @@ def test_after_a_settle_the_heap_holds_and_its_first_entry_is_the_next_pop():
     rng = random.Random(3)
     q = CostQueue()
     for i in range(60):
-        q.insert(vertex_entry(rng.choice([1.0, 2.0, 4.0]), rng.choice([0.0, 1.0, 2.0]), i))
+        key, g = rng.choice([1.0, 2.0, 4.0]), rng.choice([0.0, 1.0, 2.0])
+        q.push_vertex(g, key - g, i)
     settles = 0
     while q:
         tied = q.heap[0] in q.heap[1:3]  # another entry holds the least key
@@ -204,16 +288,19 @@ def test_after_a_settle_the_heap_holds_and_its_first_entry_is_the_next_pop():
 
 
 def test_negative_and_positive_zero_keys_tie():
+    # No push sums to -0.0 with tiebreak 2.0, so "neg" is built directly.
     q = CostQueue()
-    q.insert(vertex_entry(-0.0, 2.0, "neg"))
-    q.insert(vertex_entry(0.0, 1.0, "pos"))
-    q.insert(vertex_entry(0.0, 2.0, "pos-later"))
+    neg = VertexEntry(-0.0)
+    neg.g, neg.vid = 2.0, "neg"
+    q.insert(neg)
+    q.push_vertex(1.0, -1.0, "pos")
+    q.push_vertex(2.0, -2.0, "pos-later")
     assert [q.pop_best().vid for _ in range(3)] == ["pos", "neg", "pos-later"]
 
 
 def test_a_vertex_entry_and_an_edge_entry_compare_as_their_keys():
-    vertex = vertex_entry(5.0, 4.0, 0)
-    edge = edge_entry(5.0, 1.0, 0, (0.0, 0.0), 1.0, 3.0)
+    vertex = _pushed_vertex(4.0, 1.0, 0)
+    edge = _pushed_edge(1.0, 0, (0.0, 0.0), 1.0, 3.0)
     assert vertex == edge and vertex <= edge and edge <= vertex
     assert not vertex < edge and not edge < vertex
-    assert vertex < edge_entry(5.5, 1.0, 0, (0.0, 0.0), 1.5, 3.0) < vertex_entry(6.0, 0.0, 1)
+    assert vertex < _pushed_edge(1.0, 0, (0.0, 0.0), 1.5, 3.0) < _pushed_vertex(0.0, 6.0, 1)
