@@ -29,7 +29,9 @@ object stays live to the query's end, within the few hundred bytes the peaks
 vary by anyway.
 
 Usage: PYTHONHASHSEED=0 scripts/query_peak.py [--sites N] [REPO_ROOT]
-(default REPO_ROOT: the repository that holds this script)
+(default REPO_ROOT: the repository that holds this script; N is a
+non-negative decimal integer, and --sites comes before REPO_ROOT). Any other
+command line prints the usage line and exits 1.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from work_ledger import first_queries, imported_copy
 
 
 def main(argv: list[str]) -> int:
-    sites = 0
-    if argv[1:2] == ["--sites"]:
-        sites = int(argv[2])
-        argv = argv[:1] + argv[3:]
-    with imported_copy(argv):
+    args, sites = argv[1:], 0
+    if args[:1] == ["--sites"] and args[1:2] and args[1].isdecimal():
+        args, sites = args[2:], int(args[1])
+    if len(args) > 1 or args and args[0].startswith("-"):
+        print(f"usage: {argv[0]} [--sites N] [REPO_ROOT]", file=sys.stderr)
+        return 1
+    with imported_copy(argv[:1] + args):
         from bitplan import bench
         from bitplan.anytime import AnytimeRun
         from bitplan.cli import cli_main

@@ -81,10 +81,12 @@ class CostQueue:
             insert(entry)
 
     def pop_best(self) -> VertexEntry:
-        """Remove and return the best entry, the least by (key, tiebreak, seq)."""
+        """Remove and return the best entry, the least by (key, tiebreak, seq).
+
+        An empty queue is refused by `heapq.heappop`'s IndexError, a
+        LookupError.
+        """
         heap = self.heap
-        if not heap:
-            raise LookupError("pop from an empty queue")
         best = heapq.heappop(heap)
         if heap and heap[0] == best:
             # Other entries hold the same key: pop them all, return the least

@@ -101,17 +101,14 @@ def rrt_plan(problem: ProblemDef, world: World, params: RrtParams, stop: StopCon
 
         # Choose the parent lazily in ascending cost order: the first
         # collision-free candidate is optimal among the neighbor set (equal
-        # costs go to the lower id).
+        # costs go to the lower id). When every candidate is blocked, the
+        # iteration adds nothing and skips to the next sample.
         ranked = sorted([(costs[v] + d, v, s) for v, s, d in near])
-        parent = None
-        edge_cost = math.inf
-        for _, v, s in ranked:
-            cost = world.true_cost(s, new_state, run)
-            if math.isfinite(cost):
-                parent = v
-                edge_cost = cost
+        for _, parent, s in ranked:
+            edge_cost = world.true_cost(s, new_state, run)
+            if math.isfinite(edge_cost):
                 break
-        if parent is None:
+        else:
             continue
 
         new_id = run.add_vertex(parent, new_state, edge_cost)

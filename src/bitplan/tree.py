@@ -19,7 +19,9 @@ query admits it. Cost-to-come is updated by subtree traversal on rewire,
 because queue keys read it far more often than rewires write it. `by_state`
 maps each live state to its id, so `x in tree.by_state` asks whether x is a
 vertex. Only `add_child`, `rewire` and `remove_subtree` write the lists (the
-first and last the dict too), and they check their arguments.
+first and last the dict too), and they check their arguments: every method
+that takes a vertex id passes it through `_own`, one lookup that refuses an
+unknown or removed id and returns the vertex's own id object.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ class Tree:
         return len(self.by_state)
 
     def children(self, vid: int) -> list[int]:
-        self._check(vid)
-        return list(self._children[vid] or ())
+        return list(self._children[self._own(vid)] or ())
 
     def add_child(self, parent: int, state: State, edge_cost: float) -> int:
         if not 0 <= edge_cost < math.inf:  # NaN fails too
             raise ValueError(f"edge cost must be finite and non-negative, got {edge_cost}")
-        self._check(parent)
-        parent = self.by_state[self.states[parent]]
+        parent = self._own(parent)
         if state in self.by_state:
             raise ValueError("state is already a tree vertex")
         if len(state) != self._mat.shape[0]:
@@ -79,15 +79,15 @@ class Tree:
         return vid
 
     def rewire(self, child: int, new_parent: int, new_edge_cost: float) -> None:
-        """Re-parent `child` and refresh cost-to-come across its subtree."""
-        if child == self.root_id:
-            raise ValueError("cannot rewire the root")
+        """Re-parent `child` and refresh cost-to-come across its subtree.
+
+        The cycle walk also refuses the root as `child`: it climbs from the
+        live new parent to the root, so it meets the root whatever it starts
+        from.
+        """
         if not 0 <= new_edge_cost < math.inf:
             raise ValueError(f"edge cost must be finite and non-negative, got {new_edge_cost}")
-        self._check(child)
-        self._check(new_parent)
-        states, by_state = self.states, self.by_state
-        child, new_parent = by_state[states[child]], by_state[states[new_parent]]
+        child, new_parent = self._own(child), self._own(new_parent)
         parents, costs, edge_costs, children = (self.parents, self.costs, self._edge_costs,
                                                 self._children)
         anc = new_parent
@@ -116,7 +116,7 @@ class Tree:
         """Remove `vid` and all descendants; returns the removed (id, state) pairs."""
         if vid == self.root_id:
             raise ValueError("cannot remove the root")
-        self._check(vid)
+        vid = self._own(vid)
         parent, children = self.parents[vid], self._children
         children[parent].remove(vid)
         if not children[parent]:
@@ -137,7 +137,7 @@ class Tree:
 
     def solution(self, vid: int) -> list[State]:
         """States along the root-to-vid path, both endpoints included."""
-        self._check(vid)
+        vid = self._own(vid)
         path = []
         while vid is not None:
             path.append(self.states[vid])
@@ -150,6 +150,8 @@ class Tree:
         for a removed v, and each row is one contiguous coordinate."""
         return self._mat[:, : len(self.states)]
 
-    def _check(self, vid: int) -> None:
-        if not 0 <= vid < len(self.states) or self.states[vid] is None:
-            raise ValueError(f"unknown vertex id {vid}")
+    def _own(self, vid: int) -> int:
+        """The tree's own id object for vid; refuse an unknown or removed id."""
+        if 0 <= vid < len(self.states) and (state := self.states[vid]) is not None:
+            return self.by_state[state]
+        raise ValueError(f"unknown vertex id {vid}")

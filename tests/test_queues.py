@@ -97,7 +97,7 @@ def test_a_multi_field_payload_round_trips_flat():
     assert edge.x is target
 
 
-def test_best_value_examples():
+def test_heap_0_holds_the_least_key_examples():
     q = CostQueue()
     assert q.heap == []
     for k in (9.0, 4.0, 6.0):
@@ -107,7 +107,7 @@ def test_best_value_examples():
     assert q.heap[0] == 6.0
 
 
-def test_best_value_equals_next_pop_key():
+def test_heap_0_equals_the_next_pop_key():
     rng = random.Random(1)
     q = CostQueue()
     for _ in range(200):

@@ -188,6 +188,38 @@ def test_every_insertion_chooses_its_parent_and_rewires_its_near_set(demo_scenar
     assert worst <= 1e-12, f"{seen}: worst violation {worst}"
 
 
+def test_an_iteration_whose_every_candidate_parent_is_blocked_adds_nothing(demo_scenario,
+                                                                          monkeypatch):
+    # Choose-parent's else: when every ranked neighbor's edge to the new state
+    # is blocked, the iteration adds no vertex and does not call improve, yet
+    # it counts as a batch. Such an iteration checks edges (a repeated state
+    # checks none) and calls no improve, which runs once per insertion.
+    world = demo_scenario.world
+    true_cost, improve = world.true_cost, AnytimeRun.improve
+    checks, improves = [], []  # (batch, edge free) per check; (batch, vertices) per improve
+
+    def recorded_true_cost(x, y, run=None):
+        cost = true_cost(x, y, run)
+        checks.append((run.batch, math.isfinite(cost)))
+        return cost
+
+    def recorded_improve(run):
+        improves.append((run.batch, len(run.tree)))
+        improve(run)
+
+    monkeypatch.setattr(world, "true_cost", recorded_true_cost)
+    monkeypatch.setattr(AnytimeRun, "improve", recorded_improve)
+    result = rrt_plan(demo_scenario.problem, world, demo_scenario.rrtstar,
+                      StopCondition(max_batches=60), RngStream(2))
+    blocked = {batch for batch, _ in checks} - {batch for batch, _ in improves}
+    assert blocked, "seed 2's first 60 iterations no longer hold a blocked one"
+    assert not any(free for batch, free in checks if batch in blocked)
+    # One vertex per improve: a blocked iteration added none.
+    assert [n for _, n in improves] == list(range(2, len(improves) + 2))
+    last = result.convergence[-1]
+    assert (last.batch, last.samples_drawn, last.tree_vertices) == (60, 60, len(improves) + 1)
+
+
 def test_the_tree_rrt_plan_builds_passes_the_audit(demo_scenario, monkeypatch):
     # rrt_plan hands the tree ids fresh from numpy (order.tolist()), so its
     # tree is the one where a caller's int could be stored beside the tree's

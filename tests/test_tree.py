@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -7,6 +8,22 @@ import pytest
 
 from bitplan.tree import Tree
 from conftest import tree_audit, tree_fuzz, tree_lists_audit
+
+
+def _removed_ids_tree():
+    """A tree whose subtree a -> b was removed, and a live leaf: (t, live, a, b)."""
+    t = Tree((0.0, 0.0))
+    a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
+    b = t.add_child(a, (2.0, 0.0), 1.0)
+    live = t.add_child(t.root_id, (0.0, 1.0), 1.0)
+    t.remove_subtree(a)
+    return t, live, a, b
+
+
+def _contents(t):
+    """Copies of every list and dict the tree keeps, and its matrix's bytes."""
+    return copy.deepcopy((t.states, t.parents, t.costs, t._edge_costs, t._children,
+                          t.by_state)), t.states_matrix().tobytes()
 
 
 def test_add_child_costs():
@@ -42,12 +59,41 @@ def test_a_refused_add_child_changes_nothing(state):
     # matrix write raised (or, at length 1, was broadcast into both rows).
     t = Tree((0.0, 0.0))
     t.add_child(t.root_id, (1.0, 1.0), 1.0)
-    lists = (t.states, t.parents, t.costs, t._edge_costs, t._children, t.by_state)
-    before = [list(x) for x in lists], len(t), t.children(0), t.states_matrix().tobytes()
+    before = _contents(t)
     with pytest.raises(ValueError):
         t.add_child(t.root_id, state, 1.0)
     tree_audit(t)
-    assert ([list(x) for x in lists], len(t), t.children(0), t.states_matrix().tobytes()) == before
+    assert _contents(t) == before
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, live, gone: t.add_child(gone, (5.0, 5.0), 1.0),
+    lambda t, live, gone: t.rewire(gone, live, 1.0),
+    lambda t, live, gone: t.rewire(live, gone, 1.0),
+    lambda t, live, gone: t.remove_subtree(gone),
+    lambda t, live, gone: t.solution(gone),
+    lambda t, live, gone: t.children(gone),
+], ids=["add_child_under_it", "rewire_it", "rewire_onto_it", "remove_subtree", "solution",
+        "children"])
+@pytest.mark.parametrize("which", ["subtree_root", "descendant"])
+def test_a_removed_id_is_unknown_and_its_refusal_changes_nothing(call, which):
+    t, live, a, b = _removed_ids_tree()
+    before = _contents(t)
+    with pytest.raises(ValueError, match="unknown vertex id"):
+        call(t, live, a if which == "subtree_root" else b)
+    tree_audit(t)
+    assert _contents(t) == before
+
+
+def test_rewiring_the_root_is_refused_and_changes_nothing():
+    t, live, _, _ = _removed_ids_tree()
+    deep = t.add_child(live, (0.0, 2.0), 1.0)
+    before = _contents(t)
+    for new_parent in (t.root_id, live, deep):
+        with pytest.raises(ValueError):
+            t.rewire(t.root_id, new_parent, 1.0)
+    tree_audit(t)
+    assert _contents(t) == before
 
 
 def test_rewire_updates_costs():
