@@ -43,17 +43,17 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from work_ledger import first_queries, imported_copy
+from work_ledger import first_queries, imported_copy, repo_root
 
 
 def main(argv: list[str]) -> int:
     args, sites = argv[1:], 0
     if args[:1] == ["--sites"] and args[1:2] and args[1].isdecimal():
         args, sites = args[2:], int(args[1])
-    if len(args) > 1 or args and args[0].startswith("-"):
+    if (root := repo_root(args)) is None:
         print(f"usage: {argv[0]} [--sites N] [REPO_ROOT]", file=sys.stderr)
         return 1
-    with imported_copy(argv[:1] + args):
+    with imported_copy(root):
         from bitplan import bench
         from bitplan.anytime import AnytimeRun
         from bitplan.cli import cli_main

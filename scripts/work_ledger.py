@@ -26,7 +26,9 @@ temporary directory and removed at the end, so that checkouts at different
 paths run the same code; it writes nothing into REPO_ROOT.
 
 Usage: PYTHONHASHSEED=0 scripts/work_ledger.py [REPO_ROOT]
-(default REPO_ROOT: the repository that holds this script)
+(default REPO_ROOT: the repository that holds this script). Any other
+command line, such as an option in REPO_ROOT's place or a second root,
+prints the usage line and exits 1.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ def count_bytecodes(run, *args):
     return result, {key: cell[0] for key, cell in counts.items()}
 
 
+def repo_root(args: list[str]) -> Path | None:
+    """REPO_ROOT from the arguments that follow a script's options: the
+    repository that holds this script when there are none, else the one
+    argument if it is not an option; None for anything else."""
+    if len(args) > 1 or args and args[0].startswith("-"):
+        return None
+    return (Path(args[0]) if args else Path(__file__).parent.parent).resolve()
+
+
 @contextlib.contextmanager
-def imported_copy(argv: list[str]):
-    """Put a temporary copy of REPO_ROOT's `src/` and `perfbench/` (argv[1],
-    default the repository that holds this script) first on sys.path; the
-    copy is deleted on exit."""
-    root = (Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent).resolve()
+def imported_copy(root: Path):
+    """Put a temporary copy of root's `src/` and `perfbench/` first on
+    sys.path; the copy is deleted on exit."""
     with tempfile.TemporaryDirectory() as copy:
         for part in ("src", "perfbench"):
             shutil.copytree(root / part, Path(copy) / part,
@@ -106,7 +115,10 @@ def first_queries():
 
 
 def main(argv: list[str]) -> int:
-    with imported_copy(argv):
+    if (root := repo_root(argv[1:])) is None:
+        print(f"usage: {argv[0]} [REPO_ROOT]", file=sys.stderr)
+        return 1
+    with imported_copy(root):
         return print_ledger()
 
 

@@ -36,6 +36,7 @@ MAX_GRID_STEPS = 1_000_000  # an aggregate grid holds one entry per step
 # "non-negative" or an inclusive (lo, hi) range on the first number.
 # goal_sample is the one repeatable key, [obstacles] holds shape lines
 # instead of keys, and [grid]'s keys are required only when it is given.
+# The top-level name is an optional label: accepted once, then ignored.
 _KEYS: dict[str | None, dict[str, tuple]] = {
     None: {"name": (False, 0, str, None)},
     "world": {"bounds": (True, 4, float, None),
@@ -65,7 +66,6 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     world: World
     problem: ProblemDef
     bitstar: PlannerParams
@@ -202,8 +202,7 @@ def load_scenario(path) -> Scenario:
     made(": problem: ", problem.validate, world)
     stop = made(": [stop]: ", StopCondition, **got.get("stop", {}))
     bit = PlannerParams(batch_size=got["bitstar"]["batch_size"], radius=got["bitstar"]["rho"])
-    name = got[None]["name"] if "name" in got[None] else path.stem
-    return Scenario(name, world, problem, bit, RrtParams(**got["rrtstar"]), stop)
+    return Scenario(world, problem, bit, RrtParams(**got["rrtstar"]), stop)
 
 
 def run_single(scenario: Scenario, planner: str, seed: int, **hooks):

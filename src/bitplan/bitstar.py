@@ -219,7 +219,7 @@ def expand_vertex(ctx: PlannerContext, problem: ProblemDef, params: PlannerParam
         admit, d = near(cols, h)
         ctx.qe.push_edges(gt_v, vid, [
             (states[wid], dw, hw) for wid, dw, hw in zip(admit.tolist(), d, h[admit].tolist())
-            if states[wid] != vstate and tree.parents[wid] != vid and gh_v + dw < costs[wid]])
+            if wid != vid and tree.parents[wid] != vid and gh_v + dw < costs[wid]])
     return scanned
 
 

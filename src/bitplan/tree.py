@@ -4,10 +4,13 @@ Vertex ids are list indices, handed out in creation order and never reused,
 and the tree is one list per field that the planners index directly:
 `states[v]`, `parents[v]` (None for the root) and `costs[v]`, the cached
 cost-to-come. Edges live on the child (parent id + edge cost). A private
-list holds a vertex's child ids in insertion order, and only while it has a
-child: a leaf's entry is None, so a tree stores no empty list. A re-parented
-child goes last, and removing one keeps the others' order, at the cost of one
-`list.remove` pass over its parent's children (a handful of ids here). Every
+list holds each vertex's child ids as a tuple in insertion order; a leaf's
+entry is the shared empty tuple, so no leaf holds a container of its own. An
+attach appends by building the tuple one longer, and a re-parented child
+goes last; a detach rebuilds the tuple without the id (a handful of ids
+here), so the others keep their order and the last child's leaving leaves
+the empty tuple. `children(v)` returns the stored tuple itself: a caller may
+iterate it while `rewire` or `remove_subtree` replaces it. Every
 parent and child id the tree stores is the vertex's own int, the one
 `add_child` returned and `by_state` holds, never a caller's equal copy (RRT*'s
 ids arrive fresh from numpy), so a vertex costs one int object. A removed id
@@ -40,7 +43,7 @@ class Tree:
         self.parents: list[int | None] = [None]
         self.costs: list[float] = [0.0]
         self._edge_costs: list[float] = [0.0]  # cost of the edge from the parent
-        self._children: list[list[int] | None] = [None]  # child ids, insertion order
+        self._children: list[tuple[int, ...]] = [()]  # child ids, insertion order
         self.by_state: dict[State, int] = {root_state: 0}
         # The states_matrix() store, column-major (d, capacity) as
         # space.sq_dists reads it: column v is vertex v's state.
@@ -50,8 +53,8 @@ class Tree:
     def __len__(self) -> int:
         return len(self.by_state)
 
-    def children(self, vid: int) -> list[int]:
-        return list(self._children[self._own(vid)] or ())
+    def children(self, vid: int) -> tuple[int, ...]:
+        return self._children[self._own(vid)]
 
     def add_child(self, parent: int, state: State, edge_cost: float) -> int:
         if not 0 <= edge_cost < math.inf:  # NaN fails too
@@ -70,11 +73,8 @@ class Tree:
         self.parents.append(parent)
         self.costs.append(self.costs[parent] + edge_cost)
         self._edge_costs.append(edge_cost)
-        self._children.append(None)
-        if (kids := self._children[parent]) is None:
-            self._children[parent] = [vid]
-        else:
-            kids.append(vid)
+        self._children.append(())
+        self._children[parent] += (vid,)
         self.by_state[state] = vid
         return vid
 
@@ -96,21 +96,17 @@ class Tree:
                 raise ValueError("rewiring under a descendant would create a cycle")
             anc = parents[anc]
         old = parents[child]
-        children[old].remove(child)
-        if not children[old]:
-            children[old] = None  # its last child left
+        kids = children[old]
+        i = kids.index(child)
+        children[old] = kids[:i] + kids[i + 1:]
         parents[child] = new_parent
         edge_costs[child] = new_edge_cost
-        if (kids := children[new_parent]) is None:
-            children[new_parent] = [child]
-        else:
-            kids.append(child)
+        children[new_parent] += (child,)
         stack = [child]
         while stack:
             cur = stack.pop()
             costs[cur] = costs[parents[cur]] + edge_costs[cur]
-            if kids := children[cur]:
-                stack += kids
+            stack += children[cur]
 
     def remove_subtree(self, vid: int) -> list[tuple[int, State]]:
         """Remove `vid` and all descendants; returns the removed (id, state) pairs."""
@@ -118,9 +114,9 @@ class Tree:
             raise ValueError("cannot remove the root")
         vid = self._own(vid)
         parent, children = self.parents[vid], self._children
-        children[parent].remove(vid)
-        if not children[parent]:
-            children[parent] = None
+        kids = children[parent]
+        i = kids.index(vid)
+        children[parent] = kids[:i] + kids[i + 1:]
         removed: list[tuple[int, State]] = []
         stack = [vid]
         while stack:
@@ -128,9 +124,9 @@ class Tree:
             state = self.states[cur]
             del self.by_state[state]
             removed.append((cur, state))
-            if kids := children[cur]:
-                stack += reversed(kids)
-            self.states[cur] = self.parents[cur] = children[cur] = None
+            stack += reversed(children[cur])
+            self.states[cur] = self.parents[cur] = None
+            children[cur] = ()
             self.costs[cur] = math.inf
             self._mat[:, cur] = math.inf
         return removed

@@ -154,8 +154,8 @@ def test_parent_children_examples():
     assert t.parents[t.root_id] is None
     a = t.add_child(t.root_id, (1.0, 0.0), 1.0)
     assert t.parents[a] == t.root_id
-    assert t.children(a) == []
-    assert t.children(t.root_id) == [a]
+    assert t.children(a) == ()
+    assert t.children(t.root_id) == (a,)
     with pytest.raises(ValueError):
         t.children(777)
     with pytest.raises(ValueError):
@@ -183,26 +183,45 @@ def test_child_order_through_add_rewire_and_remove():
     t = Tree((0.0, 0.0))
     r = t.root_id
     a, b, c, d = (t.add_child(r, (float(i), 0.0), 1.0) for i in range(1, 5))
-    assert t.children(r) == [a, b, c, d]
+    assert t.children(r) == (a, b, c, d)
     # Re-parented under its own parent, a child still goes last.
     t.rewire(b, r, 0.5)
-    assert t.children(r) == [a, c, d, b]
+    assert t.children(r) == (a, c, d, b)
     # A moved child goes last under its new parent, and the old parent's
     # other children keep their order.
     e = t.add_child(a, (0.0, 1.0), 1.0)
     t.rewire(c, a, 1.0)
-    assert t.children(a) == [e, c]
-    assert t.children(r) == [a, d, b]
+    assert t.children(a) == (e, c)
+    assert t.children(r) == (a, d, b)
     t.remove_subtree(d)
-    assert t.children(r) == [a, b]
+    assert t.children(r) == (a, b)
     f = t.add_child(r, (0.0, 2.0), 1.0)
-    assert t.children(r) == [a, b, f]
+    assert t.children(r) == (a, b, f)
     g = t.add_child(c, (0.0, 3.0), 1.0)
     h = t.add_child(a, (0.0, 4.0), 1.0)
     tree_audit(t)
     # A removal lists its subtree depth first, each vertex's children in order.
     assert [vid for vid, _ in t.remove_subtree(a)] == [a, e, c, g, h]
-    assert t.children(r) == [b, f]
+    assert t.children(r) == (b, f)
+    tree_audit(t)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t, a, b, d: t.rewire(b, a, 1.0),
+    lambda t, a, b, d: t.rewire(a, t.root_id, 0.5),
+    lambda t, a, b, d: t.rewire(d, a, 1.0),
+    lambda t, a, b, d: t.remove_subtree(b),
+    lambda t, a, b, d: t.remove_subtree(d),
+], ids=["rewire_a_child_away", "rewire_a_child_last", "rewire_a_grandchild_away",
+        "remove_a_child", "remove_a_grandchild"])
+def test_children_taken_before_an_edit_are_unchanged_by_it(edit):
+    # prune iterates children(v) while remove_subtree edits v's child ids.
+    t = Tree((0.0, 0.0))
+    a, b, c = (t.add_child(t.root_id, (float(i), 0.0), 1.0) for i in range(1, 4))
+    d = t.add_child(b, (2.0, 1.0), 1.0)
+    taken = [t.children(v) for v in (t.root_id, a, b)]
+    edit(t, a, b, d)
+    assert taken == [(a, b, c), (), (d,)]
     tree_audit(t)
 
 
